@@ -363,6 +363,8 @@ def _cmd_simulate(args) -> int:
         )
     except KeyError as exc:
         raise ValidationError(f"circuit JSON missing field {exc}")
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"invalid circuit JSON: {exc}")
     runner = estimate_born_char if args.frame == "char" else estimate_born
     report = runner(circuit, args.epsilon, args.p_fail, args.seed, streams=args.streams)
     doc = {

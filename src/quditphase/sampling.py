@@ -9,12 +9,18 @@ averages signed weights:
 
 The sample count follows the Hoeffding bound
 K = ceil(2 M^2 ln(2/p_f) / eps^2) with M the aggregated l1 norm of the
-circuit. Named generator gates never touch dense matrices: their frame
-action is an exact coordinate permutation with a sign, and they consume
-no randomness. Explicit gates sample lazily computed, memoized columns.
+circuit. Both frames share one column builder: the frame's basis
+operator at a label, conjugated by the gate and expanded over the dual
+basis. Named generator gates never touch dense n-qudit matrices: each
+column of a generator has exactly one entry of modulus one, so its frame
+action is a label map with a sign (O frame) or a phase (Heisenberg-Weyl
+frame), read from a table built once on the gate's 1- or 2-qudit
+support. Explicit gates sample lazily computed, memoized columns.
 
-Determinism contract: one uniform block per stream per sampled step, in
-trajectory order; per-stream compensated sums merged exactly. A report
+Determinism contract: one uniform block per stream for the input draw,
+one more for the conjugate-pair flip in the Heisenberg-Weyl frame, and
+one per explicit gate, in trajectory order; named gates draw nothing in
+either frame. Per-stream compensated sums are merged exactly. A report
 is bit-for-bit reproducible for fixed (seed, streams).
 """
 
@@ -23,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -34,18 +41,10 @@ from .core import (
     InvariantError,
     QuditSystem,
     ValidationError,
-    embed_generator,
+    clifford_generator,
     t_state,
 )
-from .basis import (
-    Domain,
-    PhasePoint,
-    clifford_coordinate_action,
-    o_operator,
-    o_stack,
-    p_stack,
-    restricted_point,
-)
+from .basis import Domain, PhasePoint, o_stack, p_stack
 from .measures import (
     NORM_CUTOFF,
     QuasiDistribution,
@@ -152,7 +151,10 @@ class CircuitDescription:
                     raise ValidationError("explicit gate is not unitary")
             else:
                 kind, targets = g
-                GateKind(kind)
+                kind = GateKind(kind)
+                arity = 2 if kind is GateKind.SUM else 1
+                if len(targets) != arity or len(set(targets)) != arity:
+                    raise ValidationError(f"{kind.value} takes {arity} distinct target(s)")
                 if any(not 0 <= t < self.system.n for t in targets):
                     raise ValidationError("gate target out of range")
         self.measurement.validate(self.system)
@@ -190,17 +192,16 @@ def frame_state_coeffs(rho: DensityState) -> QuasiDistribution:
 
 
 def frame_unitary_coeffs(system: QuditSystem, gate: GateSpec, lam: PhasePoint) -> QuasiDistribution:
-    """One column x_U(. | lam); a single signed entry for named gates."""
-    d, n = system.d, system.n
+    """One column x_U(. | lam) at a restricted label; a single signed entry for named gates."""
+    shape = (system.d,) * (2 * system.n)
+    flat = int(np.ravel_multi_index(tuple(lam.vector()), shape))
     if isinstance(gate, DenseOperator):
-        col = _dense_column(system, gate.entries, lam)
-        return QuasiDistribution(system, Domain.RESTRICTED, col.reshape((d,) * (2 * n)))
-    kind, targets = gate
-    vecs = lam.vector().reshape(-1, 1)
-    new, sign = _apply_named(system, kind, tuple(targets), vecs)
-    out = np.zeros((d,) * (2 * n))
-    out[tuple(int(c) for c in new[:, 0])] = float(sign[0])
-    return QuasiDistribution(system, Domain.RESTRICTED, out)
+        col = _column(system, False, gate.entries, flat)
+    else:
+        image, sign = _named_step(system, gate, np.array([flat]), False)
+        col = np.zeros(system.d ** (2 * system.n))
+        col[image[0]] = sign[0]
+    return QuasiDistribution(system, Domain.RESTRICTED, col.reshape(shape))
 
 
 def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam: PhasePoint) -> float:
@@ -209,40 +210,74 @@ def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam
     return float(arr[tuple(lam.vector())])
 
 
-def _dense_column(system: QuditSystem, unitary: np.ndarray, lam: PhasePoint) -> np.ndarray:
-    """x_U(lam' | lam) for every lam', via one dense conjugation."""
+@lru_cache(maxsize=16)
+def _frame_stacks(d: int, char: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Restricted single-qudit basis stack of a frame and its dual stack."""
+    if not char:
+        return o_stack(d, d), o_stack(d, d)
+    dual = np.conj(np.swapaxes(p_stack(d, d), 2, 3))
+    dual.flags.writeable = False
+    return p_stack(d, d), dual
+
+
+def _column(system: QuditSystem, char: bool, unitary: np.ndarray, flat: int) -> np.ndarray:
+    """x_U(lam' | lam) for every lam', lam the restricted label at ``flat``.
+
+    The basis operator at lam is the Kronecker product of single-qudit
+    stack entries; it is conjugated by U and contracted with the dual
+    stack. O-frame columns are real, Heisenberg-Weyl columns complex.
+    """
     d, n = system.d, system.n
-    o = o_operator(system, lam).entries
-    conj = unitary @ o @ unitary.conj().T
-    col = _contract_stack(system, o_stack(d, d), conj) / d**n
-    if np.max(np.abs(col.imag)) > 1e-10:
-        raise InvariantError("frame column must be real")
-    col = col.real.reshape(-1)
+    basis, dual = _frame_stacks(d, char)
+    vec = np.unravel_index(flat, (d,) * (2 * n))
+    op = basis[vec[0], vec[n]]
+    for q in range(1, n):
+        op = np.kron(op, basis[vec[q], vec[n + q]])
+    col = _contract_stack(system, dual, unitary @ op @ unitary.conj().T) / d**n
+    if not char:
+        if np.max(np.abs(col.imag)) > 1e-10:
+            raise InvariantError("frame column must be real")
+        col = col.real
+    col = col.reshape(-1)
     col[np.abs(col) < NORM_CUTOFF] = 0.0
     if not np.any(col):
         raise InvariantError("frame column vanished; unitary inconsistent")
     return col
 
 
-def _apply_named(
-    system: QuditSystem, kind: GateKind, targets: tuple[int, ...], vecs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact frame action of a named gate on restricted label vectors.
+@lru_cache(maxsize=64)
+def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Image label and unit phase of every local label under a generator.
 
-    vecs has shape (2n, K) with entries in [0, d). Returns the mapped
-    restricted vectors and the per-trajectory sign picked up when the
-    doubled-domain image is folded back.
+    Built on the generator's own 1- or 2-qudit support (SUM as
+    (control, target)), where each column has exactly one entry.
     """
+    local = QuditSystem(d, 2 if kind is GateKind.SUM else 1)
+    unitary = clifford_generator(local, kind).entries
+    images, phases = [], []
+    for flat in range(d ** (2 * local.n)):
+        col = _column(local, char, unitary, flat)
+        (nz,) = np.nonzero(col)
+        if len(nz) != 1:
+            raise InvariantError("a generator column must have a single entry")
+        images.append(nz[0])
+        phases.append(col[nz[0]] / abs(col[nz[0]]))
+    images, phases = np.array(images), np.array(phases)
+    images.flags.writeable = phases.flags.writeable = False
+    return images, phases
+
+
+def _named_step(system: QuditSystem, gate: NamedGate, idx: np.ndarray, char: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Images of flat restricted labels under a named gate, with unit phases."""
+    kind, targets = gate
     d, n = system.d, system.n
-    amap = clifford_coordinate_action(system, kind, targets)
-    full = (amap.matrix @ vecs + amap.shift.reshape(-1, 1)) % (2 * d)
-    red = full % d
-    eps = full // d
-    el, em = eps[:n], eps[n:]
-    rl, rm = red[:n], red[n:]
-    expo = np.sum(rm * el + rl * em + d * el * em, axis=0)
-    sign = np.where(expo % 2, -1.0, 1.0)
-    return red, sign
+    images, phases = _named_table(d, GateKind(kind), char)
+    axes = [*targets, *(n + t for t in targets)]
+    local_shape = (d,) * len(axes)
+    vecs = np.array(np.unravel_index(idx, (d,) * (2 * n)))
+    local = np.ravel_multi_index(tuple(vecs[axes]), local_shape)
+    vecs[axes] = np.unravel_index(images[local], local_shape)
+    return np.ravel_multi_index(tuple(vecs), (d,) * (2 * n)), phases[local]
 
 
 # ------------------------------------------------------- measurement table
@@ -293,42 +328,58 @@ def _char_measurement_array(system: QuditSystem, effect: MeasurementEffect) -> n
 
 # ---------------------------------------------------------------- norms
 
-def _column_norm_max(system: QuditSystem, gate: GateSpec, gate_index: int) -> float:
-    """max_lam ||x_U(. | lam)||_1; exhaustive at n=1, seeded sweep above."""
-    if not isinstance(gate, DenseOperator):
-        return 1.0
-    d, n = system.d, system.n
-    total = d ** (2 * n)
-    if n == 1 or total <= _SWEEP_POINTS:
-        flats = range(total)
-    else:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=_SWEEP_SEED, spawn_key=(gate_index,)))
-        )
-        flats = sorted(set(int(i) for i in rng.integers(0, total, size=_SWEEP_POINTS)))
-    best = 0.0
-    for f in flats:
-        vec = np.unravel_index(f, (d,) * (2 * n))
-        lam = restricted_point(system, vec[:n], vec[n:])
-        col = _dense_column(system, gate.entries, lam)
-        best = max(best, float(np.sum(np.abs(col))))
-    return best
+class _ColumnCache:
+    """Lazy per-gate memo of explicit-gate columns keyed by source flat index.
+
+    An entry holds the column's support, its values there, the sampling
+    cdf over the support and the column's l1 norm.
+    """
+
+    def __init__(self, system: QuditSystem, char: bool):
+        self.system = system
+        self.char = char
+        self.cols: dict[tuple[int, int], tuple] = {}
+
+    def get(self, gate_index: int, gate: DenseOperator, flat: int):
+        key = (gate_index, flat)
+        if key not in self.cols:
+            col = _column(self.system, self.char, gate.entries, flat)
+            nz, cdf = _cdf_from_abs(np.abs(col))
+            self.cols[key] = (nz, col[nz], cdf, float(np.sum(np.abs(col))))
+        return self.cols[key]
+
+
+def _sweep_flats(system: QuditSystem, gate_index: int):
+    """Labels a column-norm max runs over: all of them at n=1 or when there
+    are at most _SWEEP_POINTS, else a fixed seeded subset per gate."""
+    total = system.d ** (2 * system.n)
+    if system.n == 1 or total <= _SWEEP_POINTS:
+        return range(total)
+    rng = _stream_rng(_SWEEP_SEED, gate_index)
+    return sorted(set(int(i) for i in rng.integers(0, total, size=_SWEEP_POINTS)))
+
+
+def _aggregated_norm(gates, state: QuasiDistribution, meas: np.ndarray, cache: _ColumnCache) -> float:
+    """Input 1-norm x explicit-gate column maxima x effect max, in the cache's frame.
+
+    Named gates contribute exactly 1: their columns have one unit entry.
+    """
+    m = lp_norm(state, 1)
+    for i, g in enumerate(gates):
+        if isinstance(g, DenseOperator):
+            m *= max(cache.get(i, g, f)[3] for f in _sweep_flats(cache.system, i))
+    return m * float(np.max(np.abs(meas)))
 
 
 def forward_norm(circuit: CircuitDescription) -> float:
-    """Aggregated l1 norm: input 1-norm x gate column maxima x effect max."""
+    """Aggregated l1 norm in the O frame: input x gate column maxima x effect."""
     system = circuit.system
-    d, n = system.d, system.n
-    m = lp_norm(frame_state_coeffs(circuit.input_state), 1)
-    for i, g in enumerate(circuit.gates):
-        m *= _column_norm_max(system, g, i)
-    eff = circuit.measurement
-    if eff.kind == MeasurementKind.COMPUTATIONAL:
-        k = len(eff.indices)
-        m *= 1.0 if d % 2 else float(2 ** (n - k))
-    else:
-        m *= float(np.max(np.abs(_measurement_array(system, eff))))
-    return m
+    return _aggregated_norm(
+        circuit.gates,
+        frame_state_coeffs(circuit.input_state),
+        _measurement_array(system, circuit.measurement),
+        _ColumnCache(system, char=False),
+    )
 
 
 def sample_count(m_forward: float, epsilon: float, p_fail: float) -> int:
@@ -369,91 +420,26 @@ def _split_sizes(total: int, streams: int) -> list[int]:
     return [base + (1 if s < rem else 0) for s in range(streams)]
 
 
-class _ColumnCache:
-    """Lazy per-gate memo of frame columns keyed by source flat index."""
-
-    def __init__(self, system: QuditSystem, char_frame: bool):
-        self.system = system
-        self.char = char_frame
-        self.cols: dict[tuple[int, int], tuple] = {}
-
-    def get(self, gate_index: int, gate: DenseOperator, flat: int):
-        key = (gate_index, flat)
-        if key not in self.cols:
-            d, n = self.system.d, self.system.n
-            vec = np.unravel_index(flat, (d,) * (2 * n))
-            lam = restricted_point(self.system, vec[:n], vec[n:])
-            if self.char:
-                op = None
-                for q in range(n):
-                    f = p_stack(d, d)[vec[q], vec[n + q]]
-                    op = f if op is None else np.kron(op, f)
-                conj = gate.entries @ op @ gate.entries.conj().T
-                col = (
-                    _contract_stack(self.system, np.conj(np.swapaxes(p_stack(d, d), 2, 3)), conj)
-                    / d**n
-                ).reshape(-1)
-                col[np.abs(col) < NORM_CUTOFF] = 0.0
-                if not np.any(col):
-                    raise InvariantError("frame column vanished; unitary inconsistent")
-            else:
-                col = _dense_column(self.system, gate.entries, lam)
-            nz, cdf = _cdf_from_abs(np.abs(col))
-            norm = float(np.sum(np.abs(col)))
-            self.cols[key] = (col, nz, cdf, norm)
-        return self.cols[key]
-
-
-def _aggregated_norm_char(circuit: CircuitDescription) -> float:
-    """Forward norm in the Heisenberg-Weyl frame."""
-    system = circuit.system
-    d, n = system.d, system.n
-    chi = characteristic_fn(circuit.input_state, Domain.RESTRICTED)
-    m = lp_norm(chi, 1)
-    cache = _ColumnCache(system, char_frame=True)
-    for i, g in enumerate(circuit.gates):
-        if not isinstance(g, DenseOperator):
-            kind, targets = g
-            g = embed_generator(system, kind, tuple(targets))
-        total = d ** (2 * n)
-        if n == 1 or total <= _SWEEP_POINTS:
-            flats = range(total)
-        else:
-            rng = _stream_rng(_SWEEP_SEED, i)
-            flats = sorted(set(int(x) for x in rng.integers(0, total, size=_SWEEP_POINTS)))
-        m *= max(cache.get(i, g, f)[3] for f in flats)
-    m *= float(np.max(np.abs(_char_measurement_array(system, circuit.measurement))))
-    return m
-
-
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
     system = circuit.system
     d, n = system.d, system.n
     shape = (d,) * (2 * n)
 
     if char:
-        coeffs = _flat_coeffs(characteristic_fn(circuit.input_state, Domain.RESTRICTED).values)
-        meas = _char_measurement_array(system, circuit.measurement).reshape(-1)
-        m_forward = _aggregated_norm_char(circuit)
+        state = characteristic_fn(circuit.input_state, Domain.RESTRICTED)
+        meas = _char_measurement_array(system, circuit.measurement)
     else:
-        coeffs = _flat_coeffs(frame_state_coeffs(circuit.input_state).values)
-        meas = _measurement_array(system, circuit.measurement).reshape(-1)
-        m_forward = forward_norm(circuit)
+        state = frame_state_coeffs(circuit.input_state)
+        meas = _measurement_array(system, circuit.measurement)
+    cache = _ColumnCache(system, char)
+    m_forward = _aggregated_norm(circuit.gates, state, meas, cache)
+    coeffs = _flat_coeffs(state.values)
+    meas = meas.reshape(-1)
 
     norm0 = float(np.sum(np.abs(coeffs)))
     if norm0 <= 0:
         raise ValidationError("input state has zero frame norm")
     k_total = sample_count(m_forward, epsilon, p_fail)
-
-    # gates normalized: named stay tuples, explicit become DenseOperators
-    gates: list = []
-    for g in circuit.gates:
-        if isinstance(g, DenseOperator):
-            gates.append(g)
-        else:
-            gates.append((GateKind(g[0]), tuple(g[1])))
-
-    cache = _ColumnCache(system, char_frame=char)
 
     if char:
         # conjugate-pair folding: sample the lexicographic representative
@@ -468,7 +454,6 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         need_flip = bool(np.any(~selfpair[nz0]))
     else:
         nz0, cdf0 = _cdf_from_abs(np.abs(coeffs))
-        partner = selfpair = None
         need_flip = False
 
     stream_sums = []
@@ -482,50 +467,27 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         else:
             u = rng.random(k_s)
             idx = nz0[np.minimum(np.searchsorted(cdf0, u, side="right"), len(nz0) - 1)]
-        if char:
-            if need_flip:
-                flips = rng.random(k_s) < 0.5
-                idx = np.where(selfpair[idx], idx, np.where(flips, partner[idx], idx))
-            vals = coeffs[idx]
-            w = norm0 * vals / np.abs(vals)
-        else:
-            w = norm0 * np.sign(coeffs[idx])
+        if need_flip:
+            flips = rng.random(k_s) < 0.5
+            idx = np.where(selfpair[idx], idx, np.where(flips, partner[idx], idx))
+        vals = coeffs[idx]
+        w = norm0 * (vals / np.abs(vals))
 
-        for gi, g in enumerate(gates):
+        for gi, g in enumerate(circuit.gates):
             if isinstance(g, DenseOperator):
                 u = rng.random(k_s)
                 new_idx = np.empty_like(idx)
                 for lam in np.unique(idx):
                     mask = idx == lam
-                    col, nz, cdf, cnorm = cache.get(gi, g, int(lam))
+                    nz, col, cdf, cnorm = cache.get(gi, g, int(lam))
                     pos = np.minimum(np.searchsorted(cdf, u[mask], side="right"), len(nz) - 1)
-                    chosen = nz[pos]
-                    new_idx[mask] = chosen
-                    picked = col[chosen]
+                    new_idx[mask] = nz[pos]
+                    picked = col[pos]
                     w[mask] = w[mask] * cnorm * picked / np.abs(picked)
                 idx = new_idx
             else:
-                kind, targets = g
-                if char:
-                    dense = embed_generator(system, kind, targets)
-                    u = rng.random(k_s)
-                    new_idx = np.empty_like(idx)
-                    for lam in np.unique(idx):
-                        mask = idx == lam
-                        col, nz, cdf, cnorm = cache.get(gi, dense, int(lam))
-                        pos = np.minimum(
-                            np.searchsorted(cdf, u[mask], side="right"), len(nz) - 1
-                        )
-                        chosen = nz[pos]
-                        new_idx[mask] = chosen
-                        picked = col[chosen]
-                        w[mask] = w[mask] * cnorm * picked / np.abs(picked)
-                    idx = new_idx
-                else:
-                    vecs = np.array(np.unravel_index(idx, shape))
-                    new, sign = _apply_named(system, kind, targets, vecs)
-                    idx = np.ravel_multi_index(tuple(new), shape)
-                    w = w * sign
+                idx, phase = _named_step(system, g, idx, char)
+                w = w * phase
 
         traj = w * meas[idx]
         stream_sums.append(math.fsum(np.real(traj)))

@@ -157,6 +157,22 @@ def test_simulate_rejects_bad_file(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("gates", "kind", "BOGUS"), ("input", "index", "x")],
+    ids=["bad-gate-kind", "non-integer-index"],
+)
+def test_simulate_rejects_bad_values(tmp_path, capsys, section, field, value):
+    doc = json.loads(json.dumps(HTH))
+    entry = doc[section][0] if section == "gates" else doc[section]
+    entry[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "simulate", "--circuit", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
 def test_simulate_rejects_missing_file(capsys):
     code, out = run(capsys, "simulate", "--circuit", "/nonexistent/x.json")
     assert code == 2

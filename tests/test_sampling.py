@@ -1,5 +1,6 @@
 """Monte-Carlo Born-probability estimator: norms, bounds, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from quditphase import (
     sample_count,
     t_state,
 )
+from quditphase.basis import PhasePoint, clifford_coordinate_action, p_stack, reduce_full_point
+from quditphase.core import embed_generator
+from quditphase.sampling import _named_step
 
 EXACT_HTH = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
 
@@ -223,3 +227,121 @@ def test_circuit_validation():
         CircuitDescription(
             s, computational_state(s, 0), ((GateKind.FOURIER, (3,)),), measure_zero(s)
         )
+
+
+NAMED_GATES = [
+    (GateKind.FOURIER, (0,)),
+    (GateKind.PHASE, (1,)),
+    (GateKind.SHIFT, (0,)),
+    (GateKind.CLOCK, (1,)),
+    (GateKind.SUM, (0, 1)),
+    (GateKind.SUM, (1, 0)),
+]
+NAMED_IDS = [f"{kind.value}{''.join(map(str, t))}" for kind, t in NAMED_GATES]
+
+
+@pytest.mark.parametrize("gate", NAMED_GATES, ids=NAMED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_o_frame_named_step_matches_coordinate_action(d, gate):
+    s = QuditSystem(d, 2)
+    shape = (d,) * 4
+    images, signs = _named_step(s, gate, np.arange(d**4), False)
+    amap = clifford_coordinate_action(s, *gate)
+    for flat in range(d**4):
+        point = PhasePoint.from_vector(np.unravel_index(flat, shape), d)
+        red, sign = reduce_full_point(s, amap.apply(point))
+        assert images[flat] == np.ravel_multi_index(tuple(red.vector()), shape)
+        assert signs[flat] == float(sign)
+
+
+def hw_expansion(system, unitary):
+    """c[u, v] = Tr(P(v)^dagger U P(u) U^dagger) / d^n by dense conjugation."""
+    d, n = system.d, system.n
+    stack = p_stack(d, d)
+    ops = []
+    for vec in itertools.product(range(d), repeat=2 * n):
+        op = np.ones((1, 1), dtype=complex)
+        for q in range(n):
+            op = np.kron(op, stack[vec[q], vec[n + q]])
+        ops.append(op)
+    ops = np.array(ops).reshape(len(ops), system.dim, system.dim)
+    conj = unitary @ ops @ unitary.conj().T
+    return conj.reshape(len(ops), -1) @ ops.conj().reshape(len(ops), -1).T / system.dim
+
+
+@pytest.mark.parametrize("gate", NAMED_GATES, ids=NAMED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_hw_frame_named_step_matches_dense_conjugation(d, gate):
+    s = QuditSystem(d, 2)
+    coeffs = hw_expansion(s, embed_generator(s, *gate).entries)
+    labels = np.arange(d**4)
+    images, phases = _named_step(s, gate, labels, True)
+    assert np.max(np.abs(coeffs[labels, images] - phases)) < 1e-12
+    coeffs[labels, images] = 0.0
+    assert np.max(np.abs(coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+def test_named_gates_draw_no_randomness(char):
+    # X X = I ahead of HTH: same trajectories, so the same estimate
+    estimator = estimate_born_char if char else estimate_born
+    plain = hth_circuit()
+    padded = CircuitDescription(
+        plain.system,
+        plain.input_state,
+        ((GateKind.SHIFT, (0,)), (GateKind.SHIFT, (0,))) + plain.gates,
+        plain.measurement,
+    )
+    a = estimator(plain, 0.1, 0.05, seed=3)
+    b = estimator(padded, 0.1, 0.05, seed=3)
+    assert abs(a.estimate - b.estimate) < 1e-12
+    assert a.samples_used == b.samples_used
+
+
+def qutrit_magic_circuit():
+    s = QuditSystem(3, 3)
+    k = np.arange(3)
+    diag = np.diag(np.exp(2j * np.pi * k**3 / 9))
+    magic = np.kron(np.eye(3), np.kron(diag, np.eye(3)))
+    return CircuitDescription(
+        s,
+        computational_state(s, 0),
+        (
+            (GateKind.FOURIER, (0,)),
+            (GateKind.SUM, (0, 1)),
+            (GateKind.FOURIER, (2,)),
+            DenseOperator(s, magic, unitary=True),
+            (GateKind.PHASE, (1,)),
+            (GateKind.SUM, (2, 0)),
+            (GateKind.FOURIER, (1,)),
+            (GateKind.SHIFT, (2,)),
+            (GateKind.CLOCK, (0,)),
+        ),
+        MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0,), (0,)),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, epsilon, seed, streams, estimate, samples, norm",
+    [
+        (hth_circuit, 0.1, 11, 1, 0.8585284215895526, 1476, 1.414213562373095),
+        (hth_circuit, 0.1, 11, 4, 0.8460045182194723, 1476, 1.414213562373095),
+        # d^{2n} = 729 > 256: the forward norm comes from the sampled sweep
+        (qutrit_magic_circuit, 0.1, 13, 1, 0.343390007938205, 1857, 1.5862568277145446),
+    ],
+    ids=["hth-1-stream", "hth-4-streams", "qutrit-3-qudits"],
+)
+def test_o_frame_reports_are_pinned(make, epsilon, seed, streams, estimate, samples, norm):
+    # reference values: the O frame's draws, columns and +-1 signs are fixed
+    # by the determinism contract, so a report must not move by one bit
+    report = estimate_born(make(), epsilon, 0.05, seed=seed, streams=streams)
+    assert report.estimate == estimate
+    assert report.samples_used == samples
+    assert report.forward_norm == norm
+
+
+def test_named_gate_arity_is_validated():
+    s = QuditSystem(2, 2)
+    for gate in ((GateKind.SUM, (0, 0)), (GateKind.SUM, (0,)), (GateKind.FOURIER, (0, 1))):
+        with pytest.raises(ValidationError):
+            CircuitDescription(s, computational_state(s, 0), (gate,), measure_zero(s))
