@@ -93,6 +93,7 @@ from .sampling import (
 )
 from .homodyne import (
     GaussianCircuit,
+    HomodyneBatch,
     HomodyneSample,
     logical_clifford_symplectic,
     pseudo_probability_report,

@@ -67,24 +67,19 @@ SCHEMA_VERSION = 1
 
 # ----------------------------------------------------------- serialization
 
-def _emit(doc, args, human: str = "") -> None:
-    text = json.dumps(doc, sort_keys=True)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if human:
-        print(human, file=sys.stderr)
-
-
-def _emit_lines(lines, args) -> None:
-    text = "\n".join(json.dumps(doc, sort_keys=True) for doc in lines)
+def _write(text: str, args) -> None:
+    """Write ``text`` plus a newline to --output or stdout; empty text writes nothing."""
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + ("\n" if text else ""))
     elif text:
         print(text)
+
+
+def _emit(doc, args, human: str = "") -> None:
+    _write(json.dumps(doc, sort_keys=True), args)
+    if human:
+        print(human, file=sys.stderr)
 
 
 def _complex_entry(v):
@@ -138,27 +133,37 @@ def _state_from_spec(system: QuditSystem, spec) -> DensityState:
 
 
 def _state_from_args(system: QuditSystem, args) -> DensityState:
-    if args.generators:
-        with open(args.generators) as fh:
-            return stabilizer_state(parse_generator_lines(system, fh.read()))
-    if args.input_file:
-        with open(args.input_file) as fh:
-            return _state_from_spec(system, json.load(fh))
-    name = args.state or "computational:0"
-    if name.startswith("computational"):
-        idx = int(name.split(":")[1]) if ":" in name else 0
-        return computational_state(system, idx)
-    if name == "plus":
-        return plus_state(system)
-    if name == "mixed":
-        return maximally_mixed(system)
-    if name == "T":
-        if (system.d, system.n) != (2, 1):
-            raise ValidationError("state T requires d=2, n=1")
-        return t_state()
-    if name.startswith("random"):
-        seed = int(name.split(":")[1]) if ":" in name else 0
-        return haar_random_state(system, np.random.default_rng(seed))
+    """The input state named by --generators, --input-file or --state.
+
+    Malformed JSON, non-integer labels and missing or mistyped spec
+    fields raise ValidationError.
+    """
+    try:
+        if args.generators:
+            with open(args.generators) as fh:
+                return stabilizer_state(parse_generator_lines(system, fh.read()))
+        if args.input_file:
+            with open(args.input_file) as fh:
+                return _state_from_spec(system, json.load(fh))
+        name = args.state or "computational:0"
+        if name.startswith("computational"):
+            idx = int(name.split(":")[1]) if ":" in name else 0
+            return computational_state(system, idx)
+        if name == "plus":
+            return plus_state(system)
+        if name == "mixed":
+            return maximally_mixed(system)
+        if name == "T":
+            if (system.d, system.n) != (2, 1):
+                raise ValidationError("state T requires d=2, n=1")
+            return t_state()
+        if name.startswith("random"):
+            seed = int(name.split(":")[1]) if ":" in name else 0
+            return haar_random_state(system, np.random.default_rng(seed))
+    except KeyError as exc:
+        raise ValidationError(f"input spec missing field {exc}")
+    except (ValueError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ValidationError(f"invalid input state: {exc}")
     raise ValidationError(f"unknown state {name!r}")
 
 
@@ -347,12 +352,19 @@ def _measurement_from_spec(system: QuditSystem, spec) -> MeasurementEffect:
     raise ValidationError(f"unknown measurement kind {kind!r}")
 
 
-def _cmd_simulate(args) -> int:
-    with open(args.circuit) as fh:
+def _load_circuit(path: str) -> dict:
+    with open(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed circuit JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"circuit JSON must be an object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_circuit(args.circuit)
     try:
         system = QuditSystem(int(cfg["d"]), int(cfg.get("n", 1)))
         circuit = CircuitDescription(
@@ -383,11 +395,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gkp_sim(args) -> int:
-    with open(args.circuit) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed circuit JSON: {exc}")
+    cfg = _load_circuit(args.circuit)
     try:
         system = QuditSystem(int(cfg["d"]), int(cfg.get("n", 1)))
         rho = _state_from_spec(system, cfg["input"])
@@ -400,23 +408,33 @@ def _cmd_gkp_sim(args) -> int:
             s = np.array(cfg["S"], dtype=float).reshape(n2, n2)
             disp = np.array(cfg.get("displacement", [0.0] * n2), dtype=float)
             circuit = GaussianCircuit(system, s, disp)
-        samples = simulate_homodyne_batch(rho, circuit, int(cfg.get("samples", 1)), int(cfg.get("seed", 0)))
+        num_samples, seed = int(cfg.get("samples", 1)), int(cfg.get("seed", 0))
     except KeyError as exc:
         raise ValidationError(f"circuit JSON missing field {exc}")
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"invalid circuit JSON: {exc}")
+    batch = simulate_homodyne_batch(rho, circuit, num_samples, seed)
+    # every field of a line is a function of the drawn label: serialize
+    # each distinct label once and repeat its line per sample
+    n = system.n
+    lattice = [None] * len(batch.points) if batch.lattice_index is None else batch.lattice_index.tolist()
     lines = [
-        {
-            "schema_version": SCHEMA_VERSION,
-            "x": list(s.x),
-            "branch": list(s.branch),
-            "point": {"l": list(s.sampled_point.l), "m": list(s.sampled_point.m)},
-            "sign": s.sign,
-            "weight": s.weight,
-            "lattice_index": list(s.lattice_index) if s.lattice_index is not None else None,
-        }
-        for s in samples
+        json.dumps(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "x": x,
+                "branch": [0] * (2 * n),
+                "point": {"l": point[:n], "m": point[n:]},
+                "sign": sign,
+                "weight": batch.weight,
+                "lattice_index": k,
+            },
+            sort_keys=True,
+        )
+        for point, x, sign, k in zip(batch.points.tolist(), batch.x.tolist(), batch.signs.tolist(), lattice)
     ]
-    _emit_lines(lines, args)
-    print(f"emitted {len(lines)} homodyne samples", file=sys.stderr)
+    _write("\n".join([lines[row] for row in batch.inverse.tolist()]), args)
+    print(f"emitted {len(batch)} homodyne samples", file=sys.stderr)
     return 0
 
 

@@ -16,13 +16,21 @@ and every output lands exactly on the sqrt(pi/2d) lattice. Samples
 carry sign(x_rho(u)) and the constant weight ||x_rho||_1 (d/8pi)^{n/2};
 the signed weighted histogram reproduces the pseudo-probability P~,
 which is not normalizable and is flagged as such.
+
+A batch is columnar. Every field of a sample is a function of its drawn
+label u, so ``simulate_homodyne_batch`` maps each distinct label once
+(one integer matmul for the whole batch on the lattice path) and returns
+a ``HomodyneBatch``: the per-label columns plus each sample's row
+number. It is an immutable sequence of ``HomodyneSample``; a sample
+object is built only when it is accessed. Identical seeds and
+configurations reproduce identical samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -38,6 +46,7 @@ from .measures import NORM_CUTOFF, x_distribution
 
 __all__ = [
     "GaussianCircuit",
+    "HomodyneBatch",
     "HomodyneSample",
     "HistogramEntry",
     "PseudoProbabilityReport",
@@ -148,13 +157,78 @@ def _full_sampler(rho: DensityState):
     return dist, flat, norm, nz, cdf
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class HomodyneBatch(Sequence):
+    """Immutable sequence of homodyne samples stored as columns.
+
+    Every field of a sample is a function of its drawn label, so the
+    batch keeps one row per distinct label (``points`` as (l, m) vectors,
+    ``lattice_index``, ``x``, ``signs``) and each sample's row number in
+    ``inverse``. ``HomodyneSample`` and ``PhasePoint`` objects are built
+    only when a sample is accessed.
+    """
+
+    points: np.ndarray
+    lattice_index: np.ndarray | None
+    x: np.ndarray
+    signs: np.ndarray
+    inverse: np.ndarray
+    weight: float
+    modulus: int
+
+    def __post_init__(self):
+        for column in (self.points, self.lattice_index, self.x, self.signs, self.inverse):
+            if column is not None:
+                column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.inverse)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return HomodyneBatch(self.points, self.lattice_index, self.x, self.signs,
+                                 self.inverse[index], self.weight, self.modulus)
+        return self._sample(int(self.inverse[index]))
+
+    def __iter__(self):
+        return map(self._sample, self.inverse.tolist())
+
+    def _sample(self, row: int) -> HomodyneSample:
+        n = self.points.shape[1] // 2
+        uvec = self.points[row].tolist()
+        return HomodyneSample(
+            x=tuple(self.x[row].tolist()),
+            branch=(0,) * (2 * n),
+            sampled_point=PhasePoint(tuple(uvec[:n]), tuple(uvec[n:]), self.modulus),
+            sign=int(self.signs[row]),
+            weight=self.weight,
+            lattice_index=None if self.lattice_index is None else tuple(self.lattice_index[row].tolist()),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, HomodyneBatch):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"HomodyneBatch({len(self)} samples, {len(self.points)} distinct points)"
+
+
 def simulate_homodyne_batch(
     rho: DensityState, circuit: GaussianCircuit, num_samples: int, seed: int
-) -> list[HomodyneSample]:
-    """Draw ``num_samples`` homodyne samples with one seeded stream."""
+) -> HomodyneBatch:
+    """Draw ``num_samples`` homodyne samples with one seeded stream.
+
+    Each distinct drawn label is mapped once: by one integer matmul for a
+    logical circuit, by the float map S (c u) + t otherwise.
+    """
     system = rho.system
     if circuit.system != system:
         raise ValidationError("circuit system mismatch")
+    if num_samples < 0:
+        raise ValidationError(f"num_samples must be >= 0, got {num_samples}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     d, n = system.d, system.n
     mod = 2 * d
     shape = (mod,) * (2 * n)
@@ -163,37 +237,34 @@ def simulate_homodyne_batch(
     c = math.sqrt(math.pi / (2 * d))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    if num_samples == 0:
-        return []
-    if len(nz) == 1:
+    if num_samples == 0 or len(nz) == 1:
         picks = np.full(num_samples, nz[0], dtype=np.int64)
     else:
         u = rng.random(num_samples)
         picks = nz[np.minimum(np.searchsorted(cdf, u, side="right"), len(nz) - 1)]
 
-    vecs = np.array(np.unravel_index(picks, shape))  # (2n, num_samples)
-    out = []
-    for j in range(num_samples):
-        uvec = vecs[:, j]
-        if circuit.integer_s is not None:
-            k = circuit.integer_s @ uvec + circuit.integer_shift
-            xfull = c * k.astype(float)
-            lattice = tuple(int(v) for v in k[:n])
-        else:
-            xfull = circuit.s_matrix @ (c * uvec.astype(float)) + circuit.displacement
-            lattice = None
-        point = PhasePoint(tuple(uvec[:n]), tuple(uvec[n:]), mod)
-        out.append(
-            HomodyneSample(
-                x=tuple(float(v) for v in xfull[:n]),
-                branch=(0,) * (2 * n),
-                sampled_point=point,
-                sign=int(np.sign(flat[picks[j]])),
-                weight=weight,
-                lattice_index=lattice,
-            )
-        )
-    return out
+    distinct, inverse = np.unique(picks, return_inverse=True)
+    vecs = np.array(np.unravel_index(distinct, shape))  # (2n, distinct)
+    if circuit.integer_s is not None:
+        k = circuit.integer_s @ vecs + circuit.integer_shift[:, None]
+        xfull = c * k.astype(float)
+        lattice = k[:n].T
+    else:
+        # one matrix-vector product per point: a batched float matmul
+        # rounds differently and would change the output bits
+        xfull = np.array(
+            [circuit.s_matrix @ (c * uvec.astype(float)) + circuit.displacement for uvec in vecs.T]
+        ).reshape(-1, 2 * n).T
+        lattice = None
+    return HomodyneBatch(
+        points=vecs.T,
+        lattice_index=lattice,
+        x=xfull[:n].T,
+        signs=np.sign(flat[distinct]).astype(np.int64),
+        inverse=inverse,
+        weight=weight,
+        modulus=mod,
+    )
 
 
 def simulate_homodyne(rho: DensityState, circuit: GaussianCircuit, seed: int) -> HomodyneSample:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import hashlib
 import json
 import math
 
@@ -242,6 +243,83 @@ def test_gkp_sim_rejects_non_symplectic(tmp_path, capsys):
     assert "symplectic" in json.loads(out)["error"]["message"]
 
 
+# sha256 of the gkp-sim output bytes, recorded before the sampler became
+# columnar; the lines and their order must never change for a fixed config
+PINNED_GKP_SIM = {
+    "sum-d3n2-random": (
+        {
+            "d": 3, "n": 2, "input": {"kind": "random", "seed": 17},
+            "gate": {"kind": "SUM", "targets": [0, 1]}, "samples": 4000, "seed": 9,
+        },
+        "531da6eb86b6b9977b3d3091a013b7fc0f53d402eb848a622d7269016137be8f",
+    ),
+    "fourier-d2n1": (
+        {
+            "d": 2, "n": 1, "input": {"kind": "magic_t"}, "gate": {"kind": "FOURIER"},
+            "samples": 500, "seed": 3,
+        },
+        "e41eea392c8de90b3cd2ee95406757dcdb1a271ca59f078ca33daeb09d00949a",
+    ),
+    "shear-d2n2": (
+        {
+            "d": 2, "n": 2, "input": {"kind": "random", "seed": 5},
+            "S": [[1, 0, 0, 0], [0, 1, 0, 0], [0.5, 0.25, 1, 0], [0.25, -0.75, 0, 1]],
+            "displacement": [0.1, -0.2, 0.0, 0.3], "samples": 1000, "seed": 4,
+        },
+        "50a50a1eb63ddb6095d5239fa874ffe3c8f3478d223f5d9665c24205c347a7eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GKP_SIM))
+def test_gkp_sim_output_bytes_are_pinned(tmp_path, capsys, name):
+    cfg, digest = PINNED_GKP_SIM[name]
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    target = tmp_path / "out.jsonl"
+    code, _ = run(capsys, "gkp-sim", "--circuit", str(path), "--output", str(target))
+    assert code == 0
+    data = target.read_bytes()
+    assert len(data.splitlines()) == cfg["samples"]
+    assert hashlib.sha256(data).hexdigest() == digest
+    code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+    assert code == 0
+    assert out.encode() == data
+
+
+def test_gkp_sim_zero_samples_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"d": 2, "input": {"kind": "plus"}, "gate": {"kind": "FOURIER"}, "samples": 0}))
+    code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+    assert code == 0
+    assert out == ""
+
+
+GKP_SIM_OK = {"d": 2, "n": 1, "input": {"kind": "plus"}, "gate": {"kind": "FOURIER"}, "samples": 3, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**GKP_SIM_OK, "gate": {"kind": "FOO"}},
+        {**GKP_SIM_OK, "gate": "FOURIER"},
+        {**GKP_SIM_OK, "samples": "abc"},
+        {**GKP_SIM_OK, "samples": -1},
+        {**GKP_SIM_OK, "seed": -1},
+        {"d": 2, "n": 1, "input": {"kind": "plus"}, "S": [[1.0, 0.0], [0.5]], "samples": 1},
+        [GKP_SIM_OK],
+    ],
+    ids=["bad-gate-kind", "gate-not-object", "non-integer-samples", "negative-samples",
+         "negative-seed", "ragged-S", "top-level-array"],
+)
+def test_gkp_sim_rejects_bad_values(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, _ = run(capsys, "measure", "--d", "2", "--state", "T", "--output", str(target))
@@ -264,3 +342,22 @@ def test_stabilizer_input_from_generator_file(tmp_path, capsys):
     assert code == 0
     assert abs(doc["negativity"] - 1.0) < 1e-12
     assert doc["hyperpolyhedral"] is True
+
+
+@pytest.mark.parametrize("state", ["random:abc", "computational:x"])
+def test_malformed_state_label_is_validation_error(capsys, state):
+    code, out = run(capsys, "measure", "--d", "2", "--state", state)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", '{"kind": "computational", "index": "x"}', '{"kind": "stabilizer"}'],
+    ids=["malformed-json", "non-integer-index", "missing-generators"],
+)
+def test_malformed_input_file_is_validation_error(tmp_path, capsys, text):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out = run(capsys, "measure", "--d", "2", "--input-file", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"

@@ -1,5 +1,6 @@
 """Weak simulation of encoded Clifford circuits by homodyne sampling."""
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,9 @@ from quditphase import (
     Domain,
     GateKind,
     GaussianCircuit,
+    HomodyneBatch,
+    HomodyneSample,
+    PhasePoint,
     QuditSystem,
     ValidationError,
     computational_state,
@@ -23,6 +27,7 @@ from quditphase import (
     t_state,
     x_distribution,
 )
+from quditphase.cli import main
 
 
 def spacing(d):
@@ -160,3 +165,121 @@ def test_report_with_zero_samples():
     )
     assert report.entries == ()
     assert report.num_samples == 0
+
+
+def test_batch_is_a_lazy_immutable_sequence():
+    s = QuditSystem(3, 2)
+    rho = haar_random_state(s, np.random.default_rng(4))
+    g = logical_clifford_symplectic(s, GateKind.SUM, (0, 1))
+    batch = simulate_homodyne_batch(rho, g, 300, seed=6)
+    assert isinstance(batch, HomodyneBatch)
+    assert len(batch) == 300
+    assert len(batch.points) < 300  # repeated labels are stored once
+    items = list(batch)
+    assert items == [batch[i] for i in range(300)]
+    assert all(isinstance(smp, HomodyneSample) for smp in items)
+    assert batch[0] == items[0] and batch[-1] == items[-1] == batch[299]
+    head = batch[:7]
+    assert isinstance(head, HomodyneBatch) and len(head) == 7
+    assert list(head) == items[:7]
+    assert list(batch[::-50]) == items[::-50]
+    with pytest.raises(IndexError):
+        batch[300]
+    with pytest.raises(ValueError):
+        batch.inverse[0] = 0
+    assert batch == simulate_homodyne_batch(rho, g, 300, seed=6)
+    assert batch != simulate_homodyne_batch(rho, g, 300, seed=7)
+    assert batch != head
+    assert batch[:7] == head
+
+
+def test_batch_equality_in_the_generic_frame():
+    s = QuditSystem(2, 1)
+    rho = haar_random_state(s, np.random.default_rng(3))
+    shear = GaussianCircuit(s, np.array([[1.0, 0.0], [0.5, 1.0]]), np.zeros(2))
+    a = simulate_homodyne_batch(rho, shear, 50, seed=1)
+    assert a.lattice_index is None
+    assert a == simulate_homodyne_batch(rho, shear, 50, seed=1)
+    assert a != simulate_homodyne_batch(rho, shear, 50, seed=2)
+    assert a != simulate_homodyne_batch(rho, GaussianCircuit.identity(s), 50, seed=1)
+
+
+def test_batch_rejects_negative_sizes_and_seeds():
+    s = QuditSystem(2, 1)
+    g = GaussianCircuit.identity(s)
+    with pytest.raises(ValidationError):
+        simulate_homodyne_batch(plus_state(s), g, -1, seed=0)
+    with pytest.raises(ValidationError):
+        simulate_homodyne_batch(plus_state(s), g, 1, seed=-1)
+    assert len(simulate_homodyne_batch(plus_state(s), g, 0, seed=0)) == 0
+
+
+def test_cli_path_builds_no_phase_points(tmp_path, monkeypatch, capsys):
+    built = []
+    original = PhasePoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", counting)
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({
+        "d": 3, "n": 2, "input": {"kind": "random", "seed": 2},
+        "gate": {"kind": "SUM", "targets": [0, 1]}, "samples": 500, "seed": 8,
+    }))
+    assert main(["gkp-sim", "--circuit", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 500
+    assert built == []
+    simulate_homodyne(plus_state(QuditSystem(2, 1)), GaussianCircuit.identity(QuditSystem(2, 1)), seed=0)
+    assert len(built) == 1  # the counter does see an accessed sample
+
+
+def reference_batch(rho, circuit, num_samples, seed):
+    """Per-sample loop: the sampler before it became columnar."""
+    d, n = rho.system.d, rho.system.n
+    mod, c = 2 * d, spacing(d)
+    flat = x_distribution(rho, Domain.FULL).values.reshape(-1).copy()
+    flat[np.abs(flat) < 1e-12] = 0.0
+    norm = float(np.sum(np.abs(flat)))
+    nz = np.nonzero(flat)[0]
+    cdf = np.cumsum(np.abs(flat[nz])) / norm
+    cdf[-1] = 1.0
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    if len(nz) == 1:
+        picks = np.full(num_samples, nz[0])
+    else:
+        picks = nz[np.minimum(np.searchsorted(cdf, rng.random(num_samples), side="right"), len(nz) - 1)]
+    vecs = np.array(np.unravel_index(picks, (mod,) * (2 * n)))
+    out = []
+    for j in range(num_samples):
+        uvec = vecs[:, j]
+        if circuit.integer_s is not None:
+            k = circuit.integer_s @ uvec + circuit.integer_shift
+            xfull, lattice = c * k.astype(float), tuple(int(v) for v in k[:n])
+        else:
+            xfull, lattice = circuit.s_matrix @ (c * uvec.astype(float)) + circuit.displacement, None
+        out.append(HomodyneSample(
+            x=tuple(float(v) for v in xfull[:n]),
+            branch=(0,) * (2 * n),
+            sampled_point=PhasePoint(tuple(uvec[:n]), tuple(uvec[n:]), mod),
+            sign=int(np.sign(flat[picks[j]])),
+            weight=norm * (d / (8 * math.pi)) ** (n / 2),
+            lattice_index=lattice,
+        ))
+    return out
+
+
+@pytest.mark.parametrize("d, n, kind", [(2, 1, GateKind.FOURIER), (3, 2, GateKind.SUM), (4, 1, GateKind.PHASE), (2, 2, None)])
+def test_batch_matches_the_per_sample_loop(d, n, kind):
+    s = QuditSystem(d, n)
+    rho = haar_random_state(s, np.random.default_rng(d + 10 * n))
+    if kind is None:
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(n, n))
+        shear = np.block([[np.eye(n), np.zeros((n, n))], [a + a.T, np.eye(n)]])
+        circuit = GaussianCircuit(s, shear, rng.normal(size=2 * n))
+    else:
+        circuit = logical_clifford_symplectic(s, kind, (0, 1) if kind is GateKind.SUM else None)
+    for seed in (0, 5):
+        assert list(simulate_homodyne_batch(rho, circuit, 700, seed)) == reference_batch(rho, circuit, 700, seed)
