@@ -12,8 +12,10 @@ factors.
 
 This module also provides:
 
-* closed-form traces (``o_trace``) and the doubled-domain sign rules
-  (``phase_shift_rule``, ``reduce_full_point``),
+* closed-form traces (``o_trace``) and the one doubled-domain lift: the
+  sign formula ``lift_sign``, its per-factor (2d, 2d) ``lift_table`` and
+  ``lift_to_full``, which turns any RESTRICTED table into the FULL one;
+  ``phase_shift_rule`` and ``reduce_full_point`` read the same formula,
 * the Clifford action on labels as exact affine maps over Z_{2d}
   (``clifford_coordinate_action``); conjugation by a generator maps
   O_u -> O_{Mu + s} with NO sign, signs appearing only when reducing a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +56,8 @@ __all__ = [
     "o_trace",
     "phase_shift_rule",
     "lift_sign",
+    "lift_table",
+    "lift_to_full",
     "reduce_full_point",
     "clifford_coordinate_action",
     "phase_point_operator",
@@ -121,43 +125,26 @@ def m_operator(system: QuditSystem, l: int) -> DenseOperator:
     return DenseOperator(system.single(), mat, unitary=True, hermitian=True)
 
 
-@lru_cache(maxsize=32)
-def o_stack(d: int, modulus: int) -> np.ndarray:
-    """Array of all single-qudit O_{l,m}, shape (modulus, modulus, d, d).
-
-    modulus is d (restricted) or 2d (full). Cached read-only.
-    """
-    if modulus not in (d, 2 * d):
-        raise ValidationError("modulus must be d or 2d")
+def o_matrix(d: int, l: int, m: int) -> np.ndarray:
+    """Single-qudit O_{l,m} = e^{-i pi m l / d} M_l Z^m at any integer labels."""
     v = np.arange(d)
-    stack = np.zeros((modulus, modulus, d, d), dtype=complex)
-    for l in range(modulus):
-        rows = (l - v) % d
-        for m in range(modulus):
-            phase = np.exp(-1j * np.pi * m * l / d)
-            stack[l, m, rows, v] = phase * np.exp(2j * np.pi * (m % d) * v / d)
+    mat = np.zeros((d, d), dtype=complex)
+    mat[(l - v) % d, v] = np.exp(-1j * np.pi * m * l / d) * np.exp(2j * np.pi * (m % d) * v / d)
+    return mat
+
+
+@lru_cache(maxsize=32)
+def o_stack(d: int) -> np.ndarray:
+    """All single-qudit O_{l,m} at restricted labels, shape (d, d, d, d); cached read-only."""
+    stack = np.array([[o_matrix(d, l, m) for m in range(d)] for l in range(d)])
     stack.flags.writeable = False
     return stack
 
 
-def o_matrix(d: int, l: int, m: int) -> np.ndarray:
-    """Single-qudit O_{l,m} for any integer labels (2d-periodic)."""
-    return o_stack(d, 2 * d)[l % (2 * d), m % (2 * d)]
-
-
 @lru_cache(maxsize=32)
-def p_stack(d: int, modulus: int) -> np.ndarray:
-    """All single-qudit P(a, b) for labels in [0, modulus), cached.
-
-    Entries at labels >= d carry the literal doubled-domain phases of
-    ``hw_matrix`` (plain-integer products), not canonicalized ones.
-    """
-    if modulus not in (d, 2 * d):
-        raise ValidationError("modulus must be d or 2d")
-    stack = np.zeros((modulus, modulus, d, d), dtype=complex)
-    for a in range(modulus):
-        for b in range(modulus):
-            stack[a, b] = hw_matrix(d, a, b)
+def p_stack(d: int) -> np.ndarray:
+    """All single-qudit P(a, b) at restricted labels, shape (d, d, d, d); cached read-only."""
+    stack = np.array([[hw_matrix(d, a, b) for b in range(d)] for a in range(d)])
     stack.flags.writeable = False
     return stack
 
@@ -201,37 +188,58 @@ def phase_shift_rule(point: PhasePoint, which: ShiftKind | str, d: int | None = 
     dimension inferred from its modulus when the point is restricted; pass
     it explicitly for full-domain points.
     """
-    which = ShiftKind(which)
+    eps = {ShiftKind.L_PLUS_D: (1, 0), ShiftKind.M_PLUS_D: (0, 1), ShiftKind.BOTH: (1, 1)}[ShiftKind(which)]
     if point.n != 1:
         raise ValidationError("phase_shift_rule is a per-factor rule")
     if d is None:
         d = point.modulus
-    l, m = point.l[0], point.m[0]
-    if which is ShiftKind.L_PLUS_D:
-        return -1 if m % 2 else 1
-    if which is ShiftKind.M_PLUS_D:
-        return -1 if l % 2 else 1
-    return -1 if (l + m + d) % 2 else 1
+    return lift_sign(d, point.l[0], point.m[0], *eps)
 
 
-def lift_sign(d: int, l: int, m: int, eps_l: int, eps_m: int) -> int:
-    """Sign of O_{l + d eps_l, m + d eps_m} relative to O_{l,m} (one factor)."""
-    e = (m * eps_l + l * eps_m + d * eps_l * eps_m) % 2
-    return -1 if e else 1
+def lift_sign(d: int, l, m, eps_l, eps_m):
+    """Sign of O_{l + d eps_l, m + d eps_m} relative to O_{l,m} (one factor).
+
+    (-1)^{m eps_l + l eps_m + d eps_l eps_m}; takes ints or integer arrays.
+    """
+    return 1 - 2 * ((m * eps_l + l * eps_m + d * eps_l * eps_m) % 2)
+
+
+def lift_table(d: int, char: bool = False) -> np.ndarray:
+    """Per-factor (2d, 2d) table: entry [L, M] is the sign of the label (L, M)
+    relative to (L mod d, M mod d). For O it is ``lift_sign``. For P
+    (``char``), per ``hw_matrix``'s doubled-label phases, it is the same at
+    even d and all ones at odd d.
+    """
+    if char and d % 2:
+        return np.ones((2 * d, 2 * d))
+    lab = np.arange(2 * d)
+    return lift_sign(d, lab[:, None] % d, lab % d, lab[:, None] // d, lab // d).astype(float)
+
+
+def lift_to_full(restricted: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """restricted(u mod d) * prod_i table[l_i, m_i] over Z_{2d}^{2n}.
+
+    With ``lift_table(d)`` this is the FULL table of a RESTRICTED one. With
+    rows (l_1..l_n) and columns (m_1..m_n) the per-factor product is the
+    Kronecker power of ``table``, applied in place as factor 1 times the rest.
+    """
+    d, n = table.shape[0] // 2, restricted.ndim // 2
+    index = np.ravel_multi_index(np.indices((2 * d,) * n).reshape(n, -1) % d, (d,) * n)
+    mat = restricted.reshape(d**n, d**n)
+    out = np.take(np.take(mat, index, axis=0), index, axis=1).astype(np.result_type(mat, table), copy=False)
+    rest = reduce(np.kron, [table] * (n - 1), np.ones((1, 1)))
+    view = out.reshape(2 * d, len(rest), 2 * d, len(rest))
+    view *= table[:, None, :, None]
+    view *= rest[None, :, None, :]
+    return out.reshape((2 * d,) * (2 * n))
 
 
 def reduce_full_point(system: QuditSystem, point: PhasePoint) -> tuple[PhasePoint, int]:
     """Reduce a Z_{2d} label to the restricted domain with its sign."""
     d = system.d
-    sign = 1
-    ls, ms = [], []
-    for li, mi in zip(point.l, point.m):
-        el, em = li // d, mi // d
-        lc, mc = li % d, mi % d
-        sign *= lift_sign(d, lc, mc, el, em)
-        ls.append(lc)
-        ms.append(mc)
-    return PhasePoint(tuple(ls), tuple(ms), d), sign
+    l, m = np.array(point.l), np.array(point.m)
+    sign = int(np.prod(lift_sign(d, l % d, m % d, l // d, m // d)))
+    return PhasePoint(tuple(l % d), tuple(m % d), d), sign
 
 
 def omega_block(n: int) -> np.ndarray:
@@ -388,7 +396,7 @@ def sigma_permutation(d: int) -> dict[tuple[int, int], tuple[int, int]]:
     if d % 2 == 0:
         raise EvenDimensionError("sigma relates A and O for odd d only")
     ast = a_stack(d)
-    ost = o_stack(d, d)
+    ost = o_stack(d)
     table: dict[tuple[int, int], tuple[int, int]] = {}
     for a1 in range(d):
         for a2 in range(d):

@@ -29,9 +29,10 @@ from .core import (
     plus_state,
     t_state,
 )
-from .basis import Domain, EvenDimensionError, full_point, o_operator, o_trace
+from .basis import Domain, full_point, o_operator, o_trace
 from .measures import (
     characteristic_fn,
+    check_order,
     discrete_wigner,
     haar_random_state,
     is_hyperpolyhedral,
@@ -281,10 +282,10 @@ def _cmd_gkp_check(args) -> int:
     worst = 0.0
     for d, n, p in cells:
         system = QuditSystem(d, n)
+        scale = d ** (n * (1 - 1 / check_order(p)))
         rng = np.random.default_rng(args.seed)
         for k in range(args.samples):
             rho = haar_random_state(system, rng)
-            scale = d ** (n * (1 - 1 / p))
             lhs = scale * lp_norm(x_distribution(rho, Domain.RESTRICTED), p)
             rhs = cell_lp_norm(gkp_wigner_coefficients(rho), p) / stabilizer_cell_norm(
                 system, GkpKind.WIGNER, p
@@ -528,18 +529,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EvenDimensionError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": {"type": "validation", "message": str(exc)}}, args)
-        return 2
-    except ValidationError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": {"type": "validation", "message": str(exc)}}, args)
         return 2
     except InvariantError as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": {"type": "invariant", "message": str(exc)}}, args)
         return 3
-    except FileNotFoundError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": {"type": "validation", "message": str(exc)}}, args)
-        return 2
 
 
 if __name__ == "__main__":

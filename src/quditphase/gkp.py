@@ -12,7 +12,9 @@ finite table:
   gamma(u) = d^n e^{-i pi l.m/d} w_d^{-l.m/2} chi(u)^*,
   prefactor (2pi/d)^{n/2}, so |gamma| = d^n |chi|.
 
-Cell l_p norms are therefore plain coefficient sums. For every pure
+A cell is an array over Z_{2d}^{2n}: the Wigner cell is the lifted x
+table, and gamma is the restricted chi^* lifted with the gamma phase
+folded into the per-factor (2d, 2d) lift table. Cell l_p norms are prefactor * ||values||_p. For every pure
 stabilizer input they collapse to closed forms, and the quotient against
 that baseline reproduces d^{n(1-1/p)} ||x||_p (resp. ||chi||_p) exactly;
 ``verify_theorem1`` / ``verify_theorem2`` return those residuals.
@@ -23,14 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Mapping
 
 import numpy as np
 
 from .core import DensityState, QuditSystem, ValidationError
-from .basis import Domain, PhasePoint
-from .measures import characteristic_fn, lp_norm, x_distribution
+from .basis import Domain, lift_table, lift_to_full
+from .measures import characteristic_fn, check_order, lp_norm, x_distribution
 
 __all__ = [
     "GkpKind",
@@ -50,107 +50,93 @@ class GkpKind(str, Enum):
     CHARACTERISTIC = "CHARACTERISTIC"
 
 
-def _cell_points(system: QuditSystem):
-    mod = 2 * system.d
-    n = system.n
-    for vec in product(range(mod), repeat=2 * n):
-        yield PhasePoint(vec[:n], vec[n:], mod)
-
-
 @dataclass(frozen=True)
 class GkpLatticeCoefficients:
-    """One unit cell worth of delta-peak weights for an encoded state."""
+    """One unit cell worth of delta-peak weights for an encoded state.
+
+    ``values`` is the cell table over Z_{2d}^{2n}, 2n axes of length 2d
+    ordered (l-block, m-block), stored read-only.
+    """
 
     system: QuditSystem
     kind: GkpKind
-    values: Mapping[PhasePoint, complex]
+    values: np.ndarray
     prefactor: float
 
     def __post_init__(self):
-        if self.kind == GkpKind.WIGNER:
-            worst = max((abs(complex(v).imag) for v in self.values.values()), default=0.0)
+        arr = np.array(self.values)
+        if arr.shape != (2 * self.system.d,) * (2 * self.system.n):
+            raise ValidationError(f"cell values shape {arr.shape} does not match Z_2d^2n")
+        if self.kind == GkpKind.WIGNER and np.iscomplexobj(arr):
+            worst = float(np.max(np.abs(arr.imag)))
             if worst > 1e-10:
                 raise ValidationError(f"Wigner cell values must be real (dev {worst:.3e})")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
-    def value(self, point: PhasePoint) -> complex:
-        return self.values.get(point, 0.0)
+    def value(self, point) -> complex:
+        """The weight at a ``PhasePoint`` of modulus 2d."""
+        if point.modulus != 2 * self.system.d or point.n != self.system.n:
+            raise ValidationError("point does not live on this cell")
+        return self.values[point.l + point.m]
 
     def as_array(self) -> np.ndarray:
-        mod = 2 * self.system.d
-        out = np.zeros((mod,) * (2 * self.system.n), dtype=complex)
-        for pt, v in self.values.items():
-            out[tuple(pt.vector())] = v
-        return out
+        """The cell table itself (read-only)."""
+        return self.values
 
 
 def gkp_wigner_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
     """Wigner-cell weights: exactly the doubled-domain x distribution."""
     system = rho.system
     dist = x_distribution(rho, Domain.FULL)
-    vals = {pt: complex(dist.value(pt)) for pt in _cell_points(system)}
     pref = (system.d / (8 * math.pi)) ** (system.n / 2)
-    return GkpLatticeCoefficients(system, GkpKind.WIGNER, vals, pref)
+    return GkpLatticeCoefficients(system, GkpKind.WIGNER, dist.values, pref)
 
 
 def gkp_char_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
-    """Characteristic-cell weights gamma from the doubled-domain chi."""
+    """Characteristic-cell weights gamma: the doubled-domain chi^* with the
+    gamma phase folded into its per-factor lift table."""
     system = rho.system
     d, n = system.d, system.n
-    chi = characteristic_fn(rho, Domain.FULL)
-    vals: dict[PhasePoint, complex] = {}
-    for pt in _cell_points(system):
-        lm = sum(int(l) * int(m) for l, m in zip(pt.l, pt.m))
-        phase = np.exp(-1j * math.pi * lm / d)
-        if d % 2:
-            h = pow(2, -1, d)
-            phase *= np.exp(-2j * math.pi * ((h * lm) % d) / d)
-        else:
-            phase *= np.exp(-1j * math.pi * lm / d)
-        vals[pt] = d**n * phase * np.conj(chi.value(pt))
+    chi = characteristic_fn(rho, Domain.RESTRICTED)
+    # per-factor phase e^{-i pi l m/d} w_d^{-l m/2}, w_d^{1/2} via inv2 at odd d
+    lm = np.multiply.outer(np.arange(2 * d), np.arange(2 * d))
+    half = 2 * ((pow(2, -1, d) * lm) % d) if d % 2 else lm
+    table = lift_table(d, char=True) * np.exp(-1j * math.pi * (lm + half) / d)
+    vals = d**n * lift_to_full(np.conj(chi.values), table)
     pref = (2 * math.pi / d) ** (n / 2)
     return GkpLatticeCoefficients(system, GkpKind.CHARACTERISTIC, vals, pref)
 
 
 def cell_lp_norm(coeffs: GkpLatticeCoefficients, p: float) -> float:
-    """(sum over the cell of (prefactor |value|)^p)^{1/p}."""
-    if p <= 0:
-        raise ValidationError("p must be positive")
-    total = sum(
-        (coeffs.prefactor * abs(v)) ** p for v in coeffs.values.values() if abs(v) > 1e-14
-    )
-    return float(total ** (1.0 / p))
+    """(sum over the cell of (prefactor |value|)^p)^{1/p} = prefactor ||values||_p."""
+    return coeffs.prefactor * lp_norm(coeffs.values, p)
 
 
 def stabilizer_cell_norm(system: QuditSystem, kind: GkpKind, p: float) -> float:
     """Closed-form cell norm shared by every pure stabilizer input."""
-    if p <= 0:
-        raise ValidationError("p must be positive")
+    p = check_order(p)
     d, n = system.d, system.n
     if kind == GkpKind.WIGNER:
         return (4 * d) ** (n / p) / (8 * math.pi * d) ** (n / 2)
     return (2 * math.pi / d) ** (n / 2) * (4 * d) ** (n / p)
 
 
+def _cell_residual(rho: DensityState, p: float, table, cell, kind: GkpKind) -> float:
+    p = check_order(p)
+    system = rho.system
+    lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(table(rho, Domain.RESTRICTED), p)
+    return abs(lhs - cell_lp_norm(cell(rho), p) / stabilizer_cell_norm(system, kind, p))
+
+
 def verify_theorem1(rho: DensityState, p: float) -> float:
     """|d^{n(1-1/p)} ||x||_p  -  Wigner cell norm / stabilizer baseline|."""
-    system = rho.system
-    lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(
-        x_distribution(rho, Domain.RESTRICTED), p
-    )
-    cell = cell_lp_norm(gkp_wigner_coefficients(rho), p)
-    rhs = cell / stabilizer_cell_norm(system, GkpKind.WIGNER, p)
-    return abs(lhs - rhs)
+    return _cell_residual(rho, p, x_distribution, gkp_wigner_coefficients, GkpKind.WIGNER)
 
 
 def verify_theorem2(rho: DensityState, p: float) -> float:
     """Characteristic-side analogue of ``verify_theorem1``."""
-    system = rho.system
-    lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(
-        characteristic_fn(rho, Domain.RESTRICTED), p
-    )
-    cell = cell_lp_norm(gkp_char_coefficients(rho), p)
-    rhs = cell / stabilizer_cell_norm(system, GkpKind.CHARACTERISTIC, p)
-    return abs(lhs - rhs)
+    return _cell_residual(rho, p, characteristic_fn, gkp_char_coefficients, GkpKind.CHARACTERISTIC)
 
 
 def renyi_from_cell_norms(rho: DensityState, alpha: float) -> float:
@@ -158,8 +144,9 @@ def renyi_from_cell_norms(rho: DensityState, alpha: float) -> float:
 
     Uses p = 2 alpha: M_alpha = (2 alpha / (1 - alpha)) log(cell ratio).
     """
-    if alpha <= 0 or alpha == 1:
-        raise ValidationError("alpha must be positive and != 1")
+    alpha = check_order(alpha, "alpha")
+    if alpha == 1:
+        raise ValidationError("alpha must be != 1")
     p = 2.0 * alpha
     system = rho.system
     ratio = cell_lp_norm(gkp_char_coefficients(rho), p) / stabilizer_cell_norm(

@@ -297,18 +297,31 @@ class PseudoProbabilityReport:
 def pseudo_probability_report(
     rho: DensityState, circuit: GaussianCircuit, num_samples: int, seed: int
 ) -> PseudoProbabilityReport:
-    """Aggregate seeded homodyne samples into the signed histogram."""
-    samples = simulate_homodyne_batch(rho, circuit, num_samples, seed)
-    acc: dict[tuple, list] = {}
-    for s in samples:
-        key = s.lattice_index if s.lattice_index is not None else tuple(
-            round(v, 12) for v in s.x
-        )
-        slot = acc.setdefault(key, [s.x, s.lattice_index, 0.0, 0])
-        slot[2] += s.sign * s.weight / max(num_samples, 1)
-        slot[3] += 1
+    """Aggregate seeded homodyne samples into the signed histogram.
+
+    Samples are keyed by lattice index, or by position rounded to 12
+    digits off the lattice. Each key's signed weight is summed in draw
+    order over ``batch.inverse``; its position is that of its first sample.
+    """
+    batch = simulate_homodyne_batch(rho, circuit, num_samples, seed)
+    if batch.lattice_index is not None:
+        row_keys = [tuple(k) for k in batch.lattice_index.tolist()]
+    else:
+        row_keys = [tuple(round(v, 12) for v in x) for x in batch.x.tolist()]
+    keys = sorted(set(row_keys))
+    slot = {key: i for i, key in enumerate(keys)}
+    key_of = np.array([slot[key] for key in row_keys], dtype=np.int64)[batch.inverse]
+    signed = np.zeros(len(keys))
+    np.add.at(signed, key_of, batch.signs[batch.inverse] * batch.weight / max(num_samples, 1))
+    counts = np.bincount(key_of, minlength=len(keys))
+    first = batch.inverse[np.unique(key_of, return_index=True)[1]]
     entries = tuple(
-        HistogramEntry(position=v[0], lattice_index=v[1], signed_weight=v[2], count=v[3])
-        for _, v in sorted(acc.items(), key=lambda kv: kv[0])
+        HistogramEntry(
+            position=tuple(batch.x[row].tolist()),
+            lattice_index=None if batch.lattice_index is None else key,
+            signed_weight=weight,
+            count=count,
+        )
+        for key, row, weight, count in zip(keys, first.tolist(), signed.tolist(), counts.tolist())
     )
     return PseudoProbabilityReport(entries=entries, num_samples=num_samples)

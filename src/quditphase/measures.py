@@ -4,7 +4,9 @@ The central object is the coefficient distribution
 
     x_rho(l, m) = d^{-n} Tr(O_{l,m} rho)
 
-on the restricted torus Z_d^{2n} or the doubled torus Z_{2d}^{2n}. From it
+on the restricted torus Z_d^{2n} or the doubled torus Z_{2d}^{2n}; only the
+restricted operator stacks are contracted, and the doubled tables of x and
+chi are their per-factor sign lifts (``basis.lift_table``). From it
 (and from its relatives, the discrete Wigner function W for odd d and the
 characteristic function chi) the module computes l_p norms, the negativity
 measure ||x||_1, the stabilizer Renyi entropy M_alpha, and the
@@ -20,6 +22,7 @@ Reference values kept by the test suite:
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from typing import Iterator
@@ -44,6 +47,8 @@ from .basis import (
     SymplecticAffineMap,
     a_stack,
     clifford_coordinate_action,
+    lift_table,
+    lift_to_full,
     o_stack,
     p_stack,
 )
@@ -63,6 +68,7 @@ __all__ = [
     "word_unitary",
     "word_coordinate_map",
     "apply_word",
+    "check_order",
     "NORM_CUTOFF",
 ]
 
@@ -139,12 +145,6 @@ def _contract_stack(system: QuditSystem, stack: np.ndarray, matrix: np.ndarray) 
     return np.einsum(spec, *operands, optimize=True)
 
 
-def _coeff_array(system: QuditSystem, matrix: np.ndarray, domain: Domain) -> np.ndarray:
-    mod = system.d if domain is Domain.RESTRICTED else 2 * system.d
-    stack = o_stack(system.d, mod)
-    return _contract_stack(system, stack, matrix) / system.dim
-
-
 def normalization_residual(dist: QuasiDistribution) -> float:
     """|trace identity - 1| for an x distribution.
 
@@ -169,20 +169,26 @@ def normalization_residual(dist: QuasiDistribution) -> float:
 
 
 def x_distribution(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) -> QuasiDistribution:
-    """Coefficients x(u) = d^{-n} Tr(O_u rho) on the requested domain."""
+    """Coefficients x(u) = d^{-n} Tr(O_u rho) on the requested domain.
+
+    The FULL table is the RESTRICTED one lifted by ``lift_table``; the
+    checks run on the restricted values, which the lift only re-signs.
+    """
     domain = Domain(domain)
-    raw = _coeff_array(rho.system, rho.matrix, domain)
+    system = rho.system
+    raw = _contract_stack(system, o_stack(system.d), rho.matrix) / system.dim
     if np.max(np.abs(raw.imag)) > 1e-10:
         raise InvariantError("x of a Hermitian state must be real")
     vals = raw.real
-    bound = 1.0 / rho.system.dim + 1e-9
+    bound = 1.0 / system.dim + 1e-9
     if np.max(np.abs(vals)) > bound:
         raise InvariantError("coefficient bound |x| <= d^-n violated")
-    dist = QuasiDistribution(rho.system, domain, vals)
-    res = normalization_residual(dist)
+    res = normalization_residual(QuasiDistribution(system, Domain.RESTRICTED, vals))
     if res > 1e-9:
         raise InvariantError(f"x normalization residual {res:.3e}")
-    return dist
+    if domain is Domain.FULL:
+        vals = lift_to_full(vals, lift_table(system.d))
+    return QuasiDistribution(system, domain, vals)
 
 
 def discrete_wigner(rho: DensityState) -> QuasiDistribution:
@@ -203,22 +209,28 @@ def characteristic_fn(rho: DensityState, domain: Domain | str = Domain.RESTRICTE
     """chi(u) = d^{-n} Tr[rho P(u)^dagger], complex-valued.
 
     On the FULL domain the doubled labels use the literal half-integer
-    phases of ``hw_matrix`` (so values at u + d differ from canonical ones
-    only by the doubled-domain sign pattern).
+    phases of ``hw_matrix``, so the FULL table is the RESTRICTED one lifted
+    by ``lift_table(d, char=True)``.
     """
     domain = Domain(domain)
     system = rho.system
-    mod = system.d if domain is Domain.RESTRICTED else 2 * system.d
-    stack = p_stack(system.d, mod)
-    dag = stack.conj().transpose(0, 1, 3, 2)
+    dag = p_stack(system.d).conj().transpose(0, 1, 3, 2)
     raw = _contract_stack(system, dag, rho.matrix) / system.dim
+    if domain is Domain.FULL:
+        raw = lift_to_full(raw, lift_table(system.d, char=True))
     return QuasiDistribution(system, domain, raw)
+
+
+def check_order(value: float, name: str = "p") -> float:
+    """``value`` as a float, checked to be a finite positive norm or Renyi order."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+    return float(value)
 
 
 def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
     """(sum |f(u)|^p)^{1/p} with the near-zero cutoff applied first."""
-    if p <= 0:
-        raise ValidationError(f"p must be positive, got {p}")
+    p = check_order(p)
     arr = dist.values if isinstance(dist, QuasiDistribution) else np.asarray(dist)
     mags = np.abs(arr).ravel()
     mags = mags[mags > NORM_CUTOFF]
@@ -239,8 +251,7 @@ def stabilizer_renyi(rho: DensityState, alpha: float) -> float:
     purity): M_alpha = (1-alpha)^{-1} log sum_P Xi_P^alpha - n log d.
     The alpha = 1 limit is not implemented.
     """
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
+    alpha = check_order(alpha, "alpha")
     if abs(alpha - 1.0) < 1e-12:
         raise ValidationError("alpha = 1 (the entropy limit) is not implemented")
     system = rho.system

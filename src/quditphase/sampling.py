@@ -214,10 +214,10 @@ def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam
 def _frame_stacks(d: int, char: bool) -> tuple[np.ndarray, np.ndarray]:
     """Restricted single-qudit basis stack of a frame and its dual stack."""
     if not char:
-        return o_stack(d, d), o_stack(d, d)
-    dual = np.conj(np.swapaxes(p_stack(d, d), 2, 3))
+        return o_stack(d), o_stack(d)
+    dual = np.conj(np.swapaxes(p_stack(d), 2, 3))
     dual.flags.writeable = False
-    return p_stack(d, d), dual
+    return p_stack(d), dual
 
 
 def _column(system: QuditSystem, char: bool, unitary: np.ndarray, flat: int) -> np.ndarray:
@@ -286,7 +286,7 @@ def _measurement_array(system: QuditSystem, effect: MeasurementEffect) -> np.nda
     """x_Pi over the whole restricted domain, shape (d,)*2n."""
     d, n = system.d, system.n
     if effect.kind == MeasurementKind.EXPLICIT:
-        arr = _contract_stack(system, o_stack(d, d), effect.operator.entries.astype(complex))
+        arr = _contract_stack(system, o_stack(d), effect.operator.entries.astype(complex))
         if np.max(np.abs(arr.imag)) > 1e-10:
             raise InvariantError("x_Pi must be real")
         return arr.real
@@ -312,7 +312,7 @@ def _char_measurement_array(system: QuditSystem, effect: MeasurementEffect) -> n
     """Tr(Pi P(u)) over the restricted domain (complex)."""
     d, n = system.d, system.n
     if effect.kind == MeasurementKind.EXPLICIT:
-        return _contract_stack(system, p_stack(d, d), effect.operator.entries.astype(complex))
+        return _contract_stack(system, p_stack(d), effect.operator.entries.astype(complex))
     grids = np.meshgrid(*([np.arange(d)] * (2 * n)), indexing="ij")
     out = np.ones((d,) * (2 * n), dtype=complex)
     for q in range(n):

@@ -15,8 +15,8 @@ form
     Tr(O_{l,mu} P(a,b)) = 2 e^{i pi (b l + a mu)/d} [a=l, b=mu mod 2] (even d)
 
 so the restricted coefficients are a d^n-point flat coset (magnitude
-d^{-n}), and the doubled-domain values follow from the per-factor sign
-rules. The result must (and in the tests does) match the dense
+d^{-n}), and the doubled-domain values are its lift by ``lift_table``,
+the one used for every FULL table. The result must (and in the tests does) match the dense
 x-distribution to 1e-10.
 """
 
@@ -36,7 +36,7 @@ from .core import (
     ValidationError,
     heisenberg_weyl,
 )
-from .basis import Domain, lift_sign
+from .basis import Domain, lift_table, lift_to_full
 from .measures import QuasiDistribution
 
 __all__ = [
@@ -202,8 +202,8 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     """Full-domain x coefficients from the closed-form group sum.
 
     Restricted values are computed analytically (a flat coset: exactly d^n
-    points of magnitude d^{-n}), then extended to Z_{2d}^{2n} with the
-    per-factor doubled-label sign rules.
+    points of magnitude d^{-n}), then lifted to Z_{2d}^{2n} by
+    ``lift_table``, as every FULL table is.
     """
     system = group.system
     d, n = system.d, system.n
@@ -225,19 +225,7 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     if int(support.sum()) != d**n or not np.all(flat):
         raise InvariantError("stabilizer coefficients are not a flat d^n coset")
 
-    full = np.zeros((2 * d,) * (2 * n), dtype=float)
-    for idx in zip(*np.nonzero(support)):
-        base = rvals[idx]
-        ls, ms = idx[:n], idx[n:]
-        for eps in product((0, 1), repeat=2 * n):
-            el, em = eps[:n], eps[n:]
-            sign = 1
-            for i in range(n):
-                sign *= lift_sign(d, ls[i], ms[i], el[i], em[i])
-            tgt = tuple(ls[i] + d * el[i] for i in range(n)) + tuple(
-                ms[i] + d * em[i] for i in range(n)
-            )
-            full[tgt] = sign * base
+    full = lift_to_full(np.where(support, rvals, 0.0), lift_table(d))
     return QuasiDistribution(system, Domain.FULL, full)
 
 

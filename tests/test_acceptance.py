@@ -56,6 +56,8 @@ from quditphase.basis import o_stack, restricted_point
 from quditphase.measures import _contract_stack, apply_word, random_clifford_word
 from quditphase.sampling import frame_measurement_coeffs
 
+from dense_reference import dense_x_full
+
 GRID = [
     (d, n)
     for d in (2, 3, 4, 5)
@@ -200,8 +202,8 @@ def test_criterion_4_sparse_coefficients():
     for d in (2, 3, 4, 5):
         for group in enumerate_single_qudit_groups(d):
             sparse = stabilizer_x_sparse(group)
-            dense = x_distribution(stabilizer_state(group), Domain.FULL)
-            worst = max(worst, float(np.max(np.abs(sparse.values - dense.values))))
+            dense = dense_x_full(stabilizer_state(group))
+            worst = max(worst, float(np.max(np.abs(sparse.values - dense))))
             mags = np.abs(sparse.values.ravel())
             assert (mags > 1e-12).sum() == 4 * d  # (4d)^n, n = 1
             restr = np.abs(sparse.restricted_view().ravel())
@@ -216,8 +218,8 @@ def test_criterion_4_sparse_coefficients():
         system = QuditSystem(d, 2)
         group = StabilizerGroup(system, gens, phase)
         sparse = stabilizer_x_sparse(group)
-        dense = x_distribution(stabilizer_state(group), Domain.FULL)
-        worst = max(worst, float(np.max(np.abs(sparse.values - dense.values))))
+        dense = dense_x_full(stabilizer_state(group))
+        worst = max(worst, float(np.max(np.abs(sparse.values - dense))))
         mags = np.abs(sparse.values.ravel())
         assert (mags > 1e-12).sum() == (4 * d) ** 2
     assert worst < 1e-10
@@ -277,7 +279,7 @@ def test_criterion_6_estimator_benchmark():
 
     # dense column-sum oracle for the forward norm: max over restricted
     # columns of the magic gate, Clifford factors are exactly 1
-    stack = o_stack(2, 2)
+    stack = o_stack(2)
     best = 0.0
     for l in range(2):
         for m in range(2):

@@ -108,6 +108,21 @@ def test_gkp_check_single_cell(capsys):
     assert abs(row["lhs"] - row["rhs"]) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gkp-check", "--d", "2", "--p", "0"),
+        ("gkp-check", "--d", "2", "--p", "nan"),
+        ("measure", "--d", "2", "--alpha", "nan"),
+    ],
+    ids=["gkp-check-p-zero", "gkp-check-p-nan", "measure-alpha-nan"],
+)
+def test_bad_order_is_validation_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
 def test_gkp_check_csv(capsys):
     code, out = run(capsys, "gkp-check", "--d", "2", "--p", "1", "--samples", "1", "--csv")
     assert code == 0

@@ -129,8 +129,8 @@ def test_char_cell_magnitudes_follow_chi():
     rho = haar_random_state(s, np.random.default_rng(5))
     gamma = gkp_char_coefficients(rho)
     chi = characteristic_fn(rho, Domain.FULL)
-    for pt, v in gamma.values.items():
-        assert abs(abs(v) - 3 * abs(chi.value(pt))) < 1e-12
+    assert gamma.values.shape == chi.values.shape == (6, 6)
+    assert np.max(np.abs(np.abs(gamma.values) - 3 * np.abs(chi.values))) < 1e-12
 
 
 def test_char_cell_pure_shift_row():
@@ -156,9 +156,10 @@ def test_renyi_recovered_from_cell_norms():
 
 def test_wigner_cell_rejects_complex_values():
     s = QuditSystem(2, 1)
-    pt = PhasePoint((0,), (0,), 4)
+    values = np.zeros((4, 4), dtype=complex)
+    values[0, 0] = 1j
     with pytest.raises(ValidationError):
-        GkpLatticeCoefficients(s, GkpKind.WIGNER, {pt: 1j}, 1.0)
+        GkpLatticeCoefficients(s, GkpKind.WIGNER, values, 1.0)
 
 
 def test_cell_norm_rejects_nonpositive_p():
@@ -166,3 +167,28 @@ def test_cell_norm_rejects_nonpositive_p():
     coeffs = gkp_wigner_coefficients(computational_state(s, 0))
     with pytest.raises(ValidationError):
         cell_lp_norm(coeffs, 0.0)
+
+
+def test_cell_rejects_wrong_shape_and_foreign_points():
+    s = QuditSystem(2, 1)
+    with pytest.raises(ValidationError):
+        GkpLatticeCoefficients(s, GkpKind.WIGNER, np.zeros((2, 2)), 1.0)
+    coeffs = gkp_wigner_coefficients(computational_state(s, 0))
+    with pytest.raises(ValidationError):
+        coeffs.value(PhasePoint((0,), (0,), 2))
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+def test_cell_functions_reject_bad_orders(p):
+    s = QuditSystem(2, 1)
+    rho = computational_state(s, 0)
+    coeffs = gkp_wigner_coefficients(rho)
+    for call in (
+        lambda: cell_lp_norm(coeffs, p),
+        lambda: stabilizer_cell_norm(s, GkpKind.WIGNER, p),
+        lambda: verify_theorem1(rho, p),
+        lambda: verify_theorem2(rho, p),
+        lambda: renyi_from_cell_norms(rho, p),
+    ):
+        with pytest.raises(ValidationError):
+            call()

@@ -28,6 +28,7 @@ from quditphase import (
     x_distribution,
 )
 from quditphase.cli import main
+from quditphase.homodyne import HistogramEntry, PseudoProbabilityReport
 
 
 def spacing(d):
@@ -283,3 +284,32 @@ def test_batch_matches_the_per_sample_loop(d, n, kind):
         circuit = logical_clifford_symplectic(s, kind, (0, 1) if kind is GateKind.SUM else None)
     for seed in (0, 5):
         assert list(simulate_homodyne_batch(rho, circuit, 700, seed)) == reference_batch(rho, circuit, 700, seed)
+
+
+def reference_report(rho, circuit, num_samples, seed):
+    """Per-sample histogram loop: the report before it became columnar."""
+    acc = {}
+    for smp in simulate_homodyne_batch(rho, circuit, num_samples, seed):
+        key = smp.lattice_index if smp.lattice_index is not None else tuple(round(v, 12) for v in smp.x)
+        slot = acc.setdefault(key, [smp.x, smp.lattice_index, 0.0, 0])
+        slot[2] += smp.sign * smp.weight / max(num_samples, 1)
+        slot[3] += 1
+    entries = tuple(
+        HistogramEntry(position=v[0], lattice_index=v[1], signed_weight=v[2], count=v[3])
+        for _, v in sorted(acc.items(), key=lambda kv: kv[0])
+    )
+    return PseudoProbabilityReport(entries=entries, num_samples=num_samples)
+
+
+@pytest.mark.parametrize("d, n, kind", [(2, 2, GateKind.SUM), (3, 2, GateKind.SUM), (2, 1, None)])
+def test_report_matches_the_per_sample_loop(d, n, kind):
+    s = QuditSystem(d, n)
+    rho = haar_random_state(s, np.random.default_rng(7 * d + n))
+    if kind is None:
+        circuit = GaussianCircuit(s, np.array([[1.0, 0.0], [0.5, 1.0]]), np.array([0.1, 0.0]))
+    else:
+        circuit = logical_clifford_symplectic(s, kind, (0, 1))
+    for seed in (0, 9):
+        report = pseudo_probability_report(rho, circuit, 2000, seed)
+        assert report == reference_report(rho, circuit, 2000, seed)
+        assert sum(e.count for e in report.entries) == 2000

@@ -185,3 +185,12 @@ def test_lp_norm_rejects_nonpositive_p():
 def test_renyi_rejects_alpha_one():
     with pytest.raises(ValidationError):
         stabilizer_renyi(t_state(), 1.0)
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+def test_orders_must_be_finite(order):
+    dist = x_distribution(t_state())
+    with pytest.raises(ValidationError):
+        lp_norm(dist, order)
+    with pytest.raises(ValidationError):
+        stabilizer_renyi(t_state(), order)

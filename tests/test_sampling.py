@@ -257,7 +257,7 @@ def test_o_frame_named_step_matches_coordinate_action(d, gate):
 def hw_expansion(system, unitary):
     """c[u, v] = Tr(P(v)^dagger U P(u) U^dagger) / d^n by dense conjugation."""
     d, n = system.d, system.n
-    stack = p_stack(d, d)
+    stack = p_stack(d)
     ops = []
     for vec in itertools.product(range(d), repeat=2 * n):
         op = np.ones((1, 1), dtype=complex)

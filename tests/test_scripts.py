@@ -1,0 +1,31 @@
+"""Each experiment script runs to completion at its smallest setting."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quditphase
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homodyne_demo.py", "--d", "2", "--samples", "200"),
+        ("norm_identity_sweep.py", "--dims", "2", "3", "--max-dim", "9", "--states", "2"),
+        ("sampling_benchmark.py", "--runs", "2", "--epsilon", "0.2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_exits_zero(argv):
+    package_root = str(Path(quditphase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
