@@ -106,11 +106,10 @@ class QuditSystem:
             raise ValidationError(f"local dimension must be >= 2, got {d}")
         if int(n) < 1:
             raise ValidationError(f"qudit count must be >= 1, got {n}")
-        d, n = int(d), int(n)
-        if d**n > _dim_cap(cap):
-            raise DimensionCapError(
-                f"d^n = {d}^{n} = {d**n} exceeds the dense cap {_dim_cap(cap)}"
-            )
+        d, n, cap = int(d), int(n), _dim_cap(cap)
+        # d >= 2, so n >= cap.bit_length() exceeds the cap before d**n is worth computing
+        if n >= cap.bit_length() or d**n > cap:
+            raise DimensionCapError(f"d^n = {d}^{n} exceeds the dense cap {cap}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "D", d if d % 2 else 2 * d)
@@ -133,6 +132,8 @@ def _as_matrix(entries, side: int) -> np.ndarray:
     arr = np.asarray(entries, dtype=complex)
     if arr.shape != (side, side):
         raise ValidationError(f"expected a {side}x{side} matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -393,8 +394,10 @@ def pure_density(system: QuditSystem, vector: Iterable[complex]) -> DensityState
 
 
 def computational_state(system: QuditSystem, index: int = 0) -> DensityState:
+    if not 0 <= index < system.dim:
+        raise ValidationError(f"basis index must lie in [0, {system.dim}), got {index}")
     vec = np.zeros(system.dim, dtype=complex)
-    vec[index % system.dim] = 1.0
+    vec[index] = 1.0
     return pure_density(system, vec)
 
 

@@ -80,6 +80,8 @@ class GaussianCircuit:
             raise ValidationError(f"S must be {2 * n}x{2 * n}")
         if t.shape != (2 * n,):
             raise ValidationError(f"displacement must have length {2 * n}")
+        if not (np.isfinite(s).all() and np.isfinite(t).all()):
+            raise ValidationError("S and the displacement must be finite")
         omega = omega_block(n).astype(float)
         dev = np.max(np.abs(s.T @ omega @ s - omega))
         if dev > 1e-9:

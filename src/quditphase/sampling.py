@@ -42,7 +42,6 @@ from .core import (
     QuditSystem,
     ValidationError,
     clifford_generator,
-    t_state,
 )
 from .basis import Domain, PhasePoint, o_stack, p_stack
 from .measures import (
@@ -53,7 +52,6 @@ from .measures import (
     lp_norm,
     x_distribution,
 )
-from .stabilizer import StabilizerGroup, stabilizer_state
 
 __all__ = [
     "MeasurementKind",
@@ -62,7 +60,6 @@ __all__ = [
     "CircuitDescription",
     "EstimateReport",
     "frame_state_coeffs",
-    "frame_unitary_coeffs",
     "frame_measurement_coeffs",
     "forward_norm",
     "sample_count",
@@ -160,19 +157,6 @@ class CircuitDescription:
         self.measurement.validate(self.system)
 
 
-def resolve_input(system: QuditSystem, state) -> DensityState:
-    """Accept a DensityState, a StabilizerGroup, or the magic label 'T'."""
-    if isinstance(state, DensityState):
-        return state
-    if isinstance(state, StabilizerGroup):
-        return stabilizer_state(state)
-    if state == "T":
-        if (system.d, system.n) != (2, 1):
-            raise ValidationError("the T state is the single-qubit magic input")
-        return t_state()
-    raise ValidationError(f"unsupported circuit input: {state!r}")
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     estimate: float
@@ -189,19 +173,6 @@ class EstimateReport:
 def frame_state_coeffs(rho: DensityState) -> QuasiDistribution:
     """x_rho(lam) = Tr(rho O_lam / d^n) on the restricted domain."""
     return x_distribution(rho, Domain.RESTRICTED)
-
-
-def frame_unitary_coeffs(system: QuditSystem, gate: GateSpec, lam: PhasePoint) -> QuasiDistribution:
-    """One column x_U(. | lam) at a restricted label; a single signed entry for named gates."""
-    shape = (system.d,) * (2 * system.n)
-    flat = int(np.ravel_multi_index(tuple(lam.vector()), shape))
-    if isinstance(gate, DenseOperator):
-        col = _column(system, False, gate.entries, flat)
-    else:
-        image, sign = _named_step(system, gate, np.array([flat]), False)
-        col = np.zeros(system.d ** (2 * system.n))
-        col[image[0]] = sign[0]
-    return QuasiDistribution(system, Domain.RESTRICTED, col.reshape(shape))
 
 
 def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam: PhasePoint) -> float:
@@ -384,13 +355,16 @@ def forward_norm(circuit: CircuitDescription) -> float:
 
 def sample_count(m_forward: float, epsilon: float, p_fail: float) -> int:
     """Hoeffding bound ceil(2 M^2 ln(2/p_f) / eps^2)."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
     if not 0 < p_fail < 1:
         raise ValidationError("failure probability must lie in (0, 1)")
     if m_forward <= 0:
         raise ValidationError("forward norm must be positive")
-    return math.ceil(2.0 * m_forward**2 * math.log(2.0 / p_fail) / epsilon**2)
+    count = 2.0 * m_forward**2 * math.log(2.0 / p_fail) / epsilon**2 if epsilon**2 else math.inf
+    if not math.isfinite(count):
+        raise ValidationError(f"epsilon {epsilon} needs a sample count beyond float range")
+    return math.ceil(count)
 
 
 # ------------------------------------------------------------- estimator
@@ -421,6 +395,8 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 
 
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
+    if streams < 1 or seed < 0:
+        raise ValidationError(f"need streams >= 1 and seed >= 0, got {streams} and {seed}")
     system = circuit.system
     d, n = system.d, system.n
     shape = (d,) * (2 * n)

@@ -104,15 +104,6 @@ class StabilizerGroup:
             seen.add(m)
         return seen
 
-    def elements(self) -> np.ndarray:
-        """All d^n group elements as rows (a-block, b-block), Z_d entries."""
-        d, n = self.system.d, self.system.n
-        arr = np.array(self.generators, dtype=int)
-        out = np.empty((d**n, 2 * n), dtype=int)
-        for row, coeffs in enumerate(product(range(d), repeat=n)):
-            out[row] = (np.array(coeffs) @ arr) % d
-        return out
-
 
 def generator_phases(group: StabilizerGroup) -> tuple[int, ...]:
     """c_i = v Omega s_i^T mod d; the state obeys w^{c_i} P(s_i) psi = psi."""

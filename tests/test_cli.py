@@ -114,8 +114,9 @@ def test_gkp_check_single_cell(capsys):
         ("gkp-check", "--d", "2", "--p", "0"),
         ("gkp-check", "--d", "2", "--p", "nan"),
         ("measure", "--d", "2", "--alpha", "nan"),
+        ("gkp-check", "--p", "nan", "--samples", "1"),
     ],
-    ids=["gkp-check-p-zero", "gkp-check-p-nan", "measure-alpha-nan"],
+    ids=["gkp-check-p-zero", "gkp-check-p-nan", "measure-alpha-nan", "gkp-check-p-nan-default-grid"],
 )
 def test_bad_order_is_validation_error(capsys, argv):
     code, out = run(capsys, *argv)
@@ -175,8 +176,8 @@ def test_simulate_rejects_bad_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, field, value",
-    [("gates", "kind", "BOGUS"), ("input", "index", "x")],
-    ids=["bad-gate-kind", "non-integer-index"],
+    [("gates", "kind", "BOGUS"), ("input", "index", "x"), ("input", "index", 2), ("gates", "targets", [0.5])],
+    ids=["bad-gate-kind", "non-integer-index", "index-out-of-range", "fractional-target"],
 )
 def test_simulate_rejects_bad_values(tmp_path, capsys, section, field, value):
     doc = json.loads(json.dumps(HTH))
@@ -185,6 +186,32 @@ def test_simulate_rejects_bad_values(tmp_path, capsys, section, field, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "simulate", "--circuit", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--epsilon", "nan"),
+        ("simulate", "--epsilon", "inf"),
+        ("simulate", "--epsilon", "1e-300"),
+        ("simulate", "--streams", "0"),
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--circuit", "{tmp_path}"),
+        ("gkp-check", "--samples", "0", "--csv"),
+        ("gkp-check", "--samples", "-1"),
+        ("gkp-check", "--d", "2", "--seed", "-1"),
+    ],
+    ids=["epsilon-nan", "epsilon-inf", "epsilon-tiny", "zero-streams", "negative-seed", "circuit-is-directory",
+         "gkp-check-zero-samples-csv", "gkp-check-negative-samples", "gkp-check-negative-seed"],
+)
+def test_bad_arguments_are_validation_errors(tmp_path, capsys, argv):
+    path = tmp_path / "hth.json"
+    path.write_text(json.dumps(HTH))
+    command, *rest = argv
+    lead = ["--circuit", str(path)] if command == "simulate" else []
+    code, out = run(capsys, command, *lead, *(arg.format(tmp_path=tmp_path) for arg in rest))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "validation"
 
@@ -323,14 +350,46 @@ GKP_SIM_OK = {"d": 2, "n": 1, "input": {"kind": "plus"}, "gate": {"kind": "FOURI
         {**GKP_SIM_OK, "seed": -1},
         {"d": 2, "n": 1, "input": {"kind": "plus"}, "S": [[1.0, 0.0], [0.5]], "samples": 1},
         [GKP_SIM_OK],
+        {"d": 2, "n": 1, "input": {"kind": "plus"}, "S": [[math.nan, 0.0], [0.0, 1.0]], "samples": 1},
+        {"d": 2, "n": 1, "input": {"kind": "plus"}, "S": [[1.0, 0.0], [0.0, 1.0]], "displacement": [math.inf, 0.0]},
+        {**GKP_SIM_OK, "displacement": [0.1, 0.0]},
+        {**GKP_SIM_OK, "S": [[1.0, 0.0], [0.0, 1.0]]},
+        {**GKP_SIM_OK, "gate": {"kind": "FOURIER", "target": [0]}},
+        {**GKP_SIM_OK, "sample": 3},
     ],
     ids=["bad-gate-kind", "gate-not-object", "non-integer-samples", "negative-samples",
-         "negative-seed", "ragged-S", "top-level-array"],
+         "negative-seed", "ragged-S", "top-level-array", "nan-in-S", "inf-displacement",
+         "gate-and-displacement", "gate-and-S", "misspelt-targets", "misspelt-samples"],
 )
 def test_gkp_sim_rejects_bad_values(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("simulate", {**HTH, "d": 1e400}),
+        ("simulate", {**HTH, "measurement": []}),
+        ("simulate", {**HTH, "input": {"kind": "stabilizer", "generators": 5}}),
+        ("simulate", {**HTH, "input": {"kind": "matrix", "matrix": [[math.nan, 0], [0, 1]]}}),
+        ("simulate", {**HTH, "gates": [{"matrix": [[1, 0], [0, math.nan]]}]}),
+        ("simulate", {key: value for key, value in HTH.items() if key != "gates"} | {"gate": HTH["gates"]}),
+        ("simulate", {**HTH, "gates": [{"kind": "FOURIER", "matrix": [[1, 0], [0, 1]]}]}),
+        ("simulate", {**HTH, "measurement": {"kind": "explicit", "indices": [0], "matrix": [[1, 0], [0, 0]]}}),
+        ("simulate", {**HTH, "input": {"kind": "plus", "index": 1}}),
+        ("gkp-sim", {**GKP_SIM_OK, "samples": 1e400}),
+    ],
+    ids=["d-1e400", "measurement-array", "generators-not-text", "nan-input-matrix", "nan-gate-matrix",
+         "misspelt-gates", "gate-kind-and-matrix", "explicit-with-indices", "plus-with-index", "gkp-sim-samples-1e400"],
+)
+def test_bad_documents_are_validation_errors(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))  # the literal JSON number 1e400
+    code, out = run(capsys, command, "--circuit", str(path))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "validation"
 
@@ -359,7 +418,10 @@ def test_stabilizer_input_from_generator_file(tmp_path, capsys):
     assert doc["hyperpolyhedral"] is True
 
 
-@pytest.mark.parametrize("state", ["random:abc", "computational:x"])
+@pytest.mark.parametrize(
+    "state",
+    ["random:abc", "computational:x", "computational:-3", "computational:2", "plus:1", "computationalx", "random:-1"],
+)
 def test_malformed_state_label_is_validation_error(capsys, state):
     code, out = run(capsys, "measure", "--d", "2", "--state", state)
     assert code == 2
@@ -367,8 +429,19 @@ def test_malformed_state_label_is_validation_error(capsys, state):
 
 
 @pytest.mark.parametrize(
-    "text", ["{not json", '{"kind": "computational", "index": "x"}', '{"kind": "stabilizer"}'],
-    ids=["malformed-json", "non-integer-index", "missing-generators"],
+    "text",
+    [
+        "{not json",
+        '{"kind": "computational", "index": "x"}',
+        '{"kind": "stabilizer"}',
+        '{"kind": "stabilizer", "generators": 5}',
+        '{"kind": "random", "seed": 1e400}',
+        '{"kind": "plus", "extra": 1}',
+        '[{"kind": "plus"}]',
+        "[" * 100000,
+    ],
+    ids=["malformed-json", "non-integer-index", "missing-generators", "generators-not-text", "seed-1e400",
+         "unknown-field", "top-level-array", "nested-too-deep"],
 )
 def test_malformed_input_file_is_validation_error(tmp_path, capsys, text):
     path = tmp_path / "state.json"

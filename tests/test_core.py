@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditphase import (
+    DenseOperator,
+    DensityState,
     DimensionCapError,
     GateKind,
     PauliLabel,
@@ -173,6 +175,25 @@ def test_validation_rejects_bad_inputs():
     s = QuditSystem(2, 1)
     with pytest.raises(ValidationError):
         pure_density(s, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DenseOperator(QuditSystem(2, 1), [[np.nan, 0], [0, 1]]),
+        lambda: DenseOperator(QuditSystem(2, 1), [[1, 0], [0, np.nan]], unitary=True),
+        lambda: DensityState(QuditSystem(2, 1), [[np.nan, 0], [0, 1]]),
+        lambda: DensityState(QuditSystem(2, 1), [[1, np.inf], [np.inf, 0]]),
+        lambda: computational_state(QuditSystem(2, 1), -3),
+        lambda: computational_state(QuditSystem(3, 2), 9),
+        lambda: QuditSystem(2, 10**12),
+    ],
+    ids=["nan-operator", "nan-unitary", "nan-density", "inf-density", "negative-basis-index",
+         "basis-index-past-dim", "qudit-count-far-past-cap"],
+)
+def test_out_of_range_inputs_are_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_pure_density_normalizes():

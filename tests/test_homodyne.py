@@ -68,6 +68,16 @@ def test_sum_gate_four_by_four():
     assert np.array_equal(g.integer_s, g.s_matrix.astype(int))
 
 
+@pytest.mark.parametrize(
+    "s_matrix, displacement",
+    [([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]), ([[1.0, 0.0], [np.inf, 1.0]], [0.0, 0.0]), (np.eye(2), [0.0, np.nan])],
+    ids=["nan-S", "inf-S", "nan-displacement"],
+)
+def test_non_finite_circuit_rejected(s_matrix, displacement):
+    with pytest.raises(ValidationError):
+        GaussianCircuit(QuditSystem(2, 1), np.array(s_matrix), np.array(displacement))
+
+
 def test_non_symplectic_rejected():
     s = QuditSystem(2, 1)
     with pytest.raises(ValidationError):

@@ -67,6 +67,25 @@ def test_sample_count_validation():
         sample_count(0.0, 0.1, 0.05)
 
 
+@pytest.mark.parametrize(
+    "epsilon",
+    [math.nan, math.inf, -math.inf, 1e-160, 1e-300],
+    ids=["nan", "inf", "-inf", "count-overflows", "square-underflows"],
+)
+def test_sample_count_rejects_non_finite_counts(epsilon):
+    with pytest.raises(ValidationError):
+        sample_count(1.0, epsilon, 0.05)
+
+
+@pytest.mark.parametrize("runner", [estimate_born, estimate_born_char], ids=["o", "hw"])
+@pytest.mark.parametrize(
+    "streams, seed", [(0, 0), (-2, 0), (1, -1)], ids=["zero-streams", "negative-streams", "negative-seed"]
+)
+def test_estimator_rejects_bad_streams_and_seeds(runner, streams, seed):
+    with pytest.raises(ValidationError):
+        runner(hth_circuit(), 0.5, 0.05, seed=seed, streams=streams)
+
+
 def test_identity_circuit_is_exact():
     s = QuditSystem(2, 1)
     circuit = CircuitDescription(s, computational_state(s, 0), (), measure_zero(s))
