@@ -116,8 +116,16 @@ _DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, OverflowError
 
 
 def _decode(args):
-    """The subcommand's decoded inputs; a malformed input raises ValidationError."""
+    """The subcommand's decoded inputs; a malformed input raises ValidationError.
+
+    An --output that cannot be opened counts as one; it is dropped before
+    the open is tried, so the error document goes to stdout.
+    """
     try:
+        path, args.output = args.output, None
+        if path:
+            open(path, "a").close()
+            args.output = path
         return args.decode(args)
     except _DECODE_ERRORS as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"

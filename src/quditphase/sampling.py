@@ -17,10 +17,9 @@ action is a label map with a sign (O frame) or a phase (Heisenberg-Weyl
 frame), read from a table built once on the gate's 1- or 2-qudit
 support. Explicit gates sample lazily computed, memoized columns.
 
-Determinism contract: one uniform block per stream for the input draw,
-one more for the conjugate-pair flip in the Heisenberg-Weyl frame, and
-one per explicit gate, in trajectory order; named gates draw nothing in
-either frame. Per-stream compensated sums are merged exactly. A report
+Determinism contract: one uniform block per stream for the input draw
+and one per explicit gate, in trajectory order; named gates draw nothing
+in either frame. Per-stream compensated sums are merged exactly. A report
 is bit-for-bit reproducible for fixed (seed, streams).
 """
 
@@ -103,24 +102,6 @@ class MeasurementEffect:
             eig = np.linalg.eigvalsh(self.operator.entries)
             if eig.min() < -1e-9 or eig.max() > 1 + 1e-9:
                 raise ValidationError("effect must satisfy 0 <= Pi <= 1")
-
-    def dense(self, system: QuditSystem) -> np.ndarray:
-        if self.kind == MeasurementKind.EXPLICIT:
-            return self.operator.entries
-        d = system.d
-        factors = []
-        for q in range(system.n):
-            if q in self.indices:
-                o = self.outcomes[self.indices.index(q)]
-                m = np.zeros((d, d))
-                m[o, o] = 1.0
-                factors.append(m)
-            else:
-                factors.append(np.eye(d))
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.kron(out, f)
-        return out
 
 
 NamedGate = tuple[GateKind, tuple[int, ...]]
@@ -398,9 +379,6 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
     if streams < 1 or seed < 0:
         raise ValidationError(f"need streams >= 1 and seed >= 0, got {streams} and {seed}")
     system = circuit.system
-    d, n = system.d, system.n
-    shape = (d,) * (2 * n)
-
     if char:
         state = characteristic_fn(circuit.input_state, Domain.RESTRICTED)
         meas = _char_measurement_array(system, circuit.measurement)
@@ -417,21 +395,7 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         raise ValidationError("input state has zero frame norm")
     k_total = sample_count(m_forward, epsilon, p_fail)
 
-    if char:
-        # conjugate-pair folding: sample the lexicographic representative
-        idx_all = np.arange(d ** (2 * n))
-        vecs = np.array(np.unravel_index(idx_all, shape))
-        neg = (-vecs) % d
-        partner = np.ravel_multi_index(tuple(neg), shape)
-        rep_mask = idx_all <= partner
-        selfpair = partner == idx_all
-        fold_w = np.where(rep_mask, np.where(selfpair, 1.0, 2.0) * np.abs(coeffs), 0.0)
-        nz0, cdf0 = _cdf_from_abs(fold_w)
-        need_flip = bool(np.any(~selfpair[nz0]))
-    else:
-        nz0, cdf0 = _cdf_from_abs(np.abs(coeffs))
-        need_flip = False
-
+    nz0, cdf0 = _cdf_from_abs(np.abs(coeffs))
     stream_sums = []
     for s, k_s in enumerate(_split_sizes(k_total, streams)):
         if k_s == 0:
@@ -443,9 +407,6 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         else:
             u = rng.random(k_s)
             idx = nz0[np.minimum(np.searchsorted(cdf0, u, side="right"), len(nz0) - 1)]
-        if need_flip:
-            flips = rng.random(k_s) < 0.5
-            idx = np.where(selfpair[idx], idx, np.where(flips, partner[idx], idx))
         vals = coeffs[idx]
         w = norm0 * (vals / np.abs(vals))
 
@@ -486,5 +447,5 @@ def estimate_born(circuit: CircuitDescription, epsilon: float, p_fail: float, se
 
 
 def estimate_born_char(circuit: CircuitDescription, epsilon: float, p_fail: float, seed: int, streams: int = 1) -> EstimateReport:
-    """Same estimator in the Heisenberg-Weyl frame with pair folding."""
+    """Same estimator in the Heisenberg-Weyl frame."""
     return _run_estimator(circuit, epsilon, p_fail, seed, streams, char=True)

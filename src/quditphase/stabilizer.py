@@ -7,22 +7,33 @@ w_d^{c_i} P(s_i) psi = psi with c_i = v Omega s_i^T. The state is built
 as the product of the n generator eigenprojectors, which at odd d
 collapses to the familiar group sum d^{-n} sum_m w^{v Omega m} P(m).
 
+Every question over Z_d goes through one diagonal (Smith) form
+U A V = diag(s) mod d of an integer matrix A, with U and V invertible
+mod d (Hostens, Dehaene and De Moor, PRA 71, 042315 (2005)). The rows of
+A generate a group of order prod_i d / gcd(s_i, d), which is the
+independence test, and A v = k mod d is solvable exactly when every
+gcd(s_i, d) divides (U k)_i, which gives the phase vector of a generator
+text and the phase seeds of the single-qudit enumeration.
+
 ``stabilizer_x_sparse`` produces the full-domain coefficient distribution
-without any dense matrix work: the single-factor overlap has the closed
-form
+without any dense n-qudit matrix: the group's Pauli table is contracted,
+factor by factor, with the single-factor overlap
 
     Tr(O_{l,mu} P(a,b)) = (-1)^{mu l} w_d^{inv2 (b l + a mu)}        (odd d)
     Tr(O_{l,mu} P(a,b)) = 2 e^{i pi (b l + a mu)/d} [a=l, b=mu mod 2] (even d)
 
-so the restricted coefficients are a d^n-point flat coset (magnitude
-d^{-n}), and the doubled-domain values are its lift by ``lift_table``,
-the one used for every FULL table. The result must (and in the tests does) match the dense
-x-distribution to 1e-10.
+(a (d, d, d, d) table built from ``o_stack`` and ``p_stack``), in
+O(n d^{2n+2}) work. The restricted coefficients are a d^n-point flat coset
+(magnitude d^{-n}), and the doubled-domain values are its lift by
+``lift_table``, the one used for every FULL table. The result must (and in
+the tests does) match the dense x-distribution to 1e-10.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -36,8 +47,8 @@ from .core import (
     ValidationError,
     heisenberg_weyl,
 )
-from .basis import Domain, lift_table, lift_to_full
-from .measures import QuasiDistribution
+from .basis import Domain, lift_table, lift_to_full, o_stack, p_stack
+from .measures import QuasiDistribution, _contract_stack
 
 __all__ = [
     "NonCommutingGenerators",
@@ -67,6 +78,64 @@ def _symplectic_pair(u: np.ndarray, v: np.ndarray, n: int, d: int) -> int:
     return int((ub @ va - ua @ vb) % d)
 
 
+def _smith(a: Sequence[Sequence[int]], d: int):
+    """(U, s, V^T) with U A V = diag(s) mod d for an m x k integer matrix A, m <= k.
+
+    U and V are products of swaps and integer row or column additions, so
+    they are invertible mod d. Each pivot is the smallest nonzero entry
+    left; Euclidean steps clear its column and row, and repeat while a
+    remainder is left. The divisibility chain of a full Smith form is not
+    needed here.
+    """
+    m, k = len(a), len(a[0])
+    a = [[int(x) % d for x in row] for row in a]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    vt = [[int(i == j) for j in range(k)] for i in range(k)]  # column ops on A are row ops on V^T
+
+    def sub(rows, i, t, q):
+        rows[i] = [(x - q * y) % d for x, y in zip(rows[i], rows[t])]
+
+    for t in range(m):
+        while True:
+            nonzero = [(a[i][j], i, j) for i in range(t, m) for j in range(t, k) if a[i][j]]
+            if not nonzero:
+                break
+            _, i, j = min(nonzero)
+            a[t], a[i], u[t], u[i], vt[t], vt[j] = a[i], a[t], u[i], u[t], vt[j], vt[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            for i in range(t + 1, m):
+                q = a[i][t] // a[t][t]
+                sub(a, i, t, q)
+                sub(u, i, t, q)
+            for j in range(t + 1, k):
+                q = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] = (row[j] - q * row[t]) % d
+                sub(vt, j, t, q)
+            if not any(a[i][t] for i in range(t + 1, m)) and not any(a[t][t + 1 :]):
+                break
+    return u, [a[i][i] for i in range(m)], vt
+
+
+def _order(a: Sequence[Sequence[int]], d: int) -> int:
+    """Order of the subgroup of Z_d^k generated by the rows of A."""
+    return math.prod(d // math.gcd(s, d) for s in _smith(a, d)[1])
+
+
+def _solve(a: Sequence[Sequence[int]], k: Sequence[int], d: int) -> tuple[int, ...] | None:
+    """Some v with A v = k mod d, or None: s_i w_i = (U k)_i row by row, v = V w."""
+    u, s, vt = _smith(a, d)
+    w = []
+    for si, row in zip(s, u):
+        r = sum(x * int(y) for x, y in zip(row, k)) % d
+        g = math.gcd(si, d)
+        if r % g:
+            return None
+        w.append(r // g * pow(si // g, -1, d // g) % d)
+    return tuple(sum(wi * row[j] for wi, row in zip(w, vt)) % d for j in range(len(vt)))
+
+
 @dataclass(frozen=True)
 class StabilizerGroup:
     """n commuting independent generators plus the phase vector v."""
@@ -90,19 +159,10 @@ class StabilizerGroup:
                     raise NonCommutingGenerators(
                         f"generators {i} and {j} do not commute"
                     )
-        if len(self.element_table_of(gens, d, n)) != d**n:
+        if _order(gens, d) != d**n:
             raise DependentGenerators("generated group has order != d^n")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "phase_vector", v)
-
-    @staticmethod
-    def element_table_of(gens, d: int, n: int) -> set[tuple[int, ...]]:
-        arr = np.array(gens, dtype=int)
-        seen = set()
-        for coeffs in product(range(d), repeat=n):
-            m = tuple((np.array(coeffs) @ arr) % d)
-            seen.add(m)
-        return seen
 
 
 def generator_phases(group: StabilizerGroup) -> tuple[int, ...]:
@@ -178,35 +238,30 @@ def _pauli_decomposition(group: StabilizerGroup) -> list[tuple[np.ndarray, compl
     return out
 
 
-def _overlap_factor(d: int, l: np.ndarray, mu: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Closed-form Tr(O_{l,mu} P(a,b)) for one factor, vectorized over (l, mu)."""
-    if d % 2:
-        # e^{-i pi mu l / d} = (-1)^{mu l} w^{-inv2 mu l} at odd d
-        h = pow(2, -1, d)
-        sign = np.where((l * mu) % 2, -1.0, 1.0)
-        return sign * np.exp(2j * np.pi * (h * (b * l + a * mu) % d) / d)
-    match = ((a - l) % 2 == 0) & ((b - mu) % 2 == 0)
-    return np.where(match, 2.0 * np.exp(1j * np.pi * (b * l + a * mu) / d), 0.0)
+@lru_cache(maxsize=32)
+def _overlap_stack(d: int) -> np.ndarray:
+    """Tr(O_{l,mu} P(a,b)) at [l, mu, b, a], the layout ``_contract_stack`` reads; cached read-only."""
+    stack = np.einsum("lmrc,abcr->lmba", o_stack(d), p_stack(d))
+    stack.flags.writeable = False
+    return stack
 
 
 def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     """Full-domain x coefficients from the closed-form group sum.
 
-    Restricted values are computed analytically (a flat coset: exactly d^n
-    points of magnitude d^{-n}), then lifted to Z_{2d}^{2n} by
-    ``lift_table``, as every FULL table is.
+    The restricted values d^{-2n} sum_m phase_m prod_i Tr(O_{l_i,mu_i} P(m_i))
+    are one contraction of the group's Pauli table with the per-factor
+    overlap; they must form a flat coset (exactly d^n points of magnitude
+    d^{-n}) and are lifted to Z_{2d}^{2n} by ``lift_table``, as every FULL
+    table is.
     """
     system = group.system
     d, n = system.d, system.n
 
-    grids = np.meshgrid(*([np.arange(d)] * (2 * n)), indexing="ij")
-    restricted = np.zeros((d,) * (2 * n), dtype=complex)
-    for m, phase in _pauli_decomposition(group):
-        term = phase * np.ones_like(restricted)
-        for i in range(n):
-            term = term * _overlap_factor(d, grids[i], grids[n + i], int(m[i]), int(m[n + i]))
-        restricted = restricted + term
-    restricted = restricted / float(d ** (2 * n))
+    labels, phases = zip(*_pauli_decomposition(group))
+    table = np.zeros((d,) * (2 * n), dtype=complex)
+    table[tuple(np.array(labels).T)] = phases
+    restricted = _contract_stack(system, _overlap_stack(d), table) / float(d ** (2 * n))
     if np.max(np.abs(restricted.imag)) > 1e-10:
         raise InvariantError("stabilizer coefficients must be real")
     rvals = restricted.real
@@ -220,57 +275,13 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     return QuasiDistribution(system, Domain.FULL, full)
 
 
-def _dual_phase_vector(gens: np.ndarray, ks: Sequence[int], d: int, n: int) -> tuple[int, ...]:
+def _dual_phase_vector(gens, ks: Sequence[int], d: int, n: int) -> tuple[int, ...]:
     """Some v with v Omega s_i^T = k_i mod d for every generator."""
-    rows = np.zeros((n, 2 * n), dtype=int)
-    for i, s in enumerate(gens):
-        rows[i, :n] = (-s[n:]) % d  # coefficient of v_a
-        rows[i, n:] = s[:n] % d     # coefficient of v_b
-    k = np.array([int(x) % d for x in ks], dtype=int)
-    # Gauss-Jordan with unit pivots mod d
-    A = rows % d
-    b = k.copy()
-    v = np.zeros(2 * n, dtype=int)
-    used_cols: list[tuple[int, int]] = []
-    row = 0
-    for col in range(2 * n):
-        piv = None
-        for r in range(row, n):
-            try:
-                pow(int(A[r, col]), -1, d)
-                piv = r
-                break
-            except ValueError:
-                continue
-        if piv is None:
-            continue
-        A[[row, piv]] = A[[piv, row]]
-        b[[row, piv]] = b[[piv, row]]
-        inv = pow(int(A[row, col]), -1, d)
-        A[row] = (A[row] * inv) % d
-        b[row] = (b[row] * inv) % d
-        for r in range(n):
-            if r != row and A[r, col]:
-                f = int(A[r, col])
-                A[r] = (A[r] - f * A[row]) % d
-                b[r] = (b[r] - f * b[row]) % d
-        used_cols.append((row, col))
-        row += 1
-        if row == n:
-            break
-    if row == n:
-        for r, col in used_cols:
-            v[col] = int(b[r]) % d
-        if np.all((rows @ v - k) % d == 0):
-            return tuple(int(c) for c in v)
-    # fall back to a brute-force search on small registers
-    if d ** (2 * n) <= 10**6:
-        for cand in product(range(d), repeat=2 * n):
-            vv = np.array(cand, dtype=int)
-            if np.all((rows @ vv - k) % d == 0):
-                return tuple(cand)
+    rows = [[-c for c in s[n:]] + list(s[:n]) for s in gens]
+    v = _solve(rows, ks, d)
+    if v is None:
         raise ValidationError("no phase vector satisfies the given phases")
-    raise ValidationError("cannot solve for the phase vector at this size")
+    return v
 
 
 def parse_generator_lines(system: QuditSystem, text: str) -> StabilizerGroup:
@@ -295,9 +306,7 @@ def parse_generator_lines(system: QuditSystem, text: str) -> StabilizerGroup:
         ks.append(int(parts[2]))
     if len(gens) != system.n:
         raise ValidationError(f"expected {system.n} generators, found {len(gens)}")
-    arr = np.array(gens, dtype=int)
-    v = _dual_phase_vector(arr, ks, system.d, system.n)
-    return StabilizerGroup(system, tuple(gens), v)
+    return StabilizerGroup(system, tuple(gens), _dual_phase_vector(gens, ks, system.d, system.n))
 
 
 def format_generator_lines(group: StabilizerGroup) -> str:
@@ -312,16 +321,6 @@ def format_generator_lines(group: StabilizerGroup) -> str:
         b = ",".join(str(c) for c in g[n:])
         lines.append(f"{a}|{b}|{k}")
     return "\n".join(lines) + "\n"
-
-
-def _phase_seed(s: tuple[int, int], d: int) -> tuple[int, int]:
-    """Some u0 with u0 Omega s^T = 1 (single qudit, s of additive order d)."""
-    a, b = s
-    for cand in ((0, 1), (d - 1, 0)) + tuple(product(range(d), repeat=2)):
-        va, vb = cand
-        if (vb * a - va * b) % d == 1:
-            return cand
-    raise ValidationError(f"generator {s} admits no unit phase seed")
 
 
 def enumerate_single_qudit_groups(d: int) -> list[StabilizerGroup]:
@@ -350,7 +349,7 @@ def enumerate_single_qudit_groups(d: int) -> list[StabilizerGroup]:
 
     groups = []
     for s in subgroup_reps:
-        u0 = _phase_seed(s, d)
+        u0 = _dual_phase_vector([s], [1], d, 1)
         for k in range(d):
             v = ((k * u0[0]) % d, (k * u0[1]) % d)
             groups.append(StabilizerGroup(system, (tuple(s),), v))

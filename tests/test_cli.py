@@ -202,9 +202,12 @@ def test_simulate_rejects_bad_values(tmp_path, capsys, section, field, value):
         ("gkp-check", "--samples", "0", "--csv"),
         ("gkp-check", "--samples", "-1"),
         ("gkp-check", "--d", "2", "--seed", "-1"),
+        ("measure", "--d", "2", "--output", "{tmp_path}/missing/x.json"),
+        ("measure", "--d", "2", "--output", "{tmp_path}"),
     ],
     ids=["epsilon-nan", "epsilon-inf", "epsilon-tiny", "zero-streams", "negative-seed", "circuit-is-directory",
-         "gkp-check-zero-samples-csv", "gkp-check-negative-samples", "gkp-check-negative-seed"],
+         "gkp-check-zero-samples-csv", "gkp-check-negative-samples", "gkp-check-negative-seed",
+         "output-in-missing-directory", "output-is-directory"],
 )
 def test_bad_arguments_are_validation_errors(tmp_path, capsys, argv):
     path = tmp_path / "hth.json"
@@ -416,6 +419,15 @@ def test_stabilizer_input_from_generator_file(tmp_path, capsys):
     assert code == 0
     assert abs(doc["negativity"] - 1.0) < 1e-12
     assert doc["hyperpolyhedral"] is True
+
+
+def test_composite_stabilizer_generator_file(tmp_path, capsys):
+    # d=6, n=4: these phase constraints need non-unit pivots
+    gen = tmp_path / "gens.txt"
+    gen.write_text("0,0,0,0|1,0,0,0|5\n0,0,0,0|5,5,0,0|1\n0,0,1,1|0,0,0,1|4\n0,0,0,1|0,0,4,3|1\n")
+    code, out = run(capsys, "measure", "--d", "6", "--n", "4", "--generators", str(gen))
+    assert code == 0
+    assert abs(json.loads(out)["negativity"] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(

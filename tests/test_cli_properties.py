@@ -35,8 +35,12 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-properties")
 
 
-def exit_code(argv) -> int:
-    """``main``'s exit code, or argparse's for an argv it rejects before decoding."""
+def exit_code(argv, output=None) -> int:
+    """``main``'s exit code, or argparse's for an argv it rejects before decoding.
+
+    The error document of a 2 or 3 is read from ``output`` when that is a
+    writable file, and from stdout otherwise.
+    """
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -44,7 +48,8 @@ def exit_code(argv) -> int:
         except SystemExit as exc:
             return exc.code
     if code in (2, 3):
-        assert "error" in json.loads(out.getvalue())
+        text = output.read_text() if output is not None and output.is_file() else out.getvalue()
+        assert "error" in json.loads(text)
     return code
 
 
@@ -218,7 +223,7 @@ def test_state_inputs_exit_0_2_or_3(workdir, data):
 
 @settings(PROFILE)
 @given(st.data())
-def test_direct_arguments_exit_0_2_or_3(data):
+def test_direct_arguments_exit_0_2_or_3(workdir, data):
     command = data.draw(st.sampled_from(["basis", "enumerate-stabilizers", "measure", "gkp-check"]))
     d, n = data.draw(st.sampled_from(SHAPES))
     if command == "basis":
@@ -236,4 +241,9 @@ def test_direct_arguments_exit_0_2_or_3(data):
     argv = [command, *options_argv(data, options)]
     if command in ("measure", "gkp-check") and data.draw(st.booleans(), label="csv"):
         argv.append("--csv")
-    assert exit_code(argv) in (0, 2, 3)
+    # a writable file, a missing directory or an existing directory
+    target = data.draw(st.sampled_from([None, "out.json", "missing/out.json", "."]), label="output")
+    output = None if target is None else workdir / target
+    if output is not None:
+        argv += ["--output", output]
+    assert exit_code(argv, output) in (0, 2, 3)

@@ -9,15 +9,18 @@ import pytest
 from quditphase import (
     CircuitDescription,
     DenseOperator,
+    Domain,
     GateKind,
     MeasurementEffect,
     MeasurementKind,
     QuditSystem,
     ValidationError,
+    characteristic_fn,
     computational_state,
     estimate_born,
     estimate_born_char,
     forward_norm,
+    haar_random_state,
     plus_state,
     sample_count,
     t_state,
@@ -273,8 +276,8 @@ def test_o_frame_named_step_matches_coordinate_action(d, gate):
         assert signs[flat] == float(sign)
 
 
-def hw_expansion(system, unitary):
-    """c[u, v] = Tr(P(v)^dagger U P(u) U^dagger) / d^n by dense conjugation."""
+def hw_operators(system):
+    """Dense P(u) for every restricted label u, in flat-index order."""
     d, n = system.d, system.n
     stack = p_stack(d)
     ops = []
@@ -283,7 +286,12 @@ def hw_expansion(system, unitary):
         for q in range(n):
             op = np.kron(op, stack[vec[q], vec[n + q]])
         ops.append(op)
-    ops = np.array(ops).reshape(len(ops), system.dim, system.dim)
+    return np.array(ops).reshape(len(ops), system.dim, system.dim)
+
+
+def hw_expansion(system, unitary):
+    """c[u, v] = Tr(P(v)^dagger U P(u) U^dagger) / d^n by dense conjugation."""
+    ops = hw_operators(system)
     conj = unitary @ ops @ unitary.conj().T
     return conj.reshape(len(ops), -1) @ ops.conj().reshape(len(ops), -1).T / system.dim
 
@@ -315,6 +323,43 @@ def test_named_gates_draw_no_randomness(char):
     b = estimator(padded, 0.1, 0.05, seed=3)
     assert abs(a.estimate - b.estimate) < 1e-12
     assert a.samples_used == b.samples_used
+
+
+def test_hw_frame_draws_one_uniform_block_per_stream():
+    # named gates only: a trajectory is its input label, drawn straight from
+    # |chi| by one uniform block per stream, carried by the circuit's
+    # one-entry Heisenberg-Weyl columns (dense conjugation) to the effect
+    s = QuditSystem(3, 2)
+    gates = ((GateKind.FOURIER, (0,)), (GateKind.SUM, (0, 1)), (GateKind.PHASE, (1,)))
+    effect = MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 1), (0, 2))
+    rho = haar_random_state(s, np.random.default_rng(11))
+    seed, streams = 4, 3
+    report = estimate_born_char(CircuitDescription(s, rho, gates, effect), 0.3, 0.05, seed=seed, streams=streams)
+
+    unitary = np.eye(s.dim)
+    for gate in gates:
+        unitary = embed_generator(s, *gate).entries @ unitary
+    cols = hw_expansion(s, unitary)
+    labels = np.arange(len(cols))
+    images = np.argmax(np.abs(cols), axis=1)
+    readout = 0 * 3 + 2  # the basis index of |0>|2>
+    weights = cols[labels, images] * hw_operators(s)[images, readout, readout]  # phase x Tr(Pi P(image))
+    chi = characteristic_fn(rho, Domain.RESTRICTED).values.reshape(-1).copy()
+    chi[np.abs(chi) < 1e-12] = 0.0
+    nz = np.nonzero(chi)[0]
+    cdf = np.cumsum(np.abs(chi[nz]))
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0
+    norm0 = float(np.sum(np.abs(chi)))
+    k_total = report.samples_used
+    base, rem = divmod(k_total, streams)
+    sums = []
+    for stream in range(streams):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+        u = rng.random(base + (stream < rem))
+        idx = nz[np.minimum(np.searchsorted(cdf, u, side="right"), len(nz) - 1)]
+        sums.append(math.fsum(np.real(norm0 * chi[idx] / np.abs(chi[idx]) * weights[idx])))
+    assert abs(math.fsum(sums) / k_total - report.estimate) < 1e-12
 
 
 def qutrit_magic_circuit():

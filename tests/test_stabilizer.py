@@ -17,9 +17,31 @@ from quditphase import (
     stabilizer_x_sparse,
     x_distribution,
 )
-from quditphase.stabilizer import DependentGenerators, NonCommutingGenerators
+from quditphase.stabilizer import DependentGenerators, NonCommutingGenerators, generator_phases
 
 ENUM_COUNTS = {2: 6, 3: 12, 4: 24, 5: 30}
+
+
+def random_group(system, rng, word_length=12):
+    """Z-type generators pushed through a seeded word of symplectic moves."""
+    d, n = system.d, system.n
+    gens = np.zeros((n, 2 * n), dtype=np.int64)
+    gens[np.arange(n), n + np.arange(n)] = 1
+    for _ in range(word_length):
+        move = int(rng.integers(3))
+        if move == 2 and n >= 2:  # SUM(c, t): a_t += a_c, b_c -= b_t
+            c, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+            gens[:, t] += gens[:, c]
+            gens[:, n + c] -= gens[:, n + t]
+        else:
+            t = int(rng.integers(n))
+            if move == 0:  # Fourier: (a, b) -> (b, -a)
+                gens[:, [t, n + t]] = np.stack([gens[:, n + t], -gens[:, t]], axis=1)
+            else:  # phase: b += a
+                gens[:, n + t] += gens[:, t]
+        gens %= d
+    phase_vector = tuple(int(v) for v in rng.integers(d, size=2 * n))
+    return StabilizerGroup(system, tuple(map(tuple, gens.tolist())), phase_vector)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -126,6 +148,30 @@ def test_generator_text_roundtrip():
     assert back.generators == group.generators
     # the text stores eigenvalue exponents, not the raw phase vector
     assert np.max(np.abs(stabilizer_state(back).matrix - stabilizer_state(group).matrix)) < 1e-9
+
+
+@pytest.mark.parametrize("d, n", [(4, 3), (6, 3), (6, 4), (12, 2)])
+@pytest.mark.parametrize("seed", range(5))
+def test_generator_text_roundtrip_on_clifford_words(d, n, seed):
+    # composite d: at (6, 4) the phase constraints of seed 4 cannot be
+    # solved by row reduction with unit pivots alone
+    group = random_group(QuditSystem(d, n), np.random.default_rng(seed))
+    back = parse_generator_lines(group.system, format_generator_lines(group))
+    assert back.generators == group.generators
+    assert generator_phases(back) == generator_phases(group)
+
+
+def test_sparse_matches_dense_at_composite_d():
+    group = random_group(QuditSystem(6, 3), np.random.default_rng(5))
+    sparse = stabilizer_x_sparse(group)
+    dense = x_distribution(stabilizer_state(group), Domain.FULL)
+    assert np.max(np.abs(sparse.values - dense.values)) < 1e-10
+
+
+def test_inconsistent_phases_have_no_phase_vector():
+    # X twice with different eigenvalues: dependent rows, conflicting phases
+    with pytest.raises(ValidationError, match="no phase vector"):
+        parse_generator_lines(QuditSystem(3, 2), "1,0|0,0|0\n2,0|0,0|1\n")
 
 
 def test_parse_skips_comments_and_blanks():
