@@ -188,7 +188,8 @@ class DensityState:
             raise ValidationError(f"density matrix has eigenvalue {lo:.3e} < 0")
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr(rho^2) = sum_ij |rho_ij|^2, since rho is Hermitian."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 def _canon_vec(values: Sequence[int] | int, n: int, mod: int) -> tuple[int, ...]:

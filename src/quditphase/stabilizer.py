@@ -3,9 +3,15 @@
 A stabilizer group on n qudits is given by n commuting, independent
 generator vectors s_i in Z_d^{2n} (shift powers first, clock powers
 second) plus a phase vector v in Z_d^{2n} selecting the joint eigenspace
-w_d^{c_i} P(s_i) psi = psi with c_i = v Omega s_i^T. The state is built
-as the product of the n generator eigenprojectors, which at odd d
-collapses to the familiar group sum d^{-n} sum_m w^{v Omega m} P(m).
+w_d^{c_i} P(s_i) psi = psi with c_i = v Omega s_i^T. The state is the
+group sum rho = d^{-n} sum_k phase_k P(k S) over k in Z_d^n, read from
+one signed Pauli table: the labels k S mod d and, in closed form, the
+phases of prod_i (w^{c_i} P(s_i))^{k_i} as integer powers of
+zeta = e^{i pi / d} (at even d these carry the Weyl-ordering signs that
+the naive sum of w^{v Omega m} misses). Each P(a, b) is a monomial
+matrix, so the table scatters into rho in O(d^{2n}) work, and rho is
+certified by the defining equations w^{c_i} P(s_i) rho = rho, which with
+Hermiticity and unit trace fix it uniquely.
 
 Every question over Z_d goes through one diagonal (Smith) form
 U A V = diag(s) mod d of an integer matrix A, with U and V invertible
@@ -16,7 +22,7 @@ gcd(s_i, d) divides (U k)_i, which gives the phase vector of a generator
 text and the phase seeds of the single-qudit enumeration.
 
 ``stabilizer_x_sparse`` produces the full-domain coefficient distribution
-without any dense n-qudit matrix: the group's Pauli table is contracted,
+without any dense n-qudit matrix: the same Pauli table is contracted,
 factor by factor, with the single-factor overlap
 
     Tr(O_{l,mu} P(a,b)) = (-1)^{mu l} w_d^{inv2 (b l + a mu)}        (odd d)
@@ -34,19 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DensityState,
-    InvariantError,
-    PauliLabel,
-    QuditSystem,
-    ValidationError,
-    heisenberg_weyl,
-)
+from .core import DensityState, InvariantError, QuditSystem, ValidationError
 from .basis import Domain, lift_table, lift_to_full, o_stack, p_stack
 from .measures import QuasiDistribution, _contract_stack
 
@@ -71,11 +69,15 @@ class DependentGenerators(ValidationError):
     """The generated group does not have order d^n."""
 
 
-def _symplectic_pair(u: np.ndarray, v: np.ndarray, n: int, d: int) -> int:
-    """u Omega v^T = u_b . v_a - u_a . v_b mod d."""
-    ua, ub = u[:n], u[n:]
-    va, vb = v[:n], v[n:]
-    return int((ub @ va - ua @ vb) % d)
+def _symplectic(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """u Omega v^T = u_b v_a^T - u_a v_b^T mod d for row stacks u, v of Z_d^{2n} vectors."""
+    n = u.shape[1] // 2
+    return (u[:, n:] @ v[:, :n].T - u[:, :n] @ v[:, n:].T) % d
+
+
+def _h2(d: int) -> int:
+    """zeta exponent of w^{1/2}: P(a, b) = zeta^{h2 a.b} X^a Z^b."""
+    return (2 * pow(2, -1, d)) % (2 * d) if d % 2 else 1
 
 
 def _smith(a: Sequence[Sequence[int]], d: int):
@@ -152,13 +154,11 @@ class StabilizerGroup:
         v = tuple(int(c) % d for c in self.phase_vector)
         if len(v) != 2 * n:
             raise ValidationError(f"phase vector must have length {2 * n}")
-        arr = np.array(gens, dtype=int)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _symplectic_pair(arr[i], arr[j], n, d):
-                    raise NonCommutingGenerators(
-                        f"generators {i} and {j} do not commute"
-                    )
+        arr = np.array(gens, dtype=np.int64)
+        clash = np.argwhere(np.triu(_symplectic(arr, arr, d), 1))
+        if len(clash):
+            i, j = clash[0]
+            raise NonCommutingGenerators(f"generators {i} and {j} do not commute")
         if _order(gens, d) != d**n:
             raise DependentGenerators("generated group has order != d^n")
         object.__setattr__(self, "generators", gens)
@@ -167,75 +167,80 @@ class StabilizerGroup:
 
 def generator_phases(group: StabilizerGroup) -> tuple[int, ...]:
     """c_i = v Omega s_i^T mod d; the state obeys w^{c_i} P(s_i) psi = psi."""
+    v = np.array([group.phase_vector], dtype=np.int64)
+    gens = np.array(group.generators, dtype=np.int64)
+    return tuple(int(c) for c in _symplectic(v, gens, group.system.d)[0])
+
+
+def _group_table(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and phases of rho = d^{-n} sum_k phase_k P(label_k), all k in Z_d^n at once.
+
+    The element prod_i (w^{c_i} P(s_i))^{k_i} has label k S mod d. With
+    P(a, b) = zeta^{h2 a.b} X^a Z^b and Z^b X^a = w^{a.b} X^a Z^b, the power
+    (X^a Z^b)^k brings zeta^{k(k-1) a.b} and the ordered product brings
+    zeta^{2 k_i k_j b_i.a_j} for i < j, so the phase is zeta to
+    h2 sum k_i a_i.b_i + sum k_i(k_i-1) a_i.b_i + 2 sum_{i<j} k_i k_j b_i.a_j
+    + 2 sum k_i c_i, less h2 alpha.beta of the label (alpha, beta) itself.
+    Rows are in ``np.indices`` order of k.
+    """
     d, n = group.system.d, group.system.n
-    v = np.array(group.phase_vector, dtype=int)
-    return tuple(
-        _symplectic_pair(v, np.array(s, dtype=int), n, d) for s in group.generators
-    )
+    h2 = _h2(d)
+    s = np.array(group.generators, dtype=np.int64)
+    a, b = s[:, :n], s[:, n:]
+    k = np.indices((d,) * n).reshape(n, -1).T
+    labels = k @ s % d
+    ab = (a * b).sum(1) % (2 * d)
+    cross = np.triu(b @ a.T, 1) % (2 * d)
+    zeta = (
+        (k * (k + h2 - 1)) @ ab
+        + 2 * ((k @ cross) * k).sum(1)
+        + 2 * (k @ np.array(generator_phases(group)))
+        - h2 * (labels[:, :n] * labels[:, n:]).sum(1)
+    ) % (2 * d)
+    return labels, np.exp(1j * np.pi * zeta / d)
+
+
+def _weyl_action(d: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(a, b)|c> = zeta^{h2 a.b + 2 b.c} |c + a> on every basis column c.
+
+    Returns the row index of c + a mod d and that exponent mod 2d, each of
+    shape (..., d^n) for (..., n) label arrays a and b.
+    """
+    n = a.shape[-1]
+    digits = np.indices((d,) * n).reshape(n, -1)
+    rows = 0
+    for f in range(n):
+        rows = rows * d + (digits[f] + a[..., f, None]) % d
+    exps = (_h2(d) * (a * b).sum(-1)[..., None] + 2 * (b @ digits)) % (2 * d)
+    return rows, exps
 
 
 def stabilizer_state(group: StabilizerGroup) -> DensityState:
-    """Product of the generator eigenprojectors d^{-1} sum_k (w^{c_i} P(s_i))^k.
+    """rho = d^{-n} sum_m phase_m P(m) over the group table, certified by its generators.
 
-    At odd d this equals d^{-n} sum_{m in M_S} w^{v Omega m} P(m); at even d
-    the projector product supplies the extra Weyl power phases that the naive
-    group sum misses.
+    Every P(m) is a monomial matrix, so the table scatters into rho in
+    O(d^{2n}) work. rho must then satisfy w^{c_i} P(s_i) rho = rho, one row
+    map per generator; with the Hermiticity and unit trace that
+    ``DensityState`` checks, these equations fix rho as the projector onto
+    the one joint eigenvector, independently of the table that built it.
     """
     system = group.system
-    d, n = system.d, system.n
-    rho = np.eye(system.dim, dtype=complex)
-    omega = np.exp(2j * np.pi / d)
-    for s, c in zip(group.generators, generator_phases(group)):
-        label = PauliLabel(system, s[:n], s[n:])
-        g = omega**c * heisenberg_weyl(system, label).entries
-        proj = np.eye(system.dim, dtype=complex)
-        power = np.eye(system.dim, dtype=complex)
-        for _ in range(d - 1):
-            power = power @ g
-            proj = proj + power
-        rho = rho @ (proj / d)
-    out = DensityState(system, rho)
-    if abs(out.purity() - 1.0) > 1e-9:
-        raise InvariantError("projector product is not a pure state")
-    return out
-
-
-def _pauli_decomposition(group: StabilizerGroup) -> list[tuple[np.ndarray, complex]]:
-    """Exact expansion rho = d^{-n} sum (phase . P(label)) over the group.
-
-    Every phase in the generator-power products is an integer power of
-    zeta = e^{i pi / d}, so the bookkeeping is exact: per factor
-    P(a,b) = zeta^{w} X^a Z^b and X^al Z^be . X^a Z^b picks up zeta^{2 a be}.
-    """
-    system = group.system
-    d, n = system.d, system.n
-    cs = generator_phases(group)
-    h2 = (2 * pow(2, -1, d)) % (2 * d) if d % 2 else 1  # zeta exponent unit for w
-
-    def weyl_zeta(a: int, b: int) -> int:
-        return (h2 * a * b) % (2 * d)
-
-    out = []
-    for coeffs in product(range(d), repeat=n):
-        zeta_exp = 0
-        alpha = np.zeros(n, dtype=int)
-        beta = np.zeros(n, dtype=int)
-        omega_exp = 0
-        for i, k in enumerate(coeffs):
-            omega_exp = (omega_exp + k * cs[i]) % d
-            s = group.generators[i]
-            for _ in range(k):
-                for f in range(n):
-                    a, b = s[f], s[n + f]
-                    zeta_exp = (zeta_exp + weyl_zeta(a, b) + 2 * a * beta[f]) % (2 * d)
-                    alpha[f] = (alpha[f] + a) % d
-                    beta[f] = (beta[f] + b) % d
-        # bare X^alpha Z^beta back to canonical P labels
-        for f in range(n):
-            zeta_exp = (zeta_exp - weyl_zeta(int(alpha[f]), int(beta[f]))) % (2 * d)
-        phase = np.exp(1j * np.pi * zeta_exp / d) * np.exp(2j * np.pi * omega_exp / d)
-        out.append((np.concatenate([alpha, beta]), phase))
-    return out
+    d, n, dim = system.d, system.n, system.dim
+    zeta = np.exp(1j * np.pi * np.arange(2 * d) / d)
+    labels, phases = _group_table(group)
+    rows, exps = _weyl_action(d, labels[:, :n], labels[:, n:])
+    rho = np.zeros((dim, dim), dtype=complex)
+    np.add.at(rho, (rows, np.arange(dim)), zeta[exps] * (phases / dim)[:, None])
+    del rows, exps
+    for i, (s, c) in enumerate(zip(group.generators, generator_phases(group))):
+        s = np.array(s, dtype=np.int64)
+        to, e = _weyl_action(d, s[:n], s[n:])
+        moved = np.empty_like(rho)
+        moved[to] = zeta[(e + 2 * c) % (2 * d), None] * rho
+        moved -= rho
+        if np.max(np.abs(moved)) > 1e-9:
+            raise InvariantError(f"group table state is not fixed by generator {i}")
+    return DensityState(system, rho)
 
 
 @lru_cache(maxsize=32)
@@ -258,9 +263,9 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     system = group.system
     d, n = system.d, system.n
 
-    labels, phases = zip(*_pauli_decomposition(group))
+    labels, phases = _group_table(group)
     table = np.zeros((d,) * (2 * n), dtype=complex)
-    table[tuple(np.array(labels).T)] = phases
+    table[tuple(labels.T)] = phases
     restricted = _contract_stack(system, _overlap_stack(d), table) / float(d ** (2 * n))
     if np.max(np.abs(restricted.imag)) > 1e-10:
         raise InvariantError("stabilizer coefficients must be real")
@@ -311,12 +316,9 @@ def parse_generator_lines(system: QuditSystem, text: str) -> StabilizerGroup:
 
 def format_generator_lines(group: StabilizerGroup) -> str:
     """Inverse of ``parse_generator_lines`` (phases recomputed from v)."""
-    d, n = group.system.d, group.system.n
-    v = np.array(group.phase_vector, dtype=int)
+    n = group.system.n
     lines = []
-    for g in group.generators:
-        s = np.array(g, dtype=int)
-        k = _symplectic_pair(v, s, n, d)
+    for g, k in zip(group.generators, generator_phases(group)):
         a = ",".join(str(c) for c in g[:n])
         b = ",".join(str(c) for c in g[n:])
         lines.append(f"{a}|{b}|{k}")
@@ -357,14 +359,9 @@ def enumerate_single_qudit_groups(d: int) -> list[StabilizerGroup]:
 
 
 def enumerate_single_qudit_stabilizers(d: int) -> list[DensityState]:
-    """Complete deduplicated list of pure single-qudit stabilizer states."""
-    states: list[DensityState] = []
-    for group in enumerate_single_qudit_groups(d):
-        rho = stabilizer_state(group)
-        dup = any(
-            float(np.real(np.trace(rho.matrix @ other.matrix))) > 1 - 1e-9
-            for other in states
-        )
-        if not dup:
-            states.append(rho)
-    return states
+    """Every pure single-qudit stabilizer state, one per group.
+
+    The groups are distinct cyclic subgroups, each with the d eigenvalue
+    exponents c = k, so their states are distinct by construction.
+    """
+    return [stabilizer_state(group) for group in enumerate_single_qudit_groups(d)]

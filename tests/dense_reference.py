@@ -1,17 +1,20 @@
-"""Dense doubled-domain reference tables.
+"""Dense reference tables and states.
 
 Each table contracts the density matrix against a stack of single-qudit
 operators at every label in [0, 2d), built from the defining formulas
 (``o_matrix`` for O_{l,m}, ``hw_matrix`` for P(a, b)). It shares no code
 with the per-factor sign lift that the library uses for its FULL tables,
-so the tests can hold the lift against it.
+so the tests can hold the lift against it. ``dense_stabilizer_state``
+builds a stabilizer state as the product of its generator eigenprojectors
+from ``hw_matrix``, sharing no code with the library's group table.
 """
 
 import numpy as np
 
 from quditphase.basis import o_matrix
-from quditphase.core import hw_matrix
+from quditphase.core import DensityState, InvariantError, hw_matrix
 from quditphase.measures import _contract_stack
+from quditphase.stabilizer import generator_phases
 
 
 def _full_stack(build, d):
@@ -42,3 +45,26 @@ def dense_gamma(rho):
     else:
         phase = phase * np.exp(-1j * np.pi * lm / d)
     return d**n * phase * np.conj(dense_chi_full(rho))
+
+
+def dense_stabilizer_state(group):
+    """Product of the generator eigenprojectors d^{-1} sum_k (w^{c_i} P(s_i))^k."""
+    system = group.system
+    d, n = system.d, system.n
+    rho = np.eye(system.dim, dtype=complex)
+    omega = np.exp(2j * np.pi / d)
+    for s, c in zip(group.generators, generator_phases(group)):
+        g = np.ones((1, 1), dtype=complex)
+        for a, b in zip(s[:n], s[n:]):
+            g = np.kron(g, hw_matrix(d, a, b))
+        g = omega**c * g
+        proj = np.eye(system.dim, dtype=complex)
+        power = np.eye(system.dim, dtype=complex)
+        for _ in range(d - 1):
+            power = power @ g
+            proj = proj + power
+        rho = rho @ (proj / d)
+    out = DensityState(system, rho)
+    if abs(out.purity() - 1.0) > 1e-9:
+        raise InvariantError("projector product is not a pure state")
+    return out

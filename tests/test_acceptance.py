@@ -46,7 +46,6 @@ from quditphase import (
     simulate_homodyne_batch,
     stabilizer_cell_norm,
     stabilizer_renyi,
-    stabilizer_state,
     stabilizer_x_sparse,
     t_state,
     x_distribution,
@@ -56,7 +55,7 @@ from quditphase.basis import o_stack, restricted_point
 from quditphase.measures import _contract_stack, apply_word, random_clifford_word
 from quditphase.sampling import frame_measurement_coeffs
 
-from dense_reference import dense_x_full
+from dense_reference import dense_stabilizer_state, dense_x_full
 
 GRID = [
     (d, n)
@@ -202,7 +201,7 @@ def test_criterion_4_sparse_coefficients():
     for d in (2, 3, 4, 5):
         for group in enumerate_single_qudit_groups(d):
             sparse = stabilizer_x_sparse(group)
-            dense = dense_x_full(stabilizer_state(group))
+            dense = dense_x_full(dense_stabilizer_state(group))
             worst = max(worst, float(np.max(np.abs(sparse.values - dense))))
             mags = np.abs(sparse.values.ravel())
             assert (mags > 1e-12).sum() == 4 * d  # (4d)^n, n = 1
@@ -218,7 +217,7 @@ def test_criterion_4_sparse_coefficients():
         system = QuditSystem(d, 2)
         group = StabilizerGroup(system, gens, phase)
         sparse = stabilizer_x_sparse(group)
-        dense = dense_x_full(stabilizer_state(group))
+        dense = dense_x_full(dense_stabilizer_state(group))
         worst = max(worst, float(np.max(np.abs(sparse.values - dense))))
         mags = np.abs(sparse.values.ravel())
         assert (mags > 1e-12).sum() == (4 * d) ** 2

@@ -13,13 +13,12 @@ from quditphase import (
     gkp_wigner_coefficients,
     haar_random_state,
     maximally_mixed,
-    stabilizer_state,
     stabilizer_x_sparse,
     x_distribution,
 )
 from quditphase.basis import lift_sign, lift_table, lift_to_full
 
-from dense_reference import dense_chi_full, dense_gamma, dense_x_full
+from dense_reference import dense_chi_full, dense_gamma, dense_stabilizer_state, dense_x_full
 
 CASES = [(d, n) for d in (2, 3, 4, 5) for n in (1, 2)] + [(2, 3)]
 TOL = 1e-12
@@ -71,7 +70,7 @@ def test_sparse_stabilizer_table_matches_the_dense_reference(d, n):
         groups = [scrambled_group(s, rng) for _ in range(3)]
     for group in groups:
         sparse = stabilizer_x_sparse(group).values
-        assert np.max(np.abs(sparse - dense_x_full(stabilizer_state(group)))) < TOL
+        assert np.max(np.abs(sparse - dense_x_full(dense_stabilizer_state(group)))) < TOL
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

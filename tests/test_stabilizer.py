@@ -17,7 +17,11 @@ from quditphase import (
     stabilizer_x_sparse,
     x_distribution,
 )
+import quditphase.stabilizer as stabilizer_module
+from quditphase.core import InvariantError
 from quditphase.stabilizer import DependentGenerators, NonCommutingGenerators, generator_phases
+
+from dense_reference import dense_stabilizer_state
 
 ENUM_COUNTS = {2: 6, 3: 12, 4: 24, 5: 30}
 
@@ -64,7 +68,7 @@ def test_sparse_matches_dense_on_all_enumerated(d):
                 group.system, group.generators, ((shift,) + (0,) * (2 * group.system.n - 1))
             )
             sparse = stabilizer_x_sparse(g)
-            dense = x_distribution(stabilizer_state(g), Domain.FULL)
+            dense = x_distribution(dense_stabilizer_state(g), Domain.FULL)
             assert np.max(np.abs(sparse.values - dense.values)) < 1e-10
 
 
@@ -90,7 +94,7 @@ def test_bell_pair_sparse_and_dense():
     vec[0] = vec[3] = 1 / np.sqrt(2)
     assert np.allclose(rho.matrix, np.outer(vec, vec), atol=1e-12)
     sparse = stabilizer_x_sparse(group)
-    dense = x_distribution(rho, Domain.FULL)
+    dense = x_distribution(dense_stabilizer_state(group), Domain.FULL)
     assert np.max(np.abs(sparse.values - dense.values)) < 1e-10
 
 
@@ -98,7 +102,7 @@ def test_qutrit_pair_sparse_and_dense():
     s = QuditSystem(3, 2)
     group = StabilizerGroup(s, ((1, 2, 0, 0), (0, 0, 1, 1)), (0, 2, 1, 0))
     sparse = stabilizer_x_sparse(group)
-    dense = x_distribution(stabilizer_state(group), Domain.FULL)
+    dense = x_distribution(dense_stabilizer_state(group), Domain.FULL)
     assert np.max(np.abs(sparse.values - dense.values)) < 1e-10
 
 
@@ -106,7 +110,7 @@ def test_composite_dimension_single_generator():
     s = QuditSystem(6, 1)
     group = StabilizerGroup(s, ((1, 1),), (0, 0))
     sparse = stabilizer_x_sparse(group)
-    dense = x_distribution(stabilizer_state(group), Domain.FULL)
+    dense = x_distribution(dense_stabilizer_state(group), Domain.FULL)
     assert np.max(np.abs(sparse.values - dense.values)) < 1e-10
 
 
@@ -129,6 +133,9 @@ def test_noncommuting_generators_rejected():
     # X and Z on the first qubit anticommute
     with pytest.raises(NonCommutingGenerators):
         StabilizerGroup(QuditSystem(2, 2), ((1, 0, 0, 0), (0, 0, 1, 0)), (0,) * 4)
+    # X1 and X2 commute, and each anticommutes with Z1 Z2: the first clash is (0, 2)
+    with pytest.raises(NonCommutingGenerators, match="generators 0 and 2 do not commute"):
+        StabilizerGroup(QuditSystem(2, 3), ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)), (0,) * 6)
     # wrong generator count
     with pytest.raises(ValidationError):
         StabilizerGroup(QuditSystem(2, 1), ((1, 0), (0, 1)), (0, 0))
@@ -164,8 +171,41 @@ def test_generator_text_roundtrip_on_clifford_words(d, n, seed):
 def test_sparse_matches_dense_at_composite_d():
     group = random_group(QuditSystem(6, 3), np.random.default_rng(5))
     sparse = stabilizer_x_sparse(group)
-    dense = x_distribution(stabilizer_state(group), Domain.FULL)
+    dense = x_distribution(dense_stabilizer_state(group), Domain.FULL)
     assert np.max(np.abs(sparse.values - dense.values)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+def test_state_matches_the_projector_product_on_enumerated_groups(d):
+    for group in enumerate_single_qudit_groups(d):
+        dev = np.max(np.abs(stabilizer_state(group).matrix - dense_stabilizer_state(group).matrix))
+        assert dev < 1e-12
+
+
+@pytest.mark.parametrize("d, n, seeds", [
+    (2, 4, range(4)), (3, 3, range(4)), (4, 3, range(4)), (6, 3, range(4)), (12, 2, range(4)), (6, 4, [5]),
+])
+def test_state_matches_the_projector_product_on_clifford_words(d, n, seeds):
+    for seed in seeds:
+        group = random_group(QuditSystem(d, n), np.random.default_rng(seed))
+        dev = np.max(np.abs(stabilizer_state(group).matrix - dense_stabilizer_state(group).matrix))
+        assert dev < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (3, 2), (4, 2)])
+def test_corrupted_group_table_fails_the_generator_certificate(monkeypatch, d, n):
+    table = stabilizer_module._group_table
+
+    def flipped(group):
+        labels, phases = table(group)
+        phases = phases.copy()
+        phases[-1] = -phases[-1]
+        return labels, phases
+
+    group = random_group(QuditSystem(d, n), np.random.default_rng(0))
+    monkeypatch.setattr(stabilizer_module, "_group_table", flipped)
+    with pytest.raises(InvariantError):
+        stabilizer_state(group)
 
 
 def test_inconsistent_phases_have_no_phase_vector():
