@@ -68,7 +68,7 @@ def main():
     hits = int(np.sum(np.abs(errors) <= args.epsilon))
     print(f"exact value      {EXACT:.12f}")
     print(f"samples per run  {report.samples_used}")
-    print(f"forward norm     {report.forward_norm:.12f}")
+    print(f"forward norm     {report.forward_norm:.12f} ({report.norm_method})")
     print(f"hits             {hits}/{args.runs} within eps = {args.epsilon}")
     print(f"required         >= {math.ceil((1 - args.p_fail) * args.runs)}")
     print(f"mean error       {errors.mean():+.2e}")

@@ -393,6 +393,7 @@ def _cmd_simulate(args, circuit: CircuitDescription) -> int:
         "failure_prob": report.failure_prob,
         "samples_used": report.samples_used,
         "forward_norm": report.forward_norm,
+        "norm_method": report.norm_method,
         "seed": report.seed,
         "streams": report.streams,
         "frame": args.frame,

@@ -8,14 +8,26 @@ averages signed weights:
     M_traj = x_Pi(lam_T) sign(x_rho(lam_0)) ||x_rho||_1 prod_t sign_t ||col_t||_1
 
 The sample count follows the Hoeffding bound
-K = ceil(2 M^2 ln(2/p_f) / eps^2) with M the aggregated l1 norm of the
-circuit. Both frames share one column builder: the frame's basis
-operator at a label, conjugated by the gate and expanded over the dual
-basis. Named generator gates never touch dense n-qudit matrices: each
-column of a generator has exactly one entry of modulus one, so its frame
-action is a label map with a sign (O frame) or a phase (Heisenberg-Weyl
-frame), read from a table built once on the gate's 1- or 2-qudit
-support. Explicit gates sample lazily computed, memoized columns.
+K = ceil(2 M^2 ln(2/p_f) / eps^2), where the forward norm M is the input
+1-norm times each explicit gate's largest column 1-norm times the
+effect's max. A trajectory is a label vector in Z_d^{2n}, carried as one
+(2n, K) integer array per stream, and a gate touches only the 2k label
+axes of its k support qudits. Frame columns come from one batched kernel
+(``_columns``): the basis operators at a block of labels are built as one
+Kronecker product, conjugated by the gate at once, and contracted with
+the dual stack one qudit at a time.
+
+Named generators act on their 1- or 2-qudit support, where each column
+has exactly one entry of modulus one: a label map with a sign (O frame)
+or a phase (Heisenberg-Weyl frame), read from a table built once. An
+explicit gate is first reduced to its support: qudit q is dropped only
+when U = I_q (x) V holds exactly, entry for entry, and one qudit is
+always kept. Its d^{2k} local columns give the gate's factor of M as an
+exact max while d^{2k} <= 4096, built in blocks of at most 4 MiB. Above
+that the factor is the Parseval bound d^k: every column has l2 norm 1 in
+both frames. Either way M bounds every trajectory weight, as the
+Hoeffding count needs, and the report says which (``norm_method``).
+Sampling builds the columns of the local labels the trajectories hold.
 
 Determinism contract: one uniform block per stream for the input draw
 and one per explicit gate, in trajectory order; named gates draw nothing
@@ -66,8 +78,8 @@ __all__ = [
     "estimate_born_char",
 ]
 
-_SWEEP_SEED = 0x5EED  # fixed entropy for the n>=2 forward-norm sweep
-_SWEEP_POINTS = 256
+_EXACT_LABELS = 4096  # local labels up to which a gate's column max is exact
+_BLOCK_BYTES = 4 << 20  # one block of complex columns in ``_columns``
 
 
 class MeasurementKind(str, Enum):
@@ -147,6 +159,7 @@ class EstimateReport:
     forward_norm: float
     seed: int
     streams: int
+    norm_method: str  # "exact", or "bound" if a gate used the Parseval bound
 
 
 # ---------------------------------------------------------------- frames
@@ -172,29 +185,42 @@ def _frame_stacks(d: int, char: bool) -> tuple[np.ndarray, np.ndarray]:
     return p_stack(d), dual
 
 
-def _column(system: QuditSystem, char: bool, unitary: np.ndarray, flat: int) -> np.ndarray:
-    """x_U(lam' | lam) for every lam', lam the restricted label at ``flat``.
+def _column_blocks(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.ndarray):
+    """(offset, rows) for consecutive blocks of ``flats``, each block's
+    complex columns within _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (16 * system.d ** (2 * system.n)))
+    for start in range(0, len(flats), step):
+        yield start, _columns(system, char, unitary, flats[start : start + step])
 
-    The basis operator at lam is the Kronecker product of single-qudit
-    stack entries; it is conjugated by U and contracted with the dual
-    stack. O-frame columns are real, Heisenberg-Weyl columns complex.
+
+def _columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.ndarray) -> np.ndarray:
+    """Rows x_U(lam' | lam) over every lam', one row per restricted label at ``flats``.
+
+    The basis operators at the labels are one batched Kronecker product of
+    single-qudit stack entries; they are conjugated by U at once and
+    contracted with the dual stack one qudit at a time. O-frame rows are
+    real, Heisenberg-Weyl rows complex.
     """
     d, n = system.d, system.n
     basis, dual = _frame_stacks(d, char)
-    vec = np.unravel_index(flat, (d,) * (2 * n))
-    op = basis[vec[0], vec[n]]
+    vec = np.unravel_index(flats, (d,) * (2 * n))
+    ops = basis[vec[0], vec[n]]
     for q in range(1, n):
-        op = np.kron(op, basis[vec[q], vec[n + q]])
-    col = _contract_stack(system, dual, unitary @ op @ unitary.conj().T) / d**n
+        side = ops.shape[1] * d
+        ops = (ops[:, :, None, :, None] * basis[vec[q], vec[n + q]][:, None, :, None, :]).reshape(-1, side, side)
+    out = (unitary @ ops @ unitary.conj().T).reshape((-1,) + (d,) * (2 * n))
+    for q in range(n):
+        # Tr(D C): the row and column axes of qudit q meet the dual's column and row
+        out = np.tensordot(out, dual, axes=([1, 1 + n - q], [3, 2]))
+    rows = out.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)).reshape(len(out), -1) / d**n
     if not char:
-        if np.max(np.abs(col.imag)) > 1e-10:
+        if np.max(np.abs(rows.imag)) > 1e-10:
             raise InvariantError("frame column must be real")
-        col = col.real
-    col = col.reshape(-1)
-    col[np.abs(col) < NORM_CUTOFF] = 0.0
-    if not np.any(col):
+        rows = np.ascontiguousarray(rows.real)
+    rows[np.abs(rows) < NORM_CUTOFF] = 0.0
+    if not np.all(np.any(rows, axis=1)):
         raise InvariantError("frame column vanished; unitary inconsistent")
-    return col
+    return rows
 
 
 @lru_cache(maxsize=64)
@@ -207,29 +233,122 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
     local = QuditSystem(d, 2 if kind is GateKind.SUM else 1)
     unitary = clifford_generator(local, kind).entries
     images, phases = [], []
-    for flat in range(d ** (2 * local.n)):
-        col = _column(local, char, unitary, flat)
-        (nz,) = np.nonzero(col)
-        if len(nz) != 1:
+    for _, rows in _column_blocks(local, char, unitary, np.arange(d ** (2 * local.n))):
+        if np.any(np.count_nonzero(rows, axis=1) != 1):
             raise InvariantError("a generator column must have a single entry")
-        images.append(nz[0])
-        phases.append(col[nz[0]] / abs(col[nz[0]]))
-    images, phases = np.array(images), np.array(phases)
+        image = np.argmax(rows != 0, axis=1)
+        picked = rows[np.arange(len(rows)), image]
+        images.append(image)
+        phases.append(picked / np.abs(picked))
+    images, phases = np.concatenate(images), np.concatenate(phases)
     images.flags.writeable = phases.flags.writeable = False
     return images, phases
 
 
-def _named_step(system: QuditSystem, gate: NamedGate, idx: np.ndarray, char: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Images of flat restricted labels under a named gate, with unit phases."""
-    kind, targets = gate
-    d, n = system.d, system.n
-    images, phases = _named_table(d, GateKind(kind), char)
-    axes = [*targets, *(n + t for t in targets)]
-    local_shape = (d,) * len(axes)
-    vecs = np.array(np.unravel_index(idx, (d,) * (2 * n)))
-    local = np.ravel_multi_index(tuple(vecs[axes]), local_shape)
-    vecs[axes] = np.unravel_index(images[local], local_shape)
-    return np.ravel_multi_index(tuple(vecs), (d,) * (2 * n)), phases[local]
+def _support(system: QuditSystem, unitary: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Qudits an explicit gate acts on, ascending, and the gate there.
+
+    Qudit q leaves the support only when U = I_q (x) V holds with exact
+    equality, so no tolerance enters M. One qudit is always kept, so an
+    identity-like gate still draws its uniform block.
+    """
+    d = system.d
+    kept = list(range(system.n))
+    t = unitary.reshape((d,) * (2 * system.n))
+    for q in range(system.n):
+        if len(kept) == 1:
+            break
+        i = kept.index(q)
+        blocks = np.moveaxis(t, (i, len(kept) + i), (0, 1))
+        if all(
+            np.array_equal(blocks[a, b], blocks[0, 0]) if a == b else not np.any(blocks[a, b])
+            for a in range(d)
+            for b in range(d)
+        ):
+            t = blocks[0, 0]
+            kept.remove(q)
+    return kept, np.ascontiguousarray(t).reshape(d ** len(kept), d ** len(kept))
+
+
+@dataclass(frozen=True, eq=False)
+class _LocalGate:
+    """An explicit gate on its qudit support, in one frame."""
+
+    system: QuditSystem
+    unitary: np.ndarray
+    char: bool
+
+    def norm(self) -> tuple[float, bool]:
+        """Largest column 1-norm and True, or the Parseval bound d^k and False.
+
+        Every column has l2 norm 1, so its 1-norm is at most
+        sqrt(d^{2k}) = d^k.
+        """
+        d, k = self.system.d, self.system.n
+        if d ** (2 * k) > _EXACT_LABELS:
+            return float(d**k), False
+        blocks = _column_blocks(self.system, self.char, self.unitary, np.arange(d ** (2 * k)))
+        return max(float(np.max(np.sum(np.abs(rows), axis=1))) for _, rows in blocks), True
+
+    def draw(self, local: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Image label, column 1-norm and picked entry for trajectories at ``local``.
+
+        Trajectory t takes the first image whose cumulative |column| share
+        exceeds u[t], from the column of its own local label.
+        """
+        visited, counts = np.unique(local, return_counts=True)
+        order = np.argsort(local, kind="stable")
+        ends = np.cumsum(counts)
+        image = np.empty_like(local)
+        cnorm = np.empty(len(local))
+        picked = np.empty(len(local), dtype=complex if self.char else float)
+        for start, rows in _column_blocks(self.system, self.char, self.unitary, visited):
+            weights = np.abs(rows)
+            norms = np.sum(weights, axis=1)
+            cdf = np.cumsum(weights, axis=1)
+            cdf = cdf / cdf[:, -1:]
+            for j, row in enumerate(rows):
+                r = start + j
+                sel = order[ends[r] - counts[r] : ends[r]]
+                pos = np.searchsorted(cdf[j], u[sel], side="right")
+                image[sel], cnorm[sel], picked[sel] = pos, norms[j], row[pos]
+        return image, cnorm, picked
+
+
+def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, object]]:
+    """Each gate as the label axes of its support (l block, then m block)
+    and either its named table or its ``_LocalGate``."""
+    steps = []
+    for g in gates:
+        if isinstance(g, DenseOperator):
+            qudits, v = _support(system, g.entries)
+            op = _LocalGate(QuditSystem(system.d, len(qudits)), v, char)
+        else:
+            kind, qudits = g
+            op = _named_table(system.d, GateKind(kind), char)
+        steps.append((np.array([*qudits, *(system.n + q for q in qudits)]), op))
+    return steps
+
+
+def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) -> np.ndarray:
+    """Carry (2n, K) label vectors through one gate on its support axes.
+
+    The labels are rewritten in place and the new weights returned. A
+    named table gives each local label its one image and unit phase and
+    draws nothing; an explicit gate draws one uniform block and samples
+    each image from the column of its trajectory's local label.
+    """
+    shape = (d,) * len(axes)
+    local = np.ravel_multi_index(tuple(labels[axes]), shape)
+    if isinstance(op, _LocalGate):
+        image, cnorm, picked = op.draw(local, rng.random(len(local)))
+        w = w * cnorm * picked / np.abs(picked)
+    else:
+        images, phases = op
+        image = images[local]
+        w = w * phases[local]
+    labels[axes] = np.unravel_index(image, shape)
+    return w
 
 
 # ------------------------------------------------------- measurement table
@@ -280,58 +399,37 @@ def _char_measurement_array(system: QuditSystem, effect: MeasurementEffect) -> n
 
 # ---------------------------------------------------------------- norms
 
-class _ColumnCache:
-    """Lazy per-gate memo of explicit-gate columns keyed by source flat index.
-
-    An entry holds the column's support, its values there, the sampling
-    cdf over the support and the column's l1 norm.
-    """
-
-    def __init__(self, system: QuditSystem, char: bool):
-        self.system = system
-        self.char = char
-        self.cols: dict[tuple[int, int], tuple] = {}
-
-    def get(self, gate_index: int, gate: DenseOperator, flat: int):
-        key = (gate_index, flat)
-        if key not in self.cols:
-            col = _column(self.system, self.char, gate.entries, flat)
-            nz, cdf = _cdf_from_abs(np.abs(col))
-            self.cols[key] = (nz, col[nz], cdf, float(np.sum(np.abs(col))))
-        return self.cols[key]
-
-
-def _sweep_flats(system: QuditSystem, gate_index: int):
-    """Labels a column-norm max runs over: all of them at n=1 or when there
-    are at most _SWEEP_POINTS, else a fixed seeded subset per gate."""
-    total = system.d ** (2 * system.n)
-    if system.n == 1 or total <= _SWEEP_POINTS:
-        return range(total)
-    rng = _stream_rng(_SWEEP_SEED, gate_index)
-    return sorted(set(int(i) for i in rng.integers(0, total, size=_SWEEP_POINTS)))
-
-
-def _aggregated_norm(gates, state: QuasiDistribution, meas: np.ndarray, cache: _ColumnCache) -> float:
-    """Input 1-norm x explicit-gate column maxima x effect max, in the cache's frame.
+def _aggregated_norm(steps, state: QuasiDistribution, meas: np.ndarray) -> tuple[float, str]:
+    """Input 1-norm x explicit-gate column maxima x effect max, and how M was obtained.
 
     Named gates contribute exactly 1: their columns have one unit entry.
     """
-    m = lp_norm(state, 1)
-    for i, g in enumerate(gates):
-        if isinstance(g, DenseOperator):
-            m *= max(cache.get(i, g, f)[3] for f in _sweep_flats(cache.system, i))
-    return m * float(np.max(np.abs(meas)))
+    m, method = lp_norm(state, 1), "exact"
+    for _, op in steps:
+        if isinstance(op, _LocalGate):
+            gate_norm, exact = op.norm()
+            m *= gate_norm
+            if not exact:
+                method = "bound"
+    return m * float(np.max(np.abs(meas))), method
 
 
 def forward_norm(circuit: CircuitDescription) -> float:
-    """Aggregated l1 norm in the O frame: input x gate column maxima x effect."""
+    """Forward norm M in the O frame: input 1-norm x each explicit gate's
+    largest column 1-norm x effect max.
+
+    Each explicit gate's columns are built on its qudit support. A gate
+    whose support has at most 4096 local labels (d^{2k}) contributes its
+    exact column max; a larger one contributes the Parseval bound d^k. M
+    therefore bounds every trajectory weight from above; the estimator's
+    report names the method (``norm_method``). Named gates contribute 1.
+    """
     system = circuit.system
     return _aggregated_norm(
-        circuit.gates,
+        _steps(system, circuit.gates, char=False),
         frame_state_coeffs(circuit.input_state),
         _measurement_array(system, circuit.measurement),
-        _ColumnCache(system, char=False),
-    )
+    )[0]
 
 
 def sample_count(m_forward: float, epsilon: float, p_fail: float) -> int:
@@ -385,10 +483,9 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
     else:
         state = frame_state_coeffs(circuit.input_state)
         meas = _measurement_array(system, circuit.measurement)
-    cache = _ColumnCache(system, char)
-    m_forward = _aggregated_norm(circuit.gates, state, meas, cache)
+    steps = _steps(system, circuit.gates, char)
+    m_forward, norm_method = _aggregated_norm(steps, state, meas)
     coeffs = _flat_coeffs(state.values)
-    meas = meas.reshape(-1)
 
     norm0 = float(np.sum(np.abs(coeffs)))
     if norm0 <= 0:
@@ -409,24 +506,11 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
             idx = nz0[np.minimum(np.searchsorted(cdf0, u, side="right"), len(nz0) - 1)]
         vals = coeffs[idx]
         w = norm0 * (vals / np.abs(vals))
+        labels = np.array(np.unravel_index(idx, meas.shape))
+        for axes, op in steps:
+            w = _step(system.d, labels, w, axes, op, rng)
 
-        for gi, g in enumerate(circuit.gates):
-            if isinstance(g, DenseOperator):
-                u = rng.random(k_s)
-                new_idx = np.empty_like(idx)
-                for lam in np.unique(idx):
-                    mask = idx == lam
-                    nz, col, cdf, cnorm = cache.get(gi, g, int(lam))
-                    pos = np.minimum(np.searchsorted(cdf, u[mask], side="right"), len(nz) - 1)
-                    new_idx[mask] = nz[pos]
-                    picked = col[pos]
-                    w[mask] = w[mask] * cnorm * picked / np.abs(picked)
-                idx = new_idx
-            else:
-                idx, phase = _named_step(system, g, idx, char)
-                w = w * phase
-
-        traj = w * meas[idx]
+        traj = w * meas[tuple(labels)]
         stream_sums.append(math.fsum(np.real(traj)))
 
     estimate = math.fsum(stream_sums) / k_total
@@ -438,6 +522,7 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         forward_norm=float(m_forward),
         seed=int(seed),
         streams=int(streams),
+        norm_method=norm_method,
     )
 
 

@@ -7,13 +7,16 @@ with the per-factor sign lift that the library uses for its FULL tables,
 so the tests can hold the lift against it. ``dense_stabilizer_state``
 builds a stabilizer state as the product of its generator eigenprojectors
 from ``hw_matrix``, sharing no code with the library's group table.
+``dense_frame_column`` builds one estimator frame column from a dense
+Kronecker product, a dense conjugation and one contraction, sharing no
+code with the library's batched column kernel or its support reduction.
 """
 
 import numpy as np
 
-from quditphase.basis import o_matrix
-from quditphase.core import DensityState, InvariantError, hw_matrix
-from quditphase.measures import _contract_stack
+from quditphase.basis import o_matrix, o_stack, p_stack
+from quditphase.core import DensityState, InvariantError, QuditSystem, hw_matrix
+from quditphase.measures import NORM_CUTOFF, _contract_stack
 from quditphase.stabilizer import generator_phases
 
 
@@ -48,7 +51,12 @@ def dense_gamma(rho):
 
 
 def dense_stabilizer_state(group):
-    """Product of the generator eigenprojectors d^{-1} sum_k (w^{c_i} P(s_i))^k."""
+    """Product of the generator eigenprojectors d^{-1} sum_k (w^{c_i} P(s_i))^k.
+
+    Each generator is the dense Kronecker product of ``hw_matrix`` factors,
+    a monomial matrix (one nonzero per column), so right multiplication by
+    it gathers and scales columns: each power costs O(dim^2), not a matmul.
+    """
     system = group.system
     d, n = system.d, system.n
     rho = np.eye(system.dim, dtype=complex)
@@ -58,13 +66,41 @@ def dense_stabilizer_state(group):
         for a, b in zip(s[:n], s[n:]):
             g = np.kron(g, hw_matrix(d, a, b))
         g = omega**c * g
-        proj = np.eye(system.dim, dtype=complex)
-        power = np.eye(system.dim, dtype=complex)
+        if np.any(np.count_nonzero(g, axis=0) != 1):
+            raise InvariantError("a Heisenberg-Weyl operator must be monomial")
+        rows = np.argmax(g != 0, axis=0)
+        values = g[rows, np.arange(system.dim)]
+        proj = power = rho
         for _ in range(d - 1):
-            power = power @ g
+            power = power[:, rows] * values  # power @ g
             proj = proj + power
-        rho = rho @ (proj / d)
+        rho = proj / d
     out = DensityState(system, rho)
     if abs(out.purity() - 1.0) > 1e-9:
         raise InvariantError("projector product is not a pure state")
     return out
+
+
+def dense_frame_column(system: QuditSystem, char: bool, unitary: np.ndarray, flat: int) -> np.ndarray:
+    """x_U(lam' | lam) for every lam', lam the restricted label at ``flat``.
+
+    The basis operator at lam is the Kronecker product of single-qudit
+    stack entries; it is conjugated by U and contracted with the dual
+    stack. O-frame columns are real, Heisenberg-Weyl columns complex.
+    """
+    d, n = system.d, system.n
+    basis, dual = (p_stack(d), np.conj(np.swapaxes(p_stack(d), 2, 3))) if char else (o_stack(d), o_stack(d))
+    vec = np.unravel_index(flat, (d,) * (2 * n))
+    op = basis[vec[0], vec[n]]
+    for q in range(1, n):
+        op = np.kron(op, basis[vec[q], vec[n + q]])
+    col = _contract_stack(system, dual, unitary @ op @ unitary.conj().T) / d**n
+    if not char:
+        if np.max(np.abs(col.imag)) > 1e-10:
+            raise InvariantError("frame column must be real")
+        col = col.real
+    col = col.reshape(-1)
+    col[np.abs(col) < NORM_CUTOFF] = 0.0
+    if not np.any(col):
+        raise InvariantError("frame column vanished; unitary inconsistent")
+    return col

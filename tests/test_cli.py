@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from quditphase.cli import main
@@ -141,6 +142,31 @@ def test_simulate_circuit(tmp_path, capsys):
     assert abs(doc["estimate"] - math.cos(math.pi / 8) ** 2) < 0.3
     assert abs(doc["forward_norm"] - math.sqrt(2)) < 1e-12
     assert doc["frame"] == "o"
+
+
+def haar_gate_spec(dim, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return {"matrix": [[[v.real, v.imag] for v in row] for row in u]}
+
+
+@pytest.mark.parametrize(
+    "doc, epsilon, method, norm",
+    [
+        (HTH, "0.3", "exact", math.sqrt(2)),
+        # 4^7 local labels exceed the exact limit: the gate contributes d^n
+        ({"d": 2, "n": 7, "input": {"kind": "computational", "index": 0}, "gates": [haar_gate_spec(128, 3)]}, "100", "bound", 128.0),
+    ],
+    ids=["exact", "bound"],
+)
+def test_simulate_reports_the_norm_method(tmp_path, capsys, doc, epsilon, method, norm):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "simulate", "--circuit", str(path), "--epsilon", epsilon, "--seed", "1")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["norm_method"] == method
+    assert abs(doc["forward_norm"] - norm) < 1e-12
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):

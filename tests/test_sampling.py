@@ -27,7 +27,9 @@ from quditphase import (
 )
 from quditphase.basis import PhasePoint, clifford_coordinate_action, p_stack, reduce_full_point
 from quditphase.core import embed_generator
-from quditphase.sampling import _named_step
+from quditphase.sampling import _columns, _step, _steps, _support
+
+from dense_reference import dense_frame_column
 
 EXACT_HTH = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
 
@@ -262,12 +264,20 @@ NAMED_GATES = [
 NAMED_IDS = [f"{kind.value}{''.join(map(str, t))}" for kind, t in NAMED_GATES]
 
 
+def named_step(system, gate, labels, char):
+    """The estimator's step for one named gate on (2n, K) label vectors: images and phases."""
+    ((axes, op),) = _steps(system, (gate,), char)
+    labels = labels.copy()
+    return labels, _step(system.d, labels, np.ones(labels.shape[1]), axes, op, None)
+
+
 @pytest.mark.parametrize("gate", NAMED_GATES, ids=NAMED_IDS)
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_o_frame_named_step_matches_coordinate_action(d, gate):
     s = QuditSystem(d, 2)
     shape = (d,) * 4
-    images, signs = _named_step(s, gate, np.arange(d**4), False)
+    images, signs = named_step(s, gate, np.array(np.unravel_index(np.arange(d**4), shape)), False)
+    images = np.ravel_multi_index(tuple(images), shape)
     amap = clifford_coordinate_action(s, *gate)
     for flat in range(d**4):
         point = PhasePoint.from_vector(np.unravel_index(flat, shape), d)
@@ -302,7 +312,8 @@ def test_hw_frame_named_step_matches_dense_conjugation(d, gate):
     s = QuditSystem(d, 2)
     coeffs = hw_expansion(s, embed_generator(s, *gate).entries)
     labels = np.arange(d**4)
-    images, phases = _named_step(s, gate, labels, True)
+    images, phases = named_step(s, gate, np.array(np.unravel_index(labels, (d,) * 4)), True)
+    images = np.ravel_multi_index(tuple(images), (d,) * 4)
     assert np.max(np.abs(coeffs[labels, images] - phases)) < 1e-12
     coeffs[labels, images] = 0.0
     assert np.max(np.abs(coeffs)) < 1e-12
@@ -390,8 +401,8 @@ def qutrit_magic_circuit():
     [
         (hth_circuit, 0.1, 11, 1, 0.8585284215895526, 1476, 1.414213562373095),
         (hth_circuit, 0.1, 11, 4, 0.8460045182194723, 1476, 1.414213562373095),
-        # d^{2n} = 729 > 256: the forward norm comes from the sampled sweep
-        (qutrit_magic_circuit, 0.1, 13, 1, 0.343390007938205, 1857, 1.5862568277145446),
+        # the magic gate acts on qudit 1 alone: M is the exact max over its 9 local columns
+        (qutrit_magic_circuit, 0.1, 13, 1, 0.34339000793820507, 1857, 1.5862568277145443),
     ],
     ids=["hth-1-stream", "hth-4-streams", "qutrit-3-qudits"],
 )
@@ -409,3 +420,97 @@ def test_named_gate_arity_is_validated():
     for gate in ((GateKind.SUM, (0, 0)), (GateKind.SUM, (0,)), (GateKind.FOURIER, (0, 1))):
         with pytest.raises(ValidationError):
             CircuitDescription(s, computational_state(s, 0), (gate,), measure_zero(s))
+
+
+# ------------------------------------------------------- forward norm
+
+
+def haar_unitary(dim, seed):
+    """QR of a complex normal matrix from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return u
+
+
+def embed(d, n, v, qudits):
+    """Dense n-qudit matrix of v acting on ``qudits`` in that order, identity elsewhere."""
+    order = list(qudits) + [q for q in range(n) if q not in qudits]
+    full = np.kron(v, np.eye(d ** (n - len(qudits)))).reshape((d,) * (2 * n))
+    perm = list(np.argsort(order))
+    return full.transpose(perm + [n + p for p in perm]).reshape(d**n, d**n)
+
+
+def near_product():
+    u = np.kron(np.eye(3), haar_unitary(3, 6))
+    u[0, 3] = 1e-17  # off the identity block of qudit 0, far inside the unitarity tolerance
+    return u
+
+
+def oracle_column_max(system, unitary, flats=None):
+    """Largest O-frame column 1-norm over ``flats`` (default: every label), column by column."""
+    flats = range(system.d ** (2 * system.n)) if flats is None else flats
+    return max(float(np.sum(np.abs(dense_frame_column(system, False, unitary, int(f))))) for f in flats)
+
+
+def one_gate_circuit(system, unitary):
+    gate = DenseOperator(system, unitary, unitary=True)
+    return CircuitDescription(system, computational_state(system, 0), (gate,), measure_zero(system))
+
+
+SUPPORT_CASES = {
+    "1q-at-0": (2, 3, lambda: embed(2, 3, haar_unitary(2, 0), [0]), [0]),
+    "1q-at-1": (2, 3, lambda: embed(2, 3, haar_unitary(2, 0), [1]), [1]),
+    "1q-at-2": (2, 3, lambda: embed(2, 3, haar_unitary(2, 0), [2]), [2]),
+    "qutrit-1q-at-0": (3, 2, lambda: embed(3, 2, haar_unitary(3, 1), [0]), [0]),
+    "qutrit-1q-at-1": (3, 2, lambda: embed(3, 2, haar_unitary(3, 1), [1]), [1]),
+    "2q-on-0-2": (2, 3, lambda: embed(2, 3, haar_unitary(4, 2), [0, 2]), [0, 2]),
+    "2q-on-2-0": (2, 3, lambda: embed(2, 3, haar_unitary(4, 2), [2, 0]), [0, 2]),
+    "product": (3, 2, lambda: np.kron(haar_unitary(3, 3), haar_unitary(3, 4)), [0, 1]),
+    "haar": (2, 3, lambda: haar_unitary(8, 5), [0, 1, 2]),
+    "qutrit-haar": (3, 2, lambda: haar_unitary(9, 5), [0, 1]),
+    "near-product": (3, 2, near_product, [0, 1]),
+    "identity-like": (2, 2, lambda: np.exp(0.3j) * np.eye(4), [1]),
+}
+
+
+@pytest.mark.parametrize("case", SUPPORT_CASES.values(), ids=SUPPORT_CASES.keys())
+def test_forward_norm_matches_the_exhaustive_column_max(case):
+    # the input |0...0> and the full readout contribute 1, so M is the gate's column max
+    d, n, build, support = case
+    s = QuditSystem(d, n)
+    u = build()
+    assert _support(s, u)[0] == support
+    assert abs(forward_norm(one_gate_circuit(s, u)) - oracle_column_max(s, u)) < 1e-12
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_local_columns_match_the_dense_columns_and_have_unit_l2_norm(d, k, char):
+    local = QuditSystem(d, k)
+    u = haar_unitary(d**k, 7)
+    flats = np.arange(d ** (2 * k))
+    rows = _columns(local, char, u, flats)
+    dense = np.array([dense_frame_column(local, char, u, int(f)) for f in flats])
+    assert np.max(np.abs(rows - dense)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-12
+
+
+def test_haar_gate_norm_is_the_exact_column_max_at_d2_n6():
+    s = QuditSystem(2, 6)
+    u = haar_unitary(64, 1)
+    best = oracle_column_max(s, u)  # every one of the 4096 columns
+    assert best > 51.84
+    report = estimate_born(one_gate_circuit(s, u), 20.0, 0.05, seed=0)
+    assert report.norm_method == "exact"
+    assert report.forward_norm >= best - 1e-12
+    assert abs(report.forward_norm - best) < 1e-12
+
+
+def test_parseval_bound_holds_past_the_exact_limit():
+    s = QuditSystem(2, 7)
+    u = haar_unitary(128, 2)
+    report = estimate_born(one_gate_circuit(s, u), 100.0, 0.05, seed=0)
+    assert report.norm_method == "bound"
+    assert abs(report.forward_norm - 2.0**7) < 1e-12
+    flats = np.random.default_rng(3).integers(0, 4**7, size=8)
+    assert report.forward_norm >= oracle_column_max(s, u, flats)
