@@ -14,7 +14,8 @@ This module also provides:
 
 * closed-form traces (``o_trace``) and the one doubled-domain lift: the
   sign formula ``lift_sign``, its per-factor (2d, 2d) ``lift_table`` and
-  ``lift_to_full``, which turns any RESTRICTED table into the FULL one;
+  ``lift_to_full``, which turns any RESTRICTED table into the FULL one with
+  one broadcast write per factor into a fresh array;
   ``phase_shift_rule`` and ``reduce_full_point`` read the same formula,
 * the Clifford action on labels as exact affine maps over Z_{2d}
   (``clifford_coordinate_action``); conjugation by a generator maps
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -219,19 +220,24 @@ def lift_table(d: int, char: bool = False) -> np.ndarray:
 def lift_to_full(restricted: np.ndarray, table: np.ndarray) -> np.ndarray:
     """restricted(u mod d) * prod_i table[l_i, m_i] over Z_{2d}^{2n}.
 
-    With ``lift_table(d)`` this is the FULL table of a RESTRICTED one. With
-    rows (l_1..l_n) and columns (m_1..m_n) the per-factor product is the
-    Kronecker power of ``table``, applied in place as factor 1 times the rest.
+    With ``lift_table(d)`` this is the FULL table of a RESTRICTED one. The
+    lift runs innermost factor first, one broadcast multiply per factor into
+    a fresh array: with rows (l_1..l_n) and columns (m_1..m_n), factor i
+    views its input as (d^i, 1, d, inner) per side and writes
+    (d^i, 2, d, inner), where the (2, d) axes are L = d e + l and inner
+    spans the factors already lifted. Every step writes its output once, so
+    the whole lift writes about 4/3 of the final table.
     """
     d, n = table.shape[0] // 2, restricted.ndim // 2
-    index = np.ravel_multi_index(np.indices((2 * d,) * n).reshape(n, -1) % d, (d,) * n)
-    mat = restricted.reshape(d**n, d**n)
-    out = np.take(np.take(mat, index, axis=0), index, axis=1).astype(np.result_type(mat, table), copy=False)
-    rest = reduce(np.kron, [table] * (n - 1), np.ones((1, 1)))
-    view = out.reshape(2 * d, len(rest), 2 * d, len(rest))
-    view *= table[:, None, :, None]
-    view *= rest[None, :, None, :]
-    return out.reshape((2 * d,) * (2 * n))
+    dtype = np.result_type(restricted, table)
+    sign = table.astype(dtype).reshape(1, 2, d, 1, 1, 2, d, 1)
+    prev = restricted
+    for i in reversed(range(n)):
+        inner = (2 * d) ** (n - 1 - i)
+        out = np.empty((d**i, 2, d, inner) * 2, dtype=dtype)
+        np.multiply(prev.reshape((d**i, 1, d, inner) * 2), sign, out=out)
+        prev = out
+    return prev.reshape((2 * d,) * (2 * n))
 
 
 def reduce_full_point(system: QuditSystem, point: PhasePoint) -> tuple[PhasePoint, int]:

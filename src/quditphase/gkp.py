@@ -13,8 +13,9 @@ finite table:
   prefactor (2pi/d)^{n/2}, so |gamma| = d^n |chi|.
 
 A cell is an array over Z_{2d}^{2n}: the Wigner cell is the lifted x
-table, and gamma is the restricted chi^* lifted with the gamma phase
-folded into the per-factor (2d, 2d) lift table. Cell l_p norms are prefactor * ||values||_p. For every pure
+table, and gamma is the restricted chi^* lifted with the gamma phase and
+a factor d folded into the per-factor (2d, 2d) lift table, so each cell
+is written once. Cell l_p norms are prefactor * ||values||_p. For every pure
 stabilizer input they collapse to closed forms, and the quotient against
 that baseline reproduces d^{n(1-1/p)} ||x||_p (resp. ||chi||_p) exactly;
 ``verify_theorem1`` / ``verify_theorem2`` return those residuals.
@@ -55,7 +56,10 @@ class GkpLatticeCoefficients:
     """One unit cell worth of delta-peak weights for an encoded state.
 
     ``values`` is the cell table over Z_{2d}^{2n}, 2n axes of length 2d
-    ordered (l-block, m-block), stored read-only.
+    ordered (l-block, m-block), stored read-only. As for
+    ``QuasiDistribution``, the public constructor stores a read-only copy
+    and the library hands over the cells it builds through ``_adopt``,
+    which freezes them in place without a copy.
     """
 
     system: QuditSystem
@@ -64,7 +68,21 @@ class GkpLatticeCoefficients:
     prefactor: float
 
     def __post_init__(self):
-        arr = np.array(self.values)
+        self._freeze(np.array(self.values))
+
+    @classmethod
+    def _adopt(
+        cls, system: QuditSystem, kind: GkpKind, values: np.ndarray, prefactor: float
+    ) -> "GkpLatticeCoefficients":
+        """Wrap a fresh (or already frozen) cell array: checked, frozen in place, not copied."""
+        cell = object.__new__(cls)
+        object.__setattr__(cell, "system", system)
+        object.__setattr__(cell, "kind", kind)
+        object.__setattr__(cell, "prefactor", prefactor)
+        cell._freeze(values)
+        return cell
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.shape != (2 * self.system.d,) * (2 * self.system.n):
             raise ValidationError(f"cell values shape {arr.shape} does not match Z_2d^2n")
         if self.kind == GkpKind.WIGNER and np.iscomplexobj(arr):
@@ -90,22 +108,27 @@ def gkp_wigner_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
     system = rho.system
     dist = x_distribution(rho, Domain.FULL)
     pref = (system.d / (8 * math.pi)) ** (system.n / 2)
-    return GkpLatticeCoefficients(system, GkpKind.WIGNER, dist.values, pref)
+    return GkpLatticeCoefficients._adopt(system, GkpKind.WIGNER, dist.values, pref)
+
+
+def _gamma_table(d: int) -> np.ndarray:
+    """Per-factor (2d, 2d) lift table of gamma: the chi lift sign times
+    d e^{-i pi l m/d} w_d^{-l m/2}, with w_d^{1/2} via inv2 at odd d, so the
+    n-factor product carries the d^n as well."""
+    lm = np.multiply.outer(np.arange(2 * d), np.arange(2 * d))
+    half = 2 * ((pow(2, -1, d) * lm) % d) if d % 2 else lm
+    return d * lift_table(d, char=True) * np.exp(-1j * math.pi * (lm + half) / d)
 
 
 def gkp_char_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
-    """Characteristic-cell weights gamma: the doubled-domain chi^* with the
-    gamma phase folded into its per-factor lift table."""
+    """Characteristic-cell weights gamma: the restricted chi^* lifted by a
+    per-factor table that folds in the gamma phase and the d^n."""
     system = rho.system
     d, n = system.d, system.n
     chi = characteristic_fn(rho, Domain.RESTRICTED)
-    # per-factor phase e^{-i pi l m/d} w_d^{-l m/2}, w_d^{1/2} via inv2 at odd d
-    lm = np.multiply.outer(np.arange(2 * d), np.arange(2 * d))
-    half = 2 * ((pow(2, -1, d) * lm) % d) if d % 2 else lm
-    table = lift_table(d, char=True) * np.exp(-1j * math.pi * (lm + half) / d)
-    vals = d**n * lift_to_full(np.conj(chi.values), table)
+    vals = lift_to_full(np.conj(chi.values), _gamma_table(d))
     pref = (2 * math.pi / d) ** (n / 2)
-    return GkpLatticeCoefficients(system, GkpKind.CHARACTERISTIC, vals, pref)
+    return GkpLatticeCoefficients._adopt(system, GkpKind.CHARACTERISTIC, vals, pref)
 
 
 def cell_lp_norm(coeffs: GkpLatticeCoefficients, p: float) -> float:

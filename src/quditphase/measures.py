@@ -82,7 +82,10 @@ class QuasiDistribution:
     """Coefficients indexed by phase-space labels.
 
     ``values`` has 2n axes ordered (l_1..l_n, m_1..m_n), each of length d
-    (RESTRICTED) or 2d (FULL).
+    (RESTRICTED) or 2d (FULL), and is read-only. The public constructor
+    stores a read-only copy of what it is given, so a caller's array stays
+    the caller's. Library functions hand over the fresh tables they build
+    through ``_adopt``, which freezes them in place without a copy.
     """
 
     system: QuditSystem
@@ -90,13 +93,22 @@ class QuasiDistribution:
     values: np.ndarray
 
     def __post_init__(self):
-        mod = self.modulus
-        arr = np.asarray(self.values)
-        if arr.shape != (mod,) * (2 * self.system.n):
+        self._freeze(np.asarray(self.values).copy())
+
+    @classmethod
+    def _adopt(cls, system: QuditSystem, domain: Domain, values: np.ndarray) -> "QuasiDistribution":
+        """Wrap a fresh array no one else holds: shape-checked, frozen in place, not copied."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "system", system)
+        object.__setattr__(dist, "domain", domain)
+        dist._freeze(values)
+        return dist
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        if arr.shape != (self.modulus,) * (2 * self.system.n):
             raise ValidationError(
                 f"values shape {arr.shape} does not match domain {self.domain}"
             )
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -179,16 +191,17 @@ def x_distribution(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) 
     raw = _contract_stack(system, o_stack(system.d), rho.matrix) / system.dim
     if np.max(np.abs(raw.imag)) > 1e-10:
         raise InvariantError("x of a Hermitian state must be real")
-    vals = raw.real
+    # one contiguous copy of the real part, so the table does not pin raw
+    restricted = QuasiDistribution._adopt(system, Domain.RESTRICTED, np.ascontiguousarray(raw.real))
     bound = 1.0 / system.dim + 1e-9
-    if np.max(np.abs(vals)) > bound:
+    if np.max(np.abs(restricted.values)) > bound:
         raise InvariantError("coefficient bound |x| <= d^-n violated")
-    res = normalization_residual(QuasiDistribution(system, Domain.RESTRICTED, vals))
+    res = normalization_residual(restricted)
     if res > 1e-9:
         raise InvariantError(f"x normalization residual {res:.3e}")
-    if domain is Domain.FULL:
-        vals = lift_to_full(vals, lift_table(system.d))
-    return QuasiDistribution(system, domain, vals)
+    if domain is Domain.RESTRICTED:
+        return restricted
+    return QuasiDistribution._adopt(system, domain, lift_to_full(restricted.values, lift_table(system.d)))
 
 
 def discrete_wigner(rho: DensityState) -> QuasiDistribution:
@@ -202,7 +215,7 @@ def discrete_wigner(rho: DensityState) -> QuasiDistribution:
     total = float(np.sum(raw.real))
     if abs(total - 1.0) > 1e-9:
         raise InvariantError(f"Wigner normalization sum {total} != 1")
-    return QuasiDistribution(system, Domain.RESTRICTED, raw.real)
+    return QuasiDistribution._adopt(system, Domain.RESTRICTED, np.ascontiguousarray(raw.real))
 
 
 def characteristic_fn(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) -> QuasiDistribution:
@@ -215,10 +228,10 @@ def characteristic_fn(rho: DensityState, domain: Domain | str = Domain.RESTRICTE
     domain = Domain(domain)
     system = rho.system
     dag = p_stack(system.d).conj().transpose(0, 1, 3, 2)
-    raw = _contract_stack(system, dag, rho.matrix) / system.dim
+    raw = np.ascontiguousarray(_contract_stack(system, dag, rho.matrix) / system.dim)
     if domain is Domain.FULL:
         raw = lift_to_full(raw, lift_table(system.d, char=True))
-    return QuasiDistribution(system, domain, raw)
+    return QuasiDistribution._adopt(system, domain, raw)
 
 
 def check_order(value: float, name: str = "p") -> float:

@@ -31,7 +31,8 @@ Sampling builds the columns of the local labels the trajectories hold.
 
 Determinism contract: one uniform block per stream for the input draw
 and one per explicit gate, in trajectory order; named gates draw nothing
-in either frame. Per-stream compensated sums are merged exactly. A report
+in either frame. Per-stream compensated sums are merged exactly; streams
+past the trajectory count would draw nothing and are not run. A report
 is bit-for-bit reproducible for fixed (seed, streams).
 """
 
@@ -469,8 +470,12 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _split_sizes(total: int, streams: int) -> list[int]:
-    base, rem = divmod(total, streams)
-    return [base + (1 if s < rem else 0) for s in range(streams)]
+    """Sizes of the streams that draw: with more streams than trajectories,
+    streams past ``total`` would draw nothing and add an exact 0.0, so only
+    the first min(streams, total) are listed."""
+    used = min(streams, total)
+    base, rem = divmod(total, used)
+    return [base + (s < rem) for s in range(used)]
 
 
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
@@ -495,9 +500,6 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
     nz0, cdf0 = _cdf_from_abs(np.abs(coeffs))
     stream_sums = []
     for s, k_s in enumerate(_split_sizes(k_total, streams)):
-        if k_s == 0:
-            stream_sums.append(0.0)
-            continue
         rng = _stream_rng(seed, s)
         if len(nz0) == 1:
             idx = np.full(k_s, nz0[0], dtype=np.int64)

@@ -277,7 +277,7 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
         raise InvariantError("stabilizer coefficients are not a flat d^n coset")
 
     full = lift_to_full(np.where(support, rvals, 0.0), lift_table(d))
-    return QuasiDistribution(system, Domain.FULL, full)
+    return QuasiDistribution._adopt(system, Domain.FULL, full)
 
 
 def _dual_phase_vector(gens, ks: Sequence[int], d: int, n: int) -> tuple[int, ...]:

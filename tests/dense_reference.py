@@ -10,7 +10,11 @@ from ``hw_matrix``, sharing no code with the library's group table.
 ``dense_frame_column`` builds one estimator frame column from a dense
 Kronecker product, a dense conjugation and one contraction, sharing no
 code with the library's batched column kernel or its support reduction.
+``gather_lift`` is the index-gather form of the per-factor lift, kept as
+the reference for the library's broadcast ``lift_to_full``.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -48,6 +52,24 @@ def dense_gamma(rho):
     else:
         phase = phase * np.exp(-1j * np.pi * lm / d)
     return d**n * phase * np.conj(dense_chi_full(rho))
+
+
+def gather_lift(restricted, table):
+    """restricted(u mod d) * prod_i table[l_i, m_i] over Z_{2d}^{2n} by gathers.
+
+    Rows (l_1..l_n) and columns (m_1..m_n) are gathered from the restricted
+    matrix at u mod d; the per-factor product is then the Kronecker power of
+    ``table``, applied in place as factor 1 times the rest.
+    """
+    d, n = table.shape[0] // 2, restricted.ndim // 2
+    index = np.ravel_multi_index(np.indices((2 * d,) * n).reshape(n, -1) % d, (d,) * n)
+    mat = restricted.reshape(d**n, d**n)
+    out = np.take(np.take(mat, index, axis=0), index, axis=1).astype(np.result_type(mat, table), copy=False)
+    rest = reduce(np.kron, [table] * (n - 1), np.ones((1, 1)))
+    view = out.reshape(2 * d, len(rest), 2 * d, len(rest))
+    view *= table[:, None, :, None]
+    view *= rest[None, :, None, :]
+    return out.reshape((2 * d,) * (2 * n))
 
 
 def dense_stabilizer_state(group):

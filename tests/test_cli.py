@@ -169,6 +169,16 @@ def test_simulate_reports_the_norm_method(tmp_path, capsys, doc, epsilon, method
     assert abs(doc["forward_norm"] - norm) < 1e-12
 
 
+def test_simulate_with_more_streams_than_trajectories(tmp_path, capsys):
+    path = tmp_path / "hth.json"
+    path.write_text(json.dumps(HTH))
+    code, out = run(capsys, "simulate", "--circuit", str(path), "--epsilon", "0.5", "--streams", "10000000")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["streams"] == 10**7
+    assert abs(doc["estimate"] - math.cos(math.pi / 8) ** 2) < 0.5
+
+
 def test_simulate_deterministic_bytes(tmp_path, capsys):
     path = tmp_path / "hth.json"
     path.write_text(json.dumps(HTH))

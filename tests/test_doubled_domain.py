@@ -1,13 +1,21 @@
-"""Every doubled-domain table against the dense 2d-label reference."""
+"""Every doubled-domain table against the dense 2d-label reference, the
+lift against its gather form, and who owns the table arrays."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quditphase import (
     Domain,
+    GkpKind,
+    GkpLatticeCoefficients,
+    QuasiDistribution,
     QuditSystem,
     StabilizerGroup,
     characteristic_fn,
+    discrete_wigner,
     enumerate_single_qudit_groups,
     gkp_char_coefficients,
     gkp_wigner_coefficients,
@@ -17,8 +25,9 @@ from quditphase import (
     x_distribution,
 )
 from quditphase.basis import lift_sign, lift_table, lift_to_full
+from quditphase.gkp import _gamma_table
 
-from dense_reference import dense_chi_full, dense_gamma, dense_stabilizer_state, dense_x_full
+from dense_reference import dense_chi_full, dense_gamma, dense_stabilizer_state, dense_x_full, gather_lift
 
 CASES = [(d, n) for d in (2, 3, 4, 5) for n in (1, 2)] + [(2, 3)]
 TOL = 1e-12
@@ -84,9 +93,98 @@ def test_lift_table_entries_follow_lift_sign(d):
 
 
 def test_lift_to_full_tiles_and_multiplies_per_factor():
-    d, n = 3, 2
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((d,) * (2 * n))
-    table = rng.standard_normal((2 * d, 2 * d))
-    want = np.tile(values, (2,) * (2 * n)) * table[:, None, :, None] * table[None, :, None, :]
-    assert np.allclose(lift_to_full(values, table), want, rtol=1e-15, atol=0)
+    for (d, n), complex_table in itertools.product([(2, 3), (2, 4), (2, 5), (3, 3)], (False, True)):
+        values = rng.standard_normal((d,) * (2 * n))
+        table = rng.standard_normal((2 * d, 2 * d))
+        if complex_table:
+            values = values + 1j * rng.standard_normal(values.shape)
+            table = table + 1j * rng.standard_normal(table.shape)
+        want = np.tile(values, (2,) * (2 * n))
+        for i in range(n):  # table[L_i, M_i] broadcast over axes i and n + i
+            want = want * np.moveaxis(table.reshape(table.shape + (1,) * (2 * n - 2)), (0, 1), (i, n + i))
+        assert np.allclose(lift_to_full(values, table), want, rtol=1e-15, atol=0), (d, n, complex_table)
+
+
+LIFT_CASES = [(2, 5), (3, 3), (4, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("d, n", LIFT_CASES)
+def test_lift_to_full_equals_the_gather_lift_on_sign_tables(d, n):
+    rng = np.random.default_rng(30 * d + n)
+    real = rng.standard_normal((d,) * (2 * n))
+    for values in (real, real + 1j * rng.standard_normal(real.shape)):
+        for table in (lift_table(d), lift_table(d, char=True)):
+            got, want = lift_to_full(values, table), gather_lift(values, table)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, n", LIFT_CASES)
+def test_lift_to_full_matches_the_gather_lift_on_the_gamma_table(d, n):
+    # the n phase factors multiply in another order, so the last bits may differ
+    rng = np.random.default_rng(40 * d + n)
+    values = rng.standard_normal((d,) * (2 * n)) + 1j * rng.standard_normal((d,) * (2 * n))
+    table = _gamma_table(d)
+    got, want = lift_to_full(values, table), gather_lift(values, table)
+    assert np.max(np.abs(got - want)) <= 4e-16 * np.max(np.abs(want))
+
+
+# ------------------------------------------------------------- ownership
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s, arr: QuasiDistribution(s, Domain.FULL, arr),
+        lambda s, arr: GkpLatticeCoefficients(s, GkpKind.WIGNER, arr, 1.0),
+    ],
+    ids=["distribution", "cell"],
+)
+def test_public_constructors_copy_the_callers_array(build):
+    s = QuditSystem(2, 2)
+    arr = np.random.default_rng(6).standard_normal((4,) * 4)
+    held = build(s, arr)
+    before = held.values.copy()
+    arr[...] = 7.0
+    assert arr.flags.writeable
+    assert not held.values.flags.writeable
+    assert np.array_equal(held.values, before)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (3, 2)])
+def test_library_tables_and_cells_are_read_only(d, n):
+    s = QuditSystem(d, n)
+    rng = np.random.default_rng(50 * d + n)
+    rho = haar_random_state(s, rng)
+    built = [
+        x_distribution(rho, Domain.RESTRICTED),
+        x_distribution(rho, Domain.FULL),
+        characteristic_fn(rho, Domain.RESTRICTED),
+        characteristic_fn(rho, Domain.FULL),
+        stabilizer_x_sparse(scrambled_group(s, rng)),
+        gkp_wigner_coefficients(rho),
+        gkp_char_coefficients(rho),
+    ]
+    # real restricted tables own a real buffer, not a view of the complex contraction
+    owners = [built[0]] + ([discrete_wigner(rho)] if d % 2 else [])
+    for table in built + owners:
+        assert not table.values.flags.writeable
+        assert table.values.flags.c_contiguous
+    for table in owners:
+        assert table.values.base is None
+
+
+def test_full_chi_at_two_five_is_held_once():
+    s = QuditSystem(2, 5)
+    rho = haar_random_state(s, np.random.default_rng(7))
+    characteristic_fn(rho, Domain.FULL)  # fill the stack cache and einsum path
+    tracemalloc.start()
+    try:
+        chi = characteristic_fn(rho, Domain.FULL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chi.values.nbytes == 16 * 2**20
+    # the result plus the lift's last input (a quarter of it), never two copies
+    assert peak < 1.3 * chi.values.nbytes

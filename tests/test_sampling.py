@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_sample_count_rejects_non_finite_counts(epsilon):
 def test_estimator_rejects_bad_streams_and_seeds(runner, streams, seed):
     with pytest.raises(ValidationError):
         runner(hth_circuit(), 0.5, 0.05, seed=seed, streams=streams)
+
+
+@pytest.mark.parametrize("runner", [estimate_born, estimate_born_char], ids=["o", "hw"])
+def test_streams_past_the_trajectory_count_cost_nothing(runner):
+    circuit = hth_circuit()
+    k_total = runner(circuit, 0.5, 0.05, seed=3).samples_used
+    want = runner(circuit, 0.5, 0.05, seed=3, streams=k_total)
+    tracemalloc.start()
+    try:
+        got = runner(circuit, 0.5, 0.05, seed=3, streams=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.estimate, got.samples_used) == (want.estimate, want.samples_used)
+    assert got.streams == 10**7
+    assert peak < 2**20
 
 
 def test_identity_circuit_is_exact():
