@@ -45,10 +45,8 @@ from .basis import (
     m_operator,
     o_operator,
     o_trace,
-    phase_point_operator,
     phase_shift_rule,
     reduce_full_point,
-    sigma_permutation,
 )
 from .measures import (
     QuasiDistribution,

@@ -16,13 +16,13 @@ This module also provides:
   sign formula ``lift_sign``, its per-factor (2d, 2d) ``lift_table`` and
   ``lift_to_full``, which turns any RESTRICTED table into the FULL one with
   one broadcast write per factor into a fresh array;
-  ``phase_shift_rule`` and ``reduce_full_point`` read the same formula,
+  ``phase_shift_rule`` and ``reduce_full_point`` read the same formula.
+  Tr O is likewise one per-factor (2d, 2d) table, which ``o_trace``, the
+  x normalization check and the sampler's computational effects read,
 * the Clifford action on labels as exact affine maps over Z_{2d}
   (``clifford_coordinate_action``); conjugation by a generator maps
   O_u -> O_{Mu + s} with NO sign, signs appearing only when reducing a
-  doubled label back to the restricted domain,
-* odd-d phase-space point operators A(u) (``phase_point_operator``) and the
-  numerically matched relabeling ``sigma_permutation`` linking them to O.
+  doubled label back to the restricted domain.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from .core import (
     DenseOperator,
-    QuditError,
     QuditSystem,
     ValidationError,
     hw_matrix,
@@ -61,9 +60,6 @@ __all__ = [
     "lift_to_full",
     "reduce_full_point",
     "clifford_coordinate_action",
-    "phase_point_operator",
-    "a_matrix",
-    "sigma_permutation",
 ]
 
 
@@ -160,19 +156,26 @@ def o_operator(system: QuditSystem, point: PhasePoint) -> DenseOperator:
     return DenseOperator(system, mat, unitary=True, hermitian=True)
 
 
-def _o_trace_factor(d: int, l: int, m: int) -> float:
-    if d % 2 == 0:
-        if l % 2:
-            return 0.0
-        return 1.0 + (-1.0) ** (m % 2)
-    return (-1.0) ** ((m * l) % 2)
+@lru_cache(maxsize=32)
+def _o_trace_table(d: int) -> np.ndarray:
+    """Per-factor (2d, 2d) table of Tr O_{l,m}, cached read-only: (-1)^{l m}
+    at odd d; 1 + (-1)^m at even l and 0 at odd l for even d. Its [:d, :d]
+    block is the restricted one."""
+    l, m = np.ogrid[: 2 * d, : 2 * d]
+    if d % 2:
+        table = (1 - 2 * ((l * m) % 2)).astype(float)
+    else:
+        table = np.where(l % 2, 0.0, 1.0 + (1 - 2 * (m % 2)))
+    table.flags.writeable = False
+    return table
 
 
 def o_trace(system: QuditSystem, point: PhasePoint) -> complex:
-    """Closed-form Tr O_{l,m}; valid verbatim on both Z_d and Z_{2d} labels."""
+    """Closed-form Tr O_{l,m}; O is 2d-periodic, so any integer labels work."""
+    table, mod = _o_trace_table(system.d), 2 * system.d
     out = 1.0
     for li, mi in zip(point.l, point.m):
-        out *= _o_trace_factor(system.d, li, mi)
+        out *= table[li % mod, mi % mod]
     return complex(out)
 
 
@@ -238,6 +241,16 @@ def lift_to_full(restricted: np.ndarray, table: np.ndarray) -> np.ndarray:
         np.multiply(prev.reshape((d**i, 1, d, inner) * 2), sign, out=out)
         prev = out
     return prev.reshape((2 * d,) * (2 * n))
+
+
+def _factor_product(tables: list[np.ndarray]) -> np.ndarray:
+    """prod_i tables[i][l_i, m_i] over Z_d^{2n} from per-factor (d, d)
+    tables: one broadcast multiply per factor, in factor order."""
+    d, n = len(tables[0]), len(tables)
+    out = np.ones((1,) * (2 * n), dtype=np.result_type(*tables))
+    for i, table in enumerate(tables):
+        out = out * table.reshape((1,) * i + (d,) + (1,) * (n - 1) + (d,) + (1,) * (n - 1 - i))
+    return out
 
 
 def reduce_full_point(system: QuditSystem, point: PhasePoint) -> tuple[PhasePoint, int]:
@@ -352,68 +365,3 @@ def clifford_coordinate_action(
     else:  # CLOCK
         shift[n + t] = -2
     return SymplecticAffineMap(mat, shift, mod)
-
-
-@lru_cache(maxsize=16)
-def a_stack(d: int) -> np.ndarray:
-    """All single-qudit phase-point operators A(a1, a2), odd d, cached."""
-    if d % 2 == 0:
-        raise EvenDimensionError("phase-space point operators require odd d")
-    stack = np.zeros((d, d, d, d), dtype=complex)
-    omega = np.exp(2j * np.pi / d)
-    hw_dags = [[hw_matrix(d, b1, b2).conj().T for b2 in range(d)] for b1 in range(d)]
-    for a1 in range(d):
-        for a2 in range(d):
-            acc = np.zeros((d, d), dtype=complex)
-            for b1 in range(d):
-                for b2 in range(d):
-                    # u^T Omega v with per-factor Omega = [[0,-1],[1,0]]
-                    expo = (-(a1 * (-b2) + a2 * b1)) % d
-                    acc += omega**expo * hw_dags[b1][b2]
-            stack[a1, a2] = acc / d
-    stack.flags.writeable = False
-    return stack
-
-
-def a_matrix(d: int, a1: int, a2: int) -> np.ndarray:
-    return a_stack(d)[a1 % d, a2 % d]
-
-
-def phase_point_operator(system: QuditSystem, u: PhasePoint) -> DenseOperator:
-    """A(u) = d^{-n} sum_v w^{-u^T Omega v} P(v)^dagger; odd d only."""
-    if system.d % 2 == 0:
-        raise EvenDimensionError("phase-space point operators require odd d")
-    if u.n != system.n:
-        raise ValidationError("point size mismatch")
-    mat = np.ones((1, 1), dtype=complex)
-    for a1, a2 in zip(u.l, u.m):
-        mat = np.kron(mat, a_matrix(system.d, a1, a2))
-    return DenseOperator(system, mat, hermitian=True)
-
-
-@lru_cache(maxsize=16)
-def sigma_permutation(d: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """Point relabeling sigma with (-1)^{a1 a2} O_{a1,a2} = A(sigma(a)).
-
-    Found by numerically matching operators (odd d). The matched closed
-    form is sigma(a1, a2) = (inv2 * a1, -inv2 * a2) mod d, which tests
-    assert against this table.
-    """
-    if d % 2 == 0:
-        raise EvenDimensionError("sigma relates A and O for odd d only")
-    ast = a_stack(d)
-    ost = o_stack(d)
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    for a1 in range(d):
-        for a2 in range(d):
-            target = (-1.0) ** (a1 * a2) * ost[a1, a2]
-            hits = [
-                (b1, b2)
-                for b1 in range(d)
-                for b2 in range(d)
-                if np.max(np.abs(ast[b1, b2] - target)) < 1e-10
-            ]
-            if len(hits) != 1:
-                raise QuditError(f"sigma matching failed at {(a1, a2)}: {hits}")
-            table[(a1, a2)] = hits[0]
-    return table

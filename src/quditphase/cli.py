@@ -39,9 +39,7 @@ from .measures import (
     haar_random_state,
     is_hyperpolyhedral,
     lp_norm,
-    magic_negativity,
     stabilizer_renyi,
-    x_distribution,
 )
 from .stabilizer import (
     enumerate_single_qudit_groups,
@@ -49,13 +47,7 @@ from .stabilizer import (
     parse_generator_lines,
     stabilizer_state,
 )
-from .gkp import (
-    GkpKind,
-    cell_lp_norm,
-    gkp_char_coefficients,
-    gkp_wigner_coefficients,
-    stabilizer_cell_norm,
-)
+from .gkp import GkpKind, _cell_sides
 from .sampling import (
     CircuitDescription,
     MeasurementEffect,
@@ -232,15 +224,13 @@ def _cmd_basis(args, system: QuditSystem) -> int:
 
 def _cmd_measure(args, rho: DensityState) -> int:
     system = rho.system
-    dist = x_distribution(rho, Domain.RESTRICTED)
-    norm = lp_norm(dist, 1)
-    inside, _ = is_hyperpolyhedral(rho)
+    inside, norm = is_hyperpolyhedral(rho)
     renyi = {str(a): stabilizer_renyi(rho, a) for a in args.alpha}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "d": system.d,
         "n": system.n,
-        "negativity": magic_negativity(rho),
+        "negativity": norm,
         "norm_1": norm,
         "renyi": renyi,
         "hyperpolyhedral": bool(inside),
@@ -313,18 +303,11 @@ def _cmd_gkp_check(args, cells) -> int:
     worst = 0.0
     for system, p in cells:
         d, n = system.d, system.n
-        scale = d ** (n * (1 - 1 / p))
         rng = np.random.default_rng(args.seed)
         for k in range(args.samples):
             rho = haar_random_state(system, rng)
-            lhs = scale * lp_norm(x_distribution(rho, Domain.RESTRICTED), p)
-            rhs = cell_lp_norm(gkp_wigner_coefficients(rho), p) / stabilizer_cell_norm(
-                system, GkpKind.WIGNER, p
-            )
-            lhs_c = scale * lp_norm(characteristic_fn(rho, Domain.RESTRICTED), p)
-            rhs_c = cell_lp_norm(gkp_char_coefficients(rho), p) / stabilizer_cell_norm(
-                system, GkpKind.CHARACTERISTIC, p
-            )
+            lhs, rhs = _cell_sides(rho, p, GkpKind.WIGNER)
+            lhs_c, rhs_c = _cell_sides(rho, p, GkpKind.CHARACTERISTIC)
             worst = max(worst, abs(lhs - rhs), abs(lhs_c - rhs_c))
             rows.append(
                 {

@@ -18,7 +18,8 @@ a factor d folded into the per-factor (2d, 2d) lift table, so each cell
 is written once. Cell l_p norms are prefactor * ||values||_p. For every pure
 stabilizer input they collapse to closed forms, and the quotient against
 that baseline reproduces d^{n(1-1/p)} ||x||_p (resp. ||chi||_p) exactly;
-``verify_theorem1`` / ``verify_theorem2`` return those residuals.
+``verify_theorem1`` / ``verify_theorem2`` return those residuals, each
+lifting its cell from the one restricted table it also norms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .core import DensityState, QuditSystem, ValidationError
 from .basis import Domain, lift_table, lift_to_full
-from .measures import characteristic_fn, check_order, lp_norm, x_distribution
+from .measures import QuasiDistribution, characteristic_fn, check_order, lp_norm, x_distribution
 
 __all__ = [
     "GkpKind",
@@ -74,7 +75,7 @@ class GkpLatticeCoefficients:
     def _adopt(
         cls, system: QuditSystem, kind: GkpKind, values: np.ndarray, prefactor: float
     ) -> "GkpLatticeCoefficients":
-        """Wrap a fresh (or already frozen) cell array: checked, frozen in place, not copied."""
+        """Wrap a fresh cell array: checked, frozen in place, not copied."""
         cell = object.__new__(cls)
         object.__setattr__(cell, "system", system)
         object.__setattr__(cell, "kind", kind)
@@ -103,12 +104,17 @@ class GkpLatticeCoefficients:
         return self.values
 
 
+def _wigner_cell(x: QuasiDistribution) -> GkpLatticeCoefficients:
+    """The Wigner cell of a restricted x table: its doubled-domain lift."""
+    system = x.system
+    pref = (system.d / (8 * math.pi)) ** (system.n / 2)
+    vals = lift_to_full(x.values, lift_table(system.d))
+    return GkpLatticeCoefficients._adopt(system, GkpKind.WIGNER, vals, pref)
+
+
 def gkp_wigner_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
     """Wigner-cell weights: exactly the doubled-domain x distribution."""
-    system = rho.system
-    dist = x_distribution(rho, Domain.FULL)
-    pref = (system.d / (8 * math.pi)) ** (system.n / 2)
-    return GkpLatticeCoefficients._adopt(system, GkpKind.WIGNER, dist.values, pref)
+    return _wigner_cell(x_distribution(rho, Domain.RESTRICTED))
 
 
 def _gamma_table(d: int) -> np.ndarray:
@@ -120,15 +126,18 @@ def _gamma_table(d: int) -> np.ndarray:
     return d * lift_table(d, char=True) * np.exp(-1j * math.pi * (lm + half) / d)
 
 
-def gkp_char_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
-    """Characteristic-cell weights gamma: the restricted chi^* lifted by a
-    per-factor table that folds in the gamma phase and the d^n."""
-    system = rho.system
-    d, n = system.d, system.n
-    chi = characteristic_fn(rho, Domain.RESTRICTED)
-    vals = lift_to_full(np.conj(chi.values), _gamma_table(d))
-    pref = (2 * math.pi / d) ** (n / 2)
+def _char_cell(chi: QuasiDistribution) -> GkpLatticeCoefficients:
+    """The characteristic cell gamma of a restricted chi table: chi^* lifted
+    by a per-factor table that folds in the gamma phase and the d^n."""
+    system = chi.system
+    vals = lift_to_full(np.conj(chi.values), _gamma_table(system.d))
+    pref = (2 * math.pi / system.d) ** (system.n / 2)
     return GkpLatticeCoefficients._adopt(system, GkpKind.CHARACTERISTIC, vals, pref)
+
+
+def gkp_char_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
+    """Characteristic-cell weights gamma."""
+    return _char_cell(characteristic_fn(rho, Domain.RESTRICTED))
 
 
 def cell_lp_norm(coeffs: GkpLatticeCoefficients, p: float) -> float:
@@ -145,21 +154,33 @@ def stabilizer_cell_norm(system: QuditSystem, kind: GkpKind, p: float) -> float:
     return (2 * math.pi / d) ** (n / 2) * (4 * d) ** (n / p)
 
 
-def _cell_residual(rho: DensityState, p: float, table, cell, kind: GkpKind) -> float:
+_CELLS = {
+    GkpKind.WIGNER: (x_distribution, _wigner_cell),
+    GkpKind.CHARACTERISTIC: (characteristic_fn, _char_cell),
+}
+
+
+def _cell_sides(rho: DensityState, p: float, kind: GkpKind) -> tuple[float, float]:
+    """(d^{n(1-1/p)} ||table||_p, cell norm / stabilizer baseline), both
+    read from one restricted table."""
     p = check_order(p)
     system = rho.system
-    lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(table(rho, Domain.RESTRICTED), p)
-    return abs(lhs - cell_lp_norm(cell(rho), p) / stabilizer_cell_norm(system, kind, p))
+    table, cell = _CELLS[kind]
+    dist = table(rho, Domain.RESTRICTED)
+    lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(dist, p)
+    return lhs, cell_lp_norm(cell(dist), p) / stabilizer_cell_norm(system, kind, p)
 
 
 def verify_theorem1(rho: DensityState, p: float) -> float:
     """|d^{n(1-1/p)} ||x||_p  -  Wigner cell norm / stabilizer baseline|."""
-    return _cell_residual(rho, p, x_distribution, gkp_wigner_coefficients, GkpKind.WIGNER)
+    lhs, rhs = _cell_sides(rho, p, GkpKind.WIGNER)
+    return abs(lhs - rhs)
 
 
 def verify_theorem2(rho: DensityState, p: float) -> float:
     """Characteristic-side analogue of ``verify_theorem1``."""
-    return _cell_residual(rho, p, characteristic_fn, gkp_char_coefficients, GkpKind.CHARACTERISTIC)
+    lhs, rhs = _cell_sides(rho, p, GkpKind.CHARACTERISTIC)
+    return abs(lhs - rhs)
 
 
 def renyi_from_cell_norms(rho: DensityState, alpha: float) -> float:

@@ -6,11 +6,12 @@ The central object is the coefficient distribution
 
 on the restricted torus Z_d^{2n} or the doubled torus Z_{2d}^{2n}; only the
 restricted operator stacks are contracted, and the doubled tables of x and
-chi are their per-factor sign lifts (``basis.lift_table``). From it
-(and from its relatives, the discrete Wigner function W for odd d and the
-characteristic function chi) the module computes l_p norms, the negativity
-measure ||x||_1, the stabilizer Renyi entropy M_alpha, and the
-hyperpolyhedral test ||x||_1 <= 1.
+chi are their per-factor sign lifts (``basis.lift_table``). The discrete
+Wigner function W of odd d is the x table relabeled per factor, with a
+sign, and the normalization check reads the per-factor Tr O table. From x
+(and from W and the characteristic function chi) the module computes l_p
+norms, the negativity measure ||x||_1, the stabilizer Renyi entropy
+M_alpha, and the hyperpolyhedral test ||x||_1 <= 1.
 
 Reference values kept by the test suite:
 
@@ -45,7 +46,8 @@ from .basis import (
     EvenDimensionError,
     PhasePoint,
     SymplecticAffineMap,
-    a_stack,
+    _factor_product,
+    _o_trace_table,
     clifford_coordinate_action,
     lift_table,
     lift_to_full,
@@ -158,26 +160,18 @@ def _contract_stack(system: QuditSystem, stack: np.ndarray, matrix: np.ndarray) 
 
 
 def normalization_residual(dist: QuasiDistribution) -> float:
-    """|trace identity - 1| for an x distribution.
+    """|sum_u x(u) Tr O_u - 1| = |Tr rho - 1| for an x distribution.
 
-    Odd d: sum (-1)^{l.m} x = 1. Even d: 2^n * sum over all-even labels = 1.
+    The sum contracts the restricted table with the per-factor Tr O table,
+    outermost factor first.
     """
     d, n = dist.system.d, dist.system.n
-    sub = dist.restricted_view() if dist.domain is Domain.FULL else dist.values
-    idx = np.arange(d)
-    if d % 2:
-        sign1 = (-1.0) ** np.outer(idx, idx)  # (-1)^{l m} per factor
-        total = sub
-        for i in range(n):
-            total = total * sign1.reshape(
-                (1,) * i + (d,) + (1,) * (n - 1 - i) + (1,) * i + (d,) + (1,) * (n - 1 - i)
-            )
-        return abs(float(np.real(np.sum(total))) - 1.0)
-    even = (idx % 2 == 0).astype(float)
-    total = sub
-    for i in range(2 * n):
-        total = total * even.reshape((1,) * i + (d,) + (1,) * (2 * n - 1 - i))
-    return abs(2.0**n * float(np.real(np.sum(total))) - 1.0)
+    total = dist.restricted_view() if dist.domain is Domain.FULL else dist.values
+    trace = _o_trace_table(d)[:d, :d]
+    for i in range(n):
+        rest = d ** (n - 1 - i)
+        total = np.einsum("lamb,lm->ab", total.reshape(d, rest, d, rest), trace)
+    return abs(float(total[0, 0]) - 1.0)
 
 
 def x_distribution(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) -> QuasiDistribution:
@@ -205,17 +199,24 @@ def x_distribution(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) 
 
 
 def discrete_wigner(rho: DensityState) -> QuasiDistribution:
-    """W(u) = d^{-n} Tr[A(u) rho] on Z_d^{2n}; odd d only."""
+    """W(u) = d^{-n} Tr[A(u) rho] on Z_d^{2n}; odd d only.
+
+    W is the x table relabeled per factor (Gross, J. Math. Phys. 47, 122107
+    (2006)): A(sigma(a)) = (-1)^{a_1 a_2} O_a with sigma(a_1, a_2) =
+    (a_1/2, -a_2/2) mod d, so W(b) = (-1)^{a_1 a_2} x(a) at
+    a = (2 b_1, -2 b_2) mod d. The x table's checks cover W.
+    """
     system = rho.system
-    if system.d % 2 == 0:
+    d, n = system.d, system.n
+    if d % 2 == 0:
         raise EvenDimensionError("the discrete Wigner function requires odd d")
-    raw = _contract_stack(system, a_stack(system.d), rho.matrix) / system.dim
-    if np.max(np.abs(raw.imag)) > 1e-10:
-        raise InvariantError("Wigner values must be real")
-    total = float(np.sum(raw.real))
-    if abs(total - 1.0) > 1e-9:
-        raise InvariantError(f"Wigner normalization sum {total} != 1")
-    return QuasiDistribution._adopt(system, Domain.RESTRICTED, np.ascontiguousarray(raw.real))
+    b = np.arange(d)
+    a1, a2 = (2 * b) % d, (-2 * b) % d
+    w = x_distribution(rho, Domain.RESTRICTED).values
+    for axis, a in enumerate([a1] * n + [a2] * n):
+        w = np.take(w, a, axis=axis)
+    sign = (1 - 2 * ((a1[:, None] * a2) % 2)).astype(float)
+    return QuasiDistribution._adopt(system, Domain.RESTRICTED, w * _factor_product([sign] * n))
 
 
 def characteristic_fn(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) -> QuasiDistribution:

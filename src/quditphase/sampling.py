@@ -28,6 +28,9 @@ that the factor is the Parseval bound d^k: every column has l2 norm 1 in
 both frames. Either way M bounds every trajectory weight, as the
 Hoeffding count needs, and the report says which (``norm_method``).
 Sampling builds the columns of the local labels the trajectories hold.
+A computational effect's table is a product of per-factor (d, d) tables,
+broadcast one factor at a time; its unmeasured factors read the Tr O
+table of ``basis``.
 
 Determinism contract: one uniform block per stream for the input draw
 and one per explicit gate, in trajectory order; named gates draw nothing
@@ -55,7 +58,7 @@ from .core import (
     ValidationError,
     clifford_generator,
 )
-from .basis import Domain, PhasePoint, o_stack, p_stack
+from .basis import Domain, PhasePoint, _factor_product, _o_trace_table, o_stack, p_stack
 from .measures import (
     NORM_CUTOFF,
     QuasiDistribution,
@@ -355,47 +358,46 @@ def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) 
 # ------------------------------------------------------- measurement table
 
 def _measurement_array(system: QuditSystem, effect: MeasurementEffect) -> np.ndarray:
-    """x_Pi over the whole restricted domain, shape (d,)*2n."""
+    """x_Pi over the whole restricted domain, shape (d,)*2n.
+
+    A computational effect is a product of per-factor (d, d) tables:
+    <o|O_{l,m}|o> = (-1)^{m k} where l = 2o - k d, else 0, on a measured
+    qudit, and Tr O_{l,m} on the others.
+    """
     d, n = system.d, system.n
     if effect.kind == MeasurementKind.EXPLICIT:
         arr = _contract_stack(system, o_stack(d), effect.operator.entries.astype(complex))
         if np.max(np.abs(arr.imag)) > 1e-10:
             raise InvariantError("x_Pi must be real")
         return arr.real
-    grids = np.meshgrid(*([np.arange(d)] * (2 * n)), indexing="ij")
-    out = np.ones((d,) * (2 * n))
+    l, m = np.ogrid[:d, :d]
+    tables = []
     for q in range(n):
-        l, m = grids[q], grids[n + q]
         if q in effect.indices:
-            o = effect.outcomes[effect.indices.index(q)]
-            num = 2 * o - l
+            num = 2 * effect.outcomes[effect.indices.index(q)] - l
             hit = num % d == 0
             k = np.where(hit, num // d, 0)
-            fac = np.where(hit, np.where((m * k) % 2, -1.0, 1.0), 0.0)
-        elif d % 2:
-            fac = np.where((m * l) % 2, -1.0, 1.0)
+            tables.append(np.where(hit, np.where((m * k) % 2, -1.0, 1.0), 0.0))
         else:
-            fac = np.where(l % 2 == 0, 1.0 + np.where(m % 2, -1.0, 1.0), 0.0)
-        out = out * fac
-    return out
+            tables.append(_o_trace_table(d)[:d, :d])
+    return _factor_product(tables)
 
 
 def _char_measurement_array(system: QuditSystem, effect: MeasurementEffect) -> np.ndarray:
-    """Tr(Pi P(u)) over the restricted domain (complex)."""
+    """Tr(Pi P(u)) over the restricted domain (complex), a product of
+    per-factor (d, d) tables as in ``_measurement_array``."""
     d, n = system.d, system.n
     if effect.kind == MeasurementKind.EXPLICIT:
         return _contract_stack(system, p_stack(d), effect.operator.entries.astype(complex))
-    grids = np.meshgrid(*([np.arange(d)] * (2 * n)), indexing="ij")
-    out = np.ones((d,) * (2 * n), dtype=complex)
+    a, b = np.ogrid[:d, :d]
+    tables = []
     for q in range(n):
-        a, b = grids[q], grids[n + q]
         if q in effect.indices:
             o = effect.outcomes[effect.indices.index(q)]
-            fac = np.where(a == 0, np.exp(2j * np.pi * b * o / d), 0.0)
+            tables.append(np.where(a == 0, np.exp(2j * np.pi * b * o / d), 0.0))
         else:
-            fac = np.where((a == 0) & (b == 0), float(d), 0.0)
-        out = out * fac
-    return out
+            tables.append(np.where((a == 0) & (b == 0), float(d), 0.0))
+    return _factor_product(tables)
 
 
 # ---------------------------------------------------------------- norms

@@ -12,14 +12,26 @@ Kronecker product, a dense conjugation and one contraction, sharing no
 code with the library's batched column kernel or its support reduction.
 ``gather_lift`` is the index-gather form of the per-factor lift, kept as
 the reference for the library's broadcast ``lift_to_full``.
+``dense_wigner`` contracts the state with the odd-d phase-point operators
+A(u) built from their Heisenberg-Weyl sum (``a_stack``), and
+``sigma_permutation`` relates A to O by matching operators numerically;
+together they are the oracle for the library's relabeled-x Wigner table.
 """
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from quditphase.basis import o_matrix, o_stack, p_stack
-from quditphase.core import DensityState, InvariantError, QuditSystem, hw_matrix
+from quditphase.basis import EvenDimensionError, PhasePoint, o_matrix, o_stack, p_stack
+from quditphase.core import (
+    DenseOperator,
+    DensityState,
+    InvariantError,
+    QuditError,
+    QuditSystem,
+    ValidationError,
+    hw_matrix,
+)
 from quditphase.measures import NORM_CUTOFF, _contract_stack
 from quditphase.stabilizer import generator_phases
 
@@ -126,3 +138,69 @@ def dense_frame_column(system: QuditSystem, char: bool, unitary: np.ndarray, fla
     if not np.any(col):
         raise InvariantError("frame column vanished; unitary inconsistent")
     return col
+
+
+@lru_cache(maxsize=16)
+def a_stack(d: int) -> np.ndarray:
+    """All single-qudit phase-point operators A(a1, a2), odd d, cached."""
+    if d % 2 == 0:
+        raise EvenDimensionError("phase-space point operators require odd d")
+    stack = np.zeros((d, d, d, d), dtype=complex)
+    omega = np.exp(2j * np.pi / d)
+    hw_dags = [[hw_matrix(d, b1, b2).conj().T for b2 in range(d)] for b1 in range(d)]
+    for a1 in range(d):
+        for a2 in range(d):
+            acc = np.zeros((d, d), dtype=complex)
+            for b1 in range(d):
+                for b2 in range(d):
+                    # u^T Omega v with per-factor Omega = [[0,-1],[1,0]]
+                    expo = (-(a1 * (-b2) + a2 * b1)) % d
+                    acc += omega**expo * hw_dags[b1][b2]
+            stack[a1, a2] = acc / d
+    stack.flags.writeable = False
+    return stack
+
+
+def phase_point_operator(system: QuditSystem, u: PhasePoint) -> DenseOperator:
+    """A(u) = d^{-n} sum_v w^{-u^T Omega v} P(v)^dagger; odd d only."""
+    if system.d % 2 == 0:
+        raise EvenDimensionError("phase-space point operators require odd d")
+    if u.n != system.n:
+        raise ValidationError("point size mismatch")
+    mat = np.ones((1, 1), dtype=complex)
+    for a1, a2 in zip(u.l, u.m):
+        mat = np.kron(mat, a_stack(system.d)[a1 % system.d, a2 % system.d])
+    return DenseOperator(system, mat, hermitian=True)
+
+
+@lru_cache(maxsize=16)
+def sigma_permutation(d: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Point relabeling sigma with (-1)^{a1 a2} O_{a1,a2} = A(sigma(a)), odd d,
+    found by matching operators numerically."""
+    if d % 2 == 0:
+        raise EvenDimensionError("sigma relates A and O for odd d only")
+    ast = a_stack(d)
+    ost = o_stack(d)
+    table: dict[tuple[int, int], tuple[int, int]] = {}
+    for a1 in range(d):
+        for a2 in range(d):
+            target = (-1.0) ** (a1 * a2) * ost[a1, a2]
+            hits = [
+                (b1, b2)
+                for b1 in range(d)
+                for b2 in range(d)
+                if np.max(np.abs(ast[b1, b2] - target)) < 1e-10
+            ]
+            if len(hits) != 1:
+                raise QuditError(f"sigma matching failed at {(a1, a2)}: {hits}")
+            table[(a1, a2)] = hits[0]
+    return table
+
+
+def dense_wigner(rho):
+    """W(u) = d^{-n} Tr[A(u) rho] on Z_d^{2n} by contraction with the A stack."""
+    s = rho.system
+    raw = _contract_stack(s, a_stack(s.d), rho.matrix) / s.dim
+    if np.max(np.abs(raw.imag)) > 1e-10:
+        raise InvariantError("Wigner values must be real")
+    return raw.real

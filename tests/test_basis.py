@@ -17,13 +17,10 @@ from quditphase import (
     m_operator,
     o_operator,
     o_trace,
-    phase_point_operator,
     phase_shift_rule,
-    sigma_permutation,
 )
 from quditphase.basis import (
     ShiftKind,
-    a_stack,
     full_point,
     lift_sign,
     o_matrix,
@@ -31,6 +28,8 @@ from quditphase.basis import (
     reduce_full_point,
     restricted_point,
 )
+
+from dense_reference import a_stack, phase_point_operator, sigma_permutation
 
 
 def test_qubit_basis_is_pauli_with_minus_y():
@@ -195,6 +194,9 @@ def test_sigma_is_a_permutation():
         perm = sigma_permutation(d)
         assert sorted(perm.keys()) == sorted(perm.values())
         assert len(perm) == d * d
+        # the closed form the library's Wigner relabel uses
+        half = pow(2, -1, d)
+        assert all(perm[a] == ((half * a[0]) % d, (-half * a[1]) % d) for a in perm)
 
 
 def test_domain_enum_values():

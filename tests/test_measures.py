@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quditphase import (
     Domain,
+    QuasiDistribution,
     QuditSystem,
     ValidationError,
     characteristic_fn,
@@ -19,7 +20,6 @@ from quditphase import (
     magic_negativity,
     maximally_mixed,
     plus_state,
-    sigma_permutation,
     stabilizer_renyi,
     t_state,
     x_distribution,
@@ -31,6 +31,8 @@ from quditphase.measures import (
     word_coordinate_map,
     word_unitary,
 )
+
+from dense_reference import dense_wigner, sigma_permutation
 
 LOG_4_3 = math.log(4.0 / 3.0)  # = 0.28768207245178085
 
@@ -157,13 +159,28 @@ def test_wigner_matches_coefficients_odd():
     for d in (3, 5):
         s = QuditSystem(d, 1)
         rho = haar_random_state(s, np.random.default_rng(d))
-        w = discrete_wigner(rho).values
+        w = dense_wigner(rho)
         x = x_distribution(rho).values
         perm = sigma_permutation(d)
         for (a1, a2), target in perm.items():
             assert abs(w[target] - (-1.0) ** (a1 * a2) * x[a1, a2]) < 1e-12
         for p in (0.5, 1.0, 2.0, 3.0):
             assert abs(lp_norm(discrete_wigner(rho), p) - lp_norm(x_distribution(rho), p)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_wigner_matches_the_phase_point_contraction(d, n):
+    rho = haar_random_state(QuditSystem(d, n), np.random.default_rng(10 * d + n))
+    assert np.max(np.abs(discrete_wigner(rho).values - dense_wigner(rho))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_normalization_residual_reads_the_trace(d):
+    s = QuditSystem(d, 2)
+    x = x_distribution(haar_random_state(s, np.random.default_rng(d)))
+    for c in (0.0, 0.5, 2.0, -1.5):
+        scaled = QuasiDistribution(s, Domain.RESTRICTED, c * x.values)
+        assert abs(normalization_residual(scaled) - abs(c - 1.0)) < 1e-12
 
 
 def test_renyi_monotone_under_alpha():

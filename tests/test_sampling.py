@@ -26,9 +26,10 @@ from quditphase import (
     sample_count,
     t_state,
 )
-from quditphase.basis import PhasePoint, clifford_coordinate_action, p_stack, reduce_full_point
+from quditphase.basis import PhasePoint, clifford_coordinate_action, o_stack, p_stack, reduce_full_point
 from quditphase.core import embed_generator
-from quditphase.sampling import _columns, _step, _steps, _support
+from quditphase.measures import _contract_stack
+from quditphase.sampling import _char_measurement_array, _columns, _measurement_array, _step, _steps, _support
 
 from dense_reference import dense_frame_column
 
@@ -252,6 +253,39 @@ def test_measurement_validation():
         MeasurementEffect(
             MeasurementKind.EXPLICIT, operator=DenseOperator(QuditSystem(2, 2), bad)
         ).validate(s)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_computational_effect_tables_match_the_dense_projector(d):
+    for n in (n for n in (1, 2, 3) if d**n <= 216):
+        system = QuditSystem(d, n)
+        for k in range(1, n + 1):
+            for idx in itertools.combinations(range(n), k):
+                # every outcome on every measured qudit, mixed across qudits
+                for outs in (tuple((j + 2 * i) % d for i in range(k)) for j in range(d)):
+                    effect = MeasurementEffect(MeasurementKind.COMPUTATIONAL, idx, outs)
+                    proj = np.ones((1, 1))
+                    for q in range(n):
+                        proj = np.kron(proj, np.diag(np.arange(d) == outs[idx.index(q)]) if q in idx else np.eye(d))
+                    dense_o = _contract_stack(system, o_stack(d), proj.astype(complex))
+                    dense_p = _contract_stack(system, p_stack(d), proj.astype(complex))
+                    assert np.max(np.abs(_measurement_array(system, effect) - dense_o)) < 1e-12
+                    assert np.max(np.abs(_char_measurement_array(system, effect) - dense_p)) < 1e-12
+
+
+def test_effect_table_at_two_ten_is_built_without_full_grids():
+    s = QuditSystem(2, 10)
+    effect = MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 3), (1, 0))
+    _measurement_array(s, effect)  # fill the trace-table cache
+    tracemalloc.start()
+    try:
+        table = _measurement_array(s, effect)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 8 * 2**20
+    # the result plus the last factor's input (a quarter of it)
+    assert peak < 2 * table.nbytes
 
 
 def test_circuit_validation():
