@@ -10,6 +10,7 @@ simulator for GKP codewords under Gaussian circuits.
 from .core import (
     DEFAULT_DIM_CAP,
     DIM_CAP_ENV_VAR,
+    SAMPLE_CAP,
     DenseOperator,
     DensityState,
     DimensionCapError,

@@ -305,9 +305,6 @@ class SymplecticAffineMap:
         vec = (self.matrix @ point.vector() + self.shift) % self.modulus
         return PhasePoint.from_vector(vec, self.modulus)
 
-    def apply_vector(self, vec: np.ndarray) -> np.ndarray:
-        return (self.matrix @ np.asarray(vec, dtype=int) + self.shift) % self.modulus
-
     def compose(self, inner: "SymplecticAffineMap") -> "SymplecticAffineMap":
         """The map 'self after inner'."""
         if self.modulus != inner.modulus:

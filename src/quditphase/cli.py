@@ -2,7 +2,9 @@
 
 Machine-readable JSON goes to stdout (or --output); short human tables
 go to stderr. Every JSON document carries schema_version. Exit codes:
-0 success, 2 invalid configuration, 3 numerical invariant violation.
+0 success, 2 invalid configuration, 3 numerical invariant violation. A
+sample count above ``core.SAMPLE_CAP`` (gkp-sim "samples", or the
+Hoeffding count that simulate's --epsilon implies) is invalid.
 
 Matrix entries in JSON files are either plain reals or [re, im] pairs.
 """
@@ -33,13 +35,15 @@ from .core import (
 )
 from .basis import Domain, full_point, o_operator, o_trace
 from .measures import (
+    _hyperpolyhedral_of,
+    _renyi_of,
+    _wigner_of,
     characteristic_fn,
     check_order,
     discrete_wigner,
     haar_random_state,
-    is_hyperpolyhedral,
     lp_norm,
-    stabilizer_renyi,
+    x_distribution,
 )
 from .stabilizer import (
     enumerate_single_qudit_groups,
@@ -224,8 +228,11 @@ def _cmd_basis(args, system: QuditSystem) -> int:
 
 def _cmd_measure(args, rho: DensityState) -> int:
     system = rho.system
-    inside, norm = is_hyperpolyhedral(rho)
-    renyi = {str(a): stabilizer_renyi(rho, a) for a in args.alpha}
+    # one x table and one chi table serve every quantity
+    x = x_distribution(rho, Domain.RESTRICTED)
+    inside, norm = _hyperpolyhedral_of(x)
+    chi = characteristic_fn(rho, Domain.RESTRICTED) if args.alpha else None
+    renyi = {str(a): _renyi_of(chi, a) for a in args.alpha}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "d": system.d,
@@ -236,7 +243,7 @@ def _cmd_measure(args, rho: DensityState) -> int:
         "hyperpolyhedral": bool(inside),
     }
     if system.d % 2:
-        doc["wigner_negativity"] = lp_norm(discrete_wigner(rho), 1)
+        doc["wigner_negativity"] = lp_norm(_wigner_of(x), 1)
     if args.csv:
         buf = io.StringIO()
         w = csv.writer(buf)

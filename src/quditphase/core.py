@@ -28,10 +28,14 @@ import numpy as np
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV_VAR = "QUDITPHASE_DIM_CAP"
+# most samples one estimate or homodyne batch may draw: a larger count is
+# rejected before anything is allocated (10^7 gkp-sim lines are ~1.5 GB)
+SAMPLE_CAP = 10**7
 
 __all__ = [
     "DEFAULT_DIM_CAP",
     "DIM_CAP_ENV_VAR",
+    "SAMPLE_CAP",
     "QuditError",
     "ValidationError",
     "DimensionCapError",
@@ -288,11 +292,7 @@ def clifford_generator(system: QuditSystem, kind: GateKind | str) -> DenseOperat
     if kind is GateKind.SUM:
         if system.n != 2:
             raise ValidationError("SUM acts on a two-qudit system")
-        mat = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                mat[i * d + (i + j) % d, i * d + j] = 1.0
-        return DenseOperator(system, mat, unitary=True)
+        return embed_sum(system, 0, 1)
     if system.n != 1:
         raise ValidationError(f"{kind.value} acts on a single qudit")
     if kind is GateKind.FOURIER:

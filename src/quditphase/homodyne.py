@@ -34,7 +34,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import DensityState, QuditSystem, ValidationError
+from .core import SAMPLE_CAP, DensityState, QuditSystem, ValidationError
 from .basis import (
     Domain,
     PhasePoint,
@@ -42,7 +42,7 @@ from .basis import (
     clifford_coordinate_action,
     omega_block,
 )
-from .measures import NORM_CUTOFF, x_distribution
+from .measures import _draw_labels, _label_cdf, x_distribution
 
 __all__ = [
     "GaussianCircuit",
@@ -88,11 +88,6 @@ class GaussianCircuit:
             raise ValidationError(f"S is not symplectic (dev {dev:.3e})")
         object.__setattr__(self, "s_matrix", s)
         object.__setattr__(self, "displacement", t)
-
-    @property
-    def measured_quadratures(self) -> tuple[int, ...]:
-        """Position block: the first n components of the transformed frame."""
-        return tuple(range(self.system.n))
 
     @property
     def integer_map(self) -> SymplecticAffineMap | None:
@@ -144,19 +139,6 @@ def logical_clifford_symplectic(system: QuditSystem, kind, targets=None) -> Gaus
         integer_s=s_int,
         integer_shift=sh_int,
     )
-
-
-def _full_sampler(rho: DensityState):
-    dist = x_distribution(rho, Domain.FULL)
-    flat = dist.values.reshape(-1).copy()
-    flat[np.abs(flat) < NORM_CUTOFF] = 0.0
-    norm = float(np.sum(np.abs(flat)))
-    if norm <= 0:
-        raise ValidationError("input state has zero coefficient norm")
-    nz = np.nonzero(flat)[0]
-    cdf = np.cumsum(np.abs(flat[nz])) / norm
-    cdf[-1] = 1.0
-    return dist, flat, norm, nz, cdf
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -227,23 +209,19 @@ def simulate_homodyne_batch(
     system = rho.system
     if circuit.system != system:
         raise ValidationError("circuit system mismatch")
-    if num_samples < 0:
-        raise ValidationError(f"num_samples must be >= 0, got {num_samples}")
+    if not 0 <= num_samples <= SAMPLE_CAP:
+        raise ValidationError(f"num_samples must lie in [0, {SAMPLE_CAP}], got {num_samples}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     d, n = system.d, system.n
     mod = 2 * d
     shape = (mod,) * (2 * n)
-    dist, flat, norm, nz, cdf = _full_sampler(rho)
+    flat, norm, nz, cdf = _label_cdf(x_distribution(rho, Domain.FULL).values)
     weight = norm * (d / (8 * math.pi)) ** (n / 2)
     c = math.sqrt(math.pi / (2 * d))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    if num_samples == 0 or len(nz) == 1:
-        picks = np.full(num_samples, nz[0], dtype=np.int64)
-    else:
-        u = rng.random(num_samples)
-        picks = nz[np.minimum(np.searchsorted(cdf, u, side="right"), len(nz) - 1)]
+    picks = _draw_labels(nz, cdf, rng, num_samples)
 
     distinct, inverse = np.unique(picks, return_inverse=True)
     vecs = np.array(np.unravel_index(distinct, shape))  # (2n, distinct)

@@ -5,8 +5,10 @@ The central object is the coefficient distribution
     x_rho(l, m) = d^{-n} Tr(O_{l,m} rho)
 
 on the restricted torus Z_d^{2n} or the doubled torus Z_{2d}^{2n}; only the
-restricted operator stacks are contracted, and the doubled tables of x and
-chi are their per-factor sign lifts (``basis.lift_table``). The discrete
+restricted operator stacks are contracted, by the one per-factor stack
+contraction of the library (``_contract_stack``, which the estimator's
+frame columns and the sparse stabilizer table also call), and the doubled
+tables of x and chi are their per-factor sign lifts (``basis.lift_table``). The discrete
 Wigner function W of odd d is the x table relabeled per factor, with a
 sign, and the normalization check reads the per-factor Tr O table. From x
 (and from W and the characteristic function chi) the module computes l_p
@@ -24,7 +26,6 @@ Reference values kept by the test suite:
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -134,29 +135,21 @@ class QuasiDistribution:
         return self.values[(slice(0, d),) * (2 * self.system.n)]
 
 
-def _contract_stack(system: QuditSystem, stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """sum over matrix entries of per-factor stacks: out[u] = Tr(Stack_u M).
+def _contract_stack(system: QuditSystem, stack: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """out[..., u] = Tr(Stack_u M) with Stack_u the Kronecker product of per-factor stack entries.
 
-    ``stack`` has shape (mod, mod, d, d); the result has 2n axes ordered
-    (l-block, m-block).
+    ``stack`` has shape (mod, mod, d, d) and ``matrices`` shape (d^n, d^n),
+    or (B, d^n, d^n) with a leading batch axis. The result keeps the batch
+    axis and has 2n more, ordered (l-block, m-block). One ``tensordot``
+    pass per qudit, outermost first.
     """
     d, n = system.d, system.n
-    letters = string.ascii_letters
-    subs, out_l, out_m, rows, cols = [], [], [], [], []
-    k = 0
-    for _ in range(n):
-        li, mi, ri, ci = letters[k : k + 4]
-        k += 4
-        subs.append(li + mi + ri + ci)
-        out_l.append(li)
-        out_m.append(mi)
-        rows.append(ri)
-        cols.append(ci)
-    rho_sub = "".join(cols) + "".join(rows)
-    out_sub = "".join(out_l) + "".join(out_m)
-    spec = ",".join(subs + [rho_sub]) + "->" + out_sub
-    operands = [stack] * n + [matrix.reshape((d,) * (2 * n))]
-    return np.einsum(spec, *operands, optimize=True)
+    lead = matrices.ndim - 2
+    out = matrices.reshape(matrices.shape[:lead] + (d,) * (2 * n))
+    for q in range(n):
+        # Tr(S M): the row and column axes of qudit q meet the stack's column and row
+        out = np.tensordot(out, stack, axes=([lead, lead + n - q], [3, 2]))
+    return out.transpose(*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2))
 
 
 def normalization_residual(dist: QuasiDistribution) -> float:
@@ -206,13 +199,18 @@ def discrete_wigner(rho: DensityState) -> QuasiDistribution:
     (a_1/2, -a_2/2) mod d, so W(b) = (-1)^{a_1 a_2} x(a) at
     a = (2 b_1, -2 b_2) mod d. The x table's checks cover W.
     """
-    system = rho.system
-    d, n = system.d, system.n
-    if d % 2 == 0:
+    if rho.system.d % 2 == 0:
         raise EvenDimensionError("the discrete Wigner function requires odd d")
+    return _wigner_of(x_distribution(rho, Domain.RESTRICTED))
+
+
+def _wigner_of(x: QuasiDistribution) -> QuasiDistribution:
+    """The odd-d Wigner table relabeled from a restricted x table (``discrete_wigner``)."""
+    system = x.system
+    d, n = system.d, system.n
     b = np.arange(d)
     a1, a2 = (2 * b) % d, (-2 * b) % d
-    w = x_distribution(rho, Domain.RESTRICTED).values
+    w = x.values
     for axis, a in enumerate([a1] * n + [a2] * n):
         w = np.take(w, a, axis=axis)
     sign = (1 - 2 * ((a1[:, None] * a2) % 2)).astype(float)
@@ -253,6 +251,32 @@ def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
     return float(np.sum(mags**p) ** (1.0 / p))
 
 
+def _label_cdf(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """What drawing labels u of a signed table with probability |x(u)| / ||x||_1 needs.
+
+    Returns the flat table with entries below NORM_CUTOFF zeroed, its
+    1-norm, the flat labels of its nonzero entries and their cdf,
+    cumsum |x| / ||x||_1 with the last entry set to 1.
+    """
+    flat = values.reshape(-1).copy()
+    flat[np.abs(flat) < NORM_CUTOFF] = 0.0
+    norm = float(np.sum(np.abs(flat)))
+    if norm <= 0:
+        raise ValidationError("input state has zero coefficient norm")
+    nz = np.nonzero(flat)[0]
+    cdf = np.cumsum(np.abs(flat[nz])) / norm
+    cdf[-1] = 1.0
+    return flat, norm, nz, cdf
+
+
+def _draw_labels(nz: np.ndarray, cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` flat labels by inverse CDF from one uniform block (see
+    ``_label_cdf``); with a single nonzero label no uniform is drawn."""
+    if len(nz) == 1:
+        return np.full(count, nz[0], dtype=np.int64)
+    return nz[np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), len(nz) - 1)]
+
+
 def magic_negativity(rho: DensityState) -> float:
     """||x_rho||_1 over the restricted domain; 1 exactly on stabilizer states."""
     return lp_norm(x_distribution(rho, Domain.RESTRICTED), 1.0)
@@ -265,12 +289,16 @@ def stabilizer_renyi(rho: DensityState, alpha: float) -> float:
     purity): M_alpha = (1-alpha)^{-1} log sum_P Xi_P^alpha - n log d.
     The alpha = 1 limit is not implemented.
     """
+    return _renyi_of(characteristic_fn(rho, Domain.RESTRICTED), alpha)
+
+
+def _renyi_of(chi: QuasiDistribution, alpha: float) -> float:
+    """M_alpha from a restricted chi table (``stabilizer_renyi``)."""
     alpha = check_order(alpha, "alpha")
     if abs(alpha - 1.0) < 1e-12:
         raise ValidationError("alpha = 1 (the entropy limit) is not implemented")
-    system = rho.system
-    chi = characteristic_fn(rho, Domain.RESTRICTED).values
-    mags = np.abs(chi).ravel()
+    system = chi.system
+    mags = np.abs(chi.values).ravel()
     mags = mags[mags > NORM_CUTOFF]
     xi = system.dim * mags**2
     total = float(np.sum(xi**alpha))
@@ -279,7 +307,12 @@ def stabilizer_renyi(rho: DensityState, alpha: float) -> float:
 
 def is_hyperpolyhedral(rho: DensityState) -> tuple[bool, float]:
     """(||x||_1 <= 1 + 1e-12, the norm itself)."""
-    norm = magic_negativity(rho)
+    return _hyperpolyhedral_of(x_distribution(rho, Domain.RESTRICTED))
+
+
+def _hyperpolyhedral_of(x: QuasiDistribution) -> tuple[bool, float]:
+    """``is_hyperpolyhedral`` read from a restricted x table."""
+    norm = lp_norm(x, 1.0)
     return norm <= 1.0 + 1e-12, norm
 
 

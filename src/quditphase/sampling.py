@@ -8,14 +8,17 @@ averages signed weights:
     M_traj = x_Pi(lam_T) sign(x_rho(lam_0)) ||x_rho||_1 prod_t sign_t ||col_t||_1
 
 The sample count follows the Hoeffding bound
-K = ceil(2 M^2 ln(2/p_f) / eps^2), where the forward norm M is the input
+K = ceil(2 M^2 ln(2/p_f) / eps^2), and a K above ``core.SAMPLE_CAP`` is
+rejected before anything is drawn. The forward norm M is the input
 1-norm times each explicit gate's largest column 1-norm times the
 effect's max. A trajectory is a label vector in Z_d^{2n}, carried as one
 (2n, K) integer array per stream, and a gate touches only the 2k label
 axes of its k support qudits. Frame columns come from one batched kernel
 (``_columns``): the basis operators at a block of labels are built as one
-Kronecker product, conjugated by the gate at once, and contracted with
-the dual stack one qudit at a time.
+Kronecker product and conjugated by the gate at once, and the batch goes
+through the one stack contraction that also builds the x and chi tables
+(``measures._contract_stack``, one pass per qudit). The input label is
+drawn by the same inverse-CDF helper as the homodyne sampler's.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
@@ -55,6 +58,7 @@ from .core import (
     GateKind,
     InvariantError,
     QuditSystem,
+    SAMPLE_CAP,
     ValidationError,
     clifford_generator,
 )
@@ -63,6 +67,8 @@ from .measures import (
     NORM_CUTOFF,
     QuasiDistribution,
     _contract_stack,
+    _draw_labels,
+    _label_cdf,
     characteristic_fn,
     lp_norm,
     x_distribution,
@@ -74,7 +80,6 @@ __all__ = [
     "NamedGate",
     "CircuitDescription",
     "EstimateReport",
-    "frame_state_coeffs",
     "frame_measurement_coeffs",
     "forward_norm",
     "sample_count",
@@ -168,11 +173,6 @@ class EstimateReport:
 
 # ---------------------------------------------------------------- frames
 
-def frame_state_coeffs(rho: DensityState) -> QuasiDistribution:
-    """x_rho(lam) = Tr(rho O_lam / d^n) on the restricted domain."""
-    return x_distribution(rho, Domain.RESTRICTED)
-
-
 def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam: PhasePoint) -> float:
     """x_Pi(lam) = Tr(Pi O_lam), closed form for computational effects."""
     arr = _measurement_array(system, effect)
@@ -202,8 +202,8 @@ def _columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.nda
 
     The basis operators at the labels are one batched Kronecker product of
     single-qudit stack entries; they are conjugated by U at once and
-    contracted with the dual stack one qudit at a time. O-frame rows are
-    real, Heisenberg-Weyl rows complex.
+    contracted with the dual stack by ``measures._contract_stack``.
+    O-frame rows are real, Heisenberg-Weyl rows complex.
     """
     d, n = system.d, system.n
     basis, dual = _frame_stacks(d, char)
@@ -212,11 +212,7 @@ def _columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.nda
     for q in range(1, n):
         side = ops.shape[1] * d
         ops = (ops[:, :, None, :, None] * basis[vec[q], vec[n + q]][:, None, :, None, :]).reshape(-1, side, side)
-    out = (unitary @ ops @ unitary.conj().T).reshape((-1,) + (d,) * (2 * n))
-    for q in range(n):
-        # Tr(D C): the row and column axes of qudit q meet the dual's column and row
-        out = np.tensordot(out, dual, axes=([1, 1 + n - q], [3, 2]))
-    rows = out.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)).reshape(len(out), -1) / d**n
+    rows = _contract_stack(system, dual, unitary @ ops @ unitary.conj().T).reshape(len(ops), -1) / d**n
     if not char:
         if np.max(np.abs(rows.imag)) > 1e-10:
             raise InvariantError("frame column must be real")
@@ -430,13 +426,13 @@ def forward_norm(circuit: CircuitDescription) -> float:
     system = circuit.system
     return _aggregated_norm(
         _steps(system, circuit.gates, char=False),
-        frame_state_coeffs(circuit.input_state),
+        x_distribution(circuit.input_state, Domain.RESTRICTED),
         _measurement_array(system, circuit.measurement),
     )[0]
 
 
 def sample_count(m_forward: float, epsilon: float, p_fail: float) -> int:
-    """Hoeffding bound ceil(2 M^2 ln(2/p_f) / eps^2)."""
+    """Hoeffding bound ceil(2 M^2 ln(2/p_f) / eps^2), at most ``SAMPLE_CAP``."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
     if not 0 < p_fail < 1:
@@ -444,26 +440,12 @@ def sample_count(m_forward: float, epsilon: float, p_fail: float) -> int:
     if m_forward <= 0:
         raise ValidationError("forward norm must be positive")
     count = 2.0 * m_forward**2 * math.log(2.0 / p_fail) / epsilon**2 if epsilon**2 else math.inf
-    if not math.isfinite(count):
-        raise ValidationError(f"epsilon {epsilon} needs a sample count beyond float range")
+    if not count <= SAMPLE_CAP:
+        raise ValidationError(f"epsilon {epsilon} needs {count:.3g} samples, beyond the cap {SAMPLE_CAP}")
     return math.ceil(count)
 
 
 # ------------------------------------------------------------- estimator
-
-def _flat_coeffs(values: np.ndarray) -> np.ndarray:
-    flat = values.reshape(-1).copy()
-    flat[np.abs(flat) < NORM_CUTOFF] = 0.0
-    return flat
-
-
-def _cdf_from_abs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nz = np.nonzero(weights)[0]
-    cdf = np.cumsum(weights[nz])
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0
-    return nz, cdf
-
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(
@@ -488,26 +470,17 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         state = characteristic_fn(circuit.input_state, Domain.RESTRICTED)
         meas = _char_measurement_array(system, circuit.measurement)
     else:
-        state = frame_state_coeffs(circuit.input_state)
+        state = x_distribution(circuit.input_state, Domain.RESTRICTED)
         meas = _measurement_array(system, circuit.measurement)
     steps = _steps(system, circuit.gates, char)
     m_forward, norm_method = _aggregated_norm(steps, state, meas)
-    coeffs = _flat_coeffs(state.values)
-
-    norm0 = float(np.sum(np.abs(coeffs)))
-    if norm0 <= 0:
-        raise ValidationError("input state has zero frame norm")
+    coeffs, norm0, nz0, cdf0 = _label_cdf(state.values)
     k_total = sample_count(m_forward, epsilon, p_fail)
 
-    nz0, cdf0 = _cdf_from_abs(np.abs(coeffs))
     stream_sums = []
     for s, k_s in enumerate(_split_sizes(k_total, streams)):
         rng = _stream_rng(seed, s)
-        if len(nz0) == 1:
-            idx = np.full(k_s, nz0[0], dtype=np.int64)
-        else:
-            u = rng.random(k_s)
-            idx = nz0[np.minimum(np.searchsorted(cdf0, u, side="right"), len(nz0) - 1)]
+        idx = _draw_labels(nz0, cdf0, rng, k_s)
         vals = coeffs[idx]
         w = norm0 * (vals / np.abs(vals))
         labels = np.array(np.unravel_index(idx, meas.shape))

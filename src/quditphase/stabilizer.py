@@ -266,7 +266,7 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     labels, phases = _group_table(group)
     table = np.zeros((d,) * (2 * n), dtype=complex)
     table[tuple(labels.T)] = phases
-    restricted = _contract_stack(system, _overlap_stack(d), table) / float(d ** (2 * n))
+    restricted = _contract_stack(system, _overlap_stack(d), table.reshape(system.dim, -1)) / float(d ** (2 * n))
     if np.max(np.abs(restricted.imag)) > 1e-10:
         raise InvariantError("stabilizer coefficients must be real")
     rvals = restricted.real

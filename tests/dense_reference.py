@@ -12,12 +12,16 @@ Kronecker product, a dense conjugation and one contraction, sharing no
 code with the library's batched column kernel or its support reduction.
 ``gather_lift`` is the index-gather form of the per-factor lift, kept as
 the reference for the library's broadcast ``lift_to_full``.
+``einsum_contract_stack`` is the one-einsum form of the per-factor stack
+contraction Tr(Stack_u M), the reference for the library's tensordot
+passes and the contraction every table here uses.
 ``dense_wigner`` contracts the state with the odd-d phase-point operators
 A(u) built from their Heisenberg-Weyl sum (``a_stack``), and
 ``sigma_permutation`` relates A to O by matching operators numerically;
 together they are the oracle for the library's relabeled-x Wigner table.
 """
 
+import string
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -32,8 +36,22 @@ from quditphase.core import (
     ValidationError,
     hw_matrix,
 )
-from quditphase.measures import NORM_CUTOFF, _contract_stack
+from quditphase.measures import NORM_CUTOFF
 from quditphase.stabilizer import generator_phases
+
+
+def einsum_contract_stack(system, stack, matrix):
+    """out[u] = Tr(Stack_u M) by one einsum over all n factors.
+
+    ``stack`` has shape (mod, mod, d, d); the result has 2n axes ordered
+    (l-block, m-block).
+    """
+    d, n = system.d, system.n
+    letters = iter(string.ascii_letters)
+    ls, ms, rows, cols = ([next(letters) for _ in range(n)] for _ in range(4))
+    subs = [l + m + r + c for l, m, r, c in zip(ls, ms, rows, cols)]
+    spec = ",".join(subs + ["".join(cols + rows)]) + "->" + "".join(ls + ms)
+    return np.einsum(spec, *[stack] * n, matrix.reshape((d,) * (2 * n)), optimize=True)
 
 
 def _full_stack(build, d):
@@ -43,14 +61,14 @@ def _full_stack(build, d):
 def dense_x_full(rho):
     """x(u) = d^{-n} Tr(O_u rho) at every u in Z_{2d}^{2n}."""
     s = rho.system
-    return _contract_stack(s, _full_stack(o_matrix, s.d), rho.matrix) / s.dim
+    return einsum_contract_stack(s, _full_stack(o_matrix, s.d), rho.matrix) / s.dim
 
 
 def dense_chi_full(rho):
     """chi(u) = d^{-n} Tr(rho P(u)^dagger) at every u in Z_{2d}^{2n}."""
     s = rho.system
     dag = _full_stack(hw_matrix, s.d).conj().transpose(0, 1, 3, 2)
-    return _contract_stack(s, dag, rho.matrix) / s.dim
+    return einsum_contract_stack(s, dag, rho.matrix) / s.dim
 
 
 def dense_gamma(rho):
@@ -128,7 +146,7 @@ def dense_frame_column(system: QuditSystem, char: bool, unitary: np.ndarray, fla
     op = basis[vec[0], vec[n]]
     for q in range(1, n):
         op = np.kron(op, basis[vec[q], vec[n + q]])
-    col = _contract_stack(system, dual, unitary @ op @ unitary.conj().T) / d**n
+    col = einsum_contract_stack(system, dual, unitary @ op @ unitary.conj().T) / d**n
     if not char:
         if np.max(np.abs(col.imag)) > 1e-10:
             raise InvariantError("frame column must be real")
@@ -200,7 +218,7 @@ def sigma_permutation(d: int) -> dict[tuple[int, int], tuple[int, int]]:
 def dense_wigner(rho):
     """W(u) = d^{-n} Tr[A(u) rho] on Z_d^{2n} by contraction with the A stack."""
     s = rho.system
-    raw = _contract_stack(s, a_stack(s.d), rho.matrix) / s.dim
+    raw = einsum_contract_stack(s, a_stack(s.d), rho.matrix) / s.dim
     if np.max(np.abs(raw.imag)) > 1e-10:
         raise InvariantError("Wigner values must be real")
     return raw.real

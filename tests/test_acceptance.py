@@ -51,10 +51,16 @@ from quditphase import (
 )
 from quditphase import conjugate_by, embed_generator
 from quditphase.basis import o_stack, restricted_point
-from quditphase.measures import _contract_stack, apply_word, random_clifford_word
+from quditphase.measures import apply_word, random_clifford_word
 from quditphase.sampling import frame_measurement_coeffs
 
-from dense_reference import dense_stabilizer_state, dense_wigner, dense_x_full, sigma_permutation
+from dense_reference import (
+    dense_stabilizer_state,
+    dense_wigner,
+    dense_x_full,
+    einsum_contract_stack,
+    sigma_permutation,
+)
 
 GRID = [
     (d, n)
@@ -284,7 +290,7 @@ def test_criterion_6_estimator_benchmark():
     for l in range(2):
         for m in range(2):
             conj = t_gate @ stack[l, m] @ t_gate.conj().T
-            col = _contract_stack(s, stack, conj) / 2
+            col = einsum_contract_stack(s, stack, conj) / 2
             best = max(best, float(np.sum(np.abs(col.real))))
     assert abs(best - math.sqrt(2)) < 1e-12
     assert abs(forward_norm(circuit) - best) < 1e-12

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from quditphase import measures
 from quditphase.cli import main
 
 HTH = {
@@ -53,6 +54,15 @@ def test_measure_includes_wigner_for_odd_d(capsys):
     doc = json.loads(out)
     assert code == 0
     assert abs(doc["wigner_negativity"] - 1.0) < 1e-9
+
+
+def test_measure_builds_one_x_and_one_chi_table(capsys, monkeypatch):
+    calls = []
+    contract = measures._contract_stack
+    monkeypatch.setattr(measures, "_contract_stack", lambda *args: calls.append(1) or contract(*args))
+    code, _ = run(capsys, "measure", "--d", "3", "--n", "2", "--alpha", "0.5", "2", "3")
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_measure_csv(capsys):
@@ -232,6 +242,7 @@ def test_simulate_rejects_bad_values(tmp_path, capsys, section, field, value):
         ("simulate", "--epsilon", "nan"),
         ("simulate", "--epsilon", "inf"),
         ("simulate", "--epsilon", "1e-300"),
+        ("simulate", "--epsilon", "1e-9"),
         ("simulate", "--streams", "0"),
         ("simulate", "--seed", "-1"),
         ("simulate", "--circuit", "{tmp_path}"),
@@ -241,8 +252,8 @@ def test_simulate_rejects_bad_values(tmp_path, capsys, section, field, value):
         ("measure", "--d", "2", "--output", "{tmp_path}/missing/x.json"),
         ("measure", "--d", "2", "--output", "{tmp_path}"),
     ],
-    ids=["epsilon-nan", "epsilon-inf", "epsilon-tiny", "zero-streams", "negative-seed", "circuit-is-directory",
-         "gkp-check-zero-samples-csv", "gkp-check-negative-samples", "gkp-check-negative-seed",
+    ids=["epsilon-nan", "epsilon-inf", "epsilon-tiny", "epsilon-beyond-sample-cap", "zero-streams", "negative-seed",
+         "circuit-is-directory", "gkp-check-zero-samples-csv", "gkp-check-negative-samples", "gkp-check-negative-seed",
          "output-in-missing-directory", "output-is-directory"],
 )
 def test_bad_arguments_are_validation_errors(tmp_path, capsys, argv):
@@ -386,6 +397,7 @@ GKP_SIM_OK = {"d": 2, "n": 1, "input": {"kind": "plus"}, "gate": {"kind": "FOURI
         {**GKP_SIM_OK, "gate": "FOURIER"},
         {**GKP_SIM_OK, "samples": "abc"},
         {**GKP_SIM_OK, "samples": -1},
+        {**GKP_SIM_OK, "samples": 10**15},
         {**GKP_SIM_OK, "seed": -1},
         {"d": 2, "n": 1, "input": {"kind": "plus"}, "S": [[1.0, 0.0], [0.5]], "samples": 1},
         [GKP_SIM_OK],
@@ -396,7 +408,7 @@ GKP_SIM_OK = {"d": 2, "n": 1, "input": {"kind": "plus"}, "gate": {"kind": "FOURI
         {**GKP_SIM_OK, "gate": {"kind": "FOURIER", "target": [0]}},
         {**GKP_SIM_OK, "sample": 3},
     ],
-    ids=["bad-gate-kind", "gate-not-object", "non-integer-samples", "negative-samples",
+    ids=["bad-gate-kind", "gate-not-object", "non-integer-samples", "negative-samples", "samples-beyond-cap",
          "negative-seed", "ragged-S", "top-level-array", "nan-in-S", "inf-displacement",
          "gate-and-displacement", "gate-and-S", "misspelt-targets", "misspelt-samples"],
 )

@@ -24,6 +24,8 @@ from quditphase import (
     t_state,
     x_distribution,
 )
+from quditphase import measures
+from quditphase.basis import o_stack, p_stack
 from quditphase.measures import (
     apply_word,
     normalization_residual,
@@ -32,9 +34,22 @@ from quditphase.measures import (
     word_unitary,
 )
 
-from dense_reference import dense_wigner, sigma_permutation
+from dense_reference import dense_wigner, einsum_contract_stack, sigma_permutation
 
 LOG_4_3 = math.log(4.0 / 3.0)  # = 0.28768207245178085
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 5), (3, 2), (4, 3), (5, 2), (6, 2)])
+@pytest.mark.parametrize(
+    "stack", [o_stack, p_stack, lambda d: p_stack(d).conj().transpose(0, 1, 3, 2)], ids=["o", "p", "p-dagger"]
+)
+def test_contraction_matches_the_einsum_reference(d, n, stack):
+    system = QuditSystem(d, n)
+    rng = np.random.default_rng(100 * d + n)
+    mats = rng.standard_normal((3, system.dim, system.dim)) + 1j * rng.standard_normal((3, system.dim, system.dim))
+    want = np.array([einsum_contract_stack(system, stack(d), m) for m in mats])
+    assert np.max(np.abs(measures._contract_stack(system, stack(d), mats[0]) - want[0])) < 1e-12
+    assert np.max(np.abs(measures._contract_stack(system, stack(d), mats) - want)) < 1e-12
 
 
 @given(st.integers(2, 5), st.integers(0, 10_000))

@@ -28,10 +28,9 @@ from quditphase import (
 )
 from quditphase.basis import PhasePoint, clifford_coordinate_action, o_stack, p_stack, reduce_full_point
 from quditphase.core import embed_generator
-from quditphase.measures import _contract_stack
 from quditphase.sampling import _char_measurement_array, _columns, _measurement_array, _step, _steps, _support
 
-from dense_reference import dense_frame_column
+from dense_reference import dense_frame_column, einsum_contract_stack
 
 EXACT_HTH = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
 
@@ -267,8 +266,8 @@ def test_computational_effect_tables_match_the_dense_projector(d):
                     proj = np.ones((1, 1))
                     for q in range(n):
                         proj = np.kron(proj, np.diag(np.arange(d) == outs[idx.index(q)]) if q in idx else np.eye(d))
-                    dense_o = _contract_stack(system, o_stack(d), proj.astype(complex))
-                    dense_p = _contract_stack(system, p_stack(d), proj.astype(complex))
+                    dense_o = einsum_contract_stack(system, o_stack(d), proj.astype(complex))
+                    dense_p = einsum_contract_stack(system, p_stack(d), proj.astype(complex))
                     assert np.max(np.abs(_measurement_array(system, effect) - dense_o)) < 1e-12
                     assert np.max(np.abs(_char_measurement_array(system, effect) - dense_p)) < 1e-12
 
