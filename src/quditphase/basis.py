@@ -146,6 +146,15 @@ def p_stack(d: int) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=32)
+def _p_dagger_stack(d: int) -> np.ndarray:
+    """All single-qudit P(a, b)^dagger at restricted labels, the dual stack of
+    chi and of the Heisenberg-Weyl frame, shape (d, d, d, d); cached read-only."""
+    stack = np.conj(np.swapaxes(p_stack(d), 2, 3))
+    stack.flags.writeable = False
+    return stack
+
+
 def o_operator(system: QuditSystem, point: PhasePoint) -> DenseOperator:
     """Dense O_{l,m}; multi-qudit via tensor product of factors."""
     if point.n != system.n:

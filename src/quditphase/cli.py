@@ -346,7 +346,7 @@ def _cmd_gkp_check(args, cells) -> int:
 
 def _gate_from_spec(system: QuditSystem, spec):
     if isinstance(spec, dict) and "matrix" in spec:
-        return DenseOperator(system, _matrix(_fields(spec, "matrix")["matrix"]), unitary=True)
+        return DenseOperator(system, _matrix(_fields(spec, "matrix")["matrix"]))
     return _named_gate(spec)
 
 

@@ -49,11 +49,11 @@ from .basis import (
     SymplecticAffineMap,
     _factor_product,
     _o_trace_table,
+    _p_dagger_stack,
     clifford_coordinate_action,
     lift_table,
     lift_to_full,
     o_stack,
-    p_stack,
 )
 
 __all__ = [
@@ -226,8 +226,7 @@ def characteristic_fn(rho: DensityState, domain: Domain | str = Domain.RESTRICTE
     """
     domain = Domain(domain)
     system = rho.system
-    dag = p_stack(system.d).conj().transpose(0, 1, 3, 2)
-    raw = np.ascontiguousarray(_contract_stack(system, dag, rho.matrix) / system.dim)
+    raw = np.ascontiguousarray(_contract_stack(system, _p_dagger_stack(system.d), rho.matrix) / system.dim)
     if domain is Domain.FULL:
         raw = lift_to_full(raw, lift_table(system.d, char=True))
     return QuasiDistribution._adopt(system, domain, raw)

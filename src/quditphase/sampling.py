@@ -22,7 +22,10 @@ drawn by the same inverse-CDF helper as the homodyne sampler's.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
-or a phase (Heisenberg-Weyl frame), read from a table built once. An
+or a phase (Heisenberg-Weyl frame). The table of both is built once, in
+closed form from the generator's Z_{2d} label action
+(``basis.clifford_coordinate_action``), so no named gate is conjugated
+densely and its cost is O(d^{2k}) at any d. An
 explicit gate is first reduced to its support: qudit q is dropped only
 when U = I_q (x) V holds exactly, entry for entry, and one qudit is
 always kept. Its d^{2k} local columns give the gate's factor of M as an
@@ -60,9 +63,18 @@ from .core import (
     QuditSystem,
     SAMPLE_CAP,
     ValidationError,
-    clifford_generator,
 )
-from .basis import Domain, PhasePoint, _factor_product, _o_trace_table, o_stack, p_stack
+from .basis import (
+    Domain,
+    PhasePoint,
+    _factor_product,
+    _o_trace_table,
+    _p_dagger_stack,
+    clifford_coordinate_action,
+    lift_table,
+    o_stack,
+    p_stack,
+)
 from .measures import (
     NORM_CUTOFF,
     QuasiDistribution,
@@ -179,16 +191,6 @@ def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam
     return float(arr[tuple(lam.vector())])
 
 
-@lru_cache(maxsize=16)
-def _frame_stacks(d: int, char: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Restricted single-qudit basis stack of a frame and its dual stack."""
-    if not char:
-        return o_stack(d), o_stack(d)
-    dual = np.conj(np.swapaxes(p_stack(d), 2, 3))
-    dual.flags.writeable = False
-    return p_stack(d), dual
-
-
 def _column_blocks(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.ndarray):
     """(offset, rows) for consecutive blocks of ``flats``, each block's
     complex columns within _BLOCK_BYTES."""
@@ -206,7 +208,7 @@ def _columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.nda
     O-frame rows are real, Heisenberg-Weyl rows complex.
     """
     d, n = system.d, system.n
-    basis, dual = _frame_stacks(d, char)
+    basis, dual = (p_stack(d), _p_dagger_stack(d)) if char else (o_stack(d), o_stack(d))
     vec = np.unravel_index(flats, (d,) * (2 * n))
     ops = basis[vec[0], vec[n]]
     for q in range(1, n):
@@ -225,22 +227,49 @@ def _columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.nda
 
 @lru_cache(maxsize=64)
 def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Image label and unit phase of every local label under a generator.
+    """Image label and unit factor of every local label under a generator.
 
-    Built on the generator's own 1- or 2-qudit support (SUM as
-    (control, target)), where each column has exactly one entry.
+    Read in closed form from the generator's Z_{2d} label action
+    u -> Au + s (``clifford_coordinate_action``) on its own 1- or 2-qudit
+    support (SUM as (control, target)).
+
+    O frame: U O_u U^dagger = O_{Au+s} with no sign, so the image is
+    Au + s mod 2d, reduced mod d with the sign prod_i lift_table(d) at the
+    doubled label, as in ``reduce_full_point``.
+
+    Heisenberg-Weyl frame. With J = diag(I_k, -I_k) and R = O_0 the
+    parity, O_{l,m} = e^{-i pi m l/d} X^l Z^{-m} R, so O_u is P(Ju) R up to
+    a unit scalar (exactly at even d), and R P(v) R = P(-v). As
+    U R U^dagger = O_s, U P(v) U^dagger is O_{AJv+s} O_s up to a scalar:
+    a multiple of P(JAJv + Js) P(-Js), hence of P(JAJv). The image is
+    JAJu mod 2d, reduced mod d with the factor prod_i
+    lift_table(d, char=True) at the doubled label. The multiple, gate by
+    gate: FOURIER, SUM and even-d PHASE (s = 0) map P(v) to exactly
+    P(JAJv), at even d by the exact relation above and at odd d as linear
+    symplectic maps of the Weyl representation (Gross, J. Math. Phys. 47,
+    122107 (2006)). The other generators are P(t) times such a gate:
+    X = P(1, 0), Z = P(0, 1), and the odd-d PHASE diagonal w^{j(j-1)/2} is
+    w^{j^2/2} times Z^{-1/2}, halves read as 2^{-1} mod d. Conjugation by
+    P(t) multiplies P(v) by w^{-(t_l.v_m - t_m.v_l)}, and P(t) shifts O
+    labels by 2Jt. So t = Js/2 at even d, where every shift is even, and
+    t = 2^{-1} Js mod d at odd d. Each generator fixes its own shift
+    (As = s), so JAJ fixes t and the factor is the same whether P(t) acts
+    before or after the linear part.
     """
-    local = QuditSystem(d, 2 if kind is GateKind.SUM else 1)
-    unitary = clifford_generator(local, kind).entries
-    images, phases = [], []
-    for _, rows in _column_blocks(local, char, unitary, np.arange(d ** (2 * local.n))):
-        if np.any(np.count_nonzero(rows, axis=1) != 1):
-            raise InvariantError("a generator column must have a single entry")
-        image = np.argmax(rows != 0, axis=1)
-        picked = rows[np.arange(len(rows)), image]
-        images.append(image)
-        phases.append(picked / np.abs(picked))
-    images, phases = np.concatenate(images), np.concatenate(phases)
+    k = 2 if kind is GateKind.SUM else 1
+    amap = clifford_coordinate_action(QuditSystem(d, k), kind)
+    u = np.indices((d,) * (2 * k)).reshape(2 * k, -1)
+    flip = np.repeat([1, -1], k)
+    if char:
+        full = (flip[:, None] * (amap.matrix @ (flip[:, None] * u))) % (2 * d)
+    else:
+        full = (amap.matrix @ u + amap.shift[:, None]) % (2 * d)
+    phases = np.prod(lift_table(d, char)[full[:k], full[k:]], axis=0)
+    if char:
+        js = flip * amap.shift
+        t = js // 2 if d % 2 == 0 else js * pow(2, -1, d)
+        phases = phases * np.exp(-2j * np.pi * ((t[:k] @ u[k:] - t[k:] @ u[:k]) % d) / d)
+    images = np.ravel_multi_index(tuple(full % d), (d,) * (2 * k))
     images.flags.writeable = phases.flags.writeable = False
     return images, phases
 

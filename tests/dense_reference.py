@@ -51,7 +51,14 @@ def einsum_contract_stack(system, stack, matrix):
     ls, ms, rows, cols = ([next(letters) for _ in range(n)] for _ in range(4))
     subs = [l + m + r + c for l, m, r, c in zip(ls, ms, rows, cols)]
     spec = ",".join(subs + ["".join(cols + rows)]) + "->" + "".join(ls + ms)
-    return np.einsum(spec, *[stack] * n, matrix.reshape((d,) * (2 * n)), optimize=True)
+    operands = [*[stack] * n, matrix.reshape((d,) * (2 * n))]
+    return np.einsum(spec, *operands, optimize=_greedy_path(spec, tuple(op.shape for op in operands)))
+
+
+@lru_cache(maxsize=None)
+def _greedy_path(spec, shapes):
+    """The contraction order ``optimize=True`` would pick, found once per spec and shapes."""
+    return np.einsum_path(spec, *[np.empty(shape) for shape in shapes], optimize="greedy")[0]
 
 
 def _full_stack(build, d):

@@ -428,6 +428,7 @@ def test_gkp_sim_rejects_bad_values(tmp_path, capsys, doc):
         ("simulate", {**HTH, "input": {"kind": "stabilizer", "generators": 5}}),
         ("simulate", {**HTH, "input": {"kind": "matrix", "matrix": [[math.nan, 0], [0, 1]]}}),
         ("simulate", {**HTH, "gates": [{"matrix": [[1, 0], [0, math.nan]]}]}),
+        ("simulate", {**HTH, "gates": [{"matrix": [[1, 1], [0, 1]]}]}),
         ("simulate", {key: value for key, value in HTH.items() if key != "gates"} | {"gate": HTH["gates"]}),
         ("simulate", {**HTH, "gates": [{"kind": "FOURIER", "matrix": [[1, 0], [0, 1]]}]}),
         ("simulate", {**HTH, "measurement": {"kind": "explicit", "indices": [0], "matrix": [[1, 0], [0, 0]]}}),
@@ -435,7 +436,7 @@ def test_gkp_sim_rejects_bad_values(tmp_path, capsys, doc):
         ("gkp-sim", {**GKP_SIM_OK, "samples": 1e400}),
     ],
     ids=["d-1e400", "measurement-array", "generators-not-text", "nan-input-matrix", "nan-gate-matrix",
-         "misspelt-gates", "gate-kind-and-matrix", "explicit-with-indices", "plus-with-index", "gkp-sim-samples-1e400"],
+         "gate-not-unitary", "misspelt-gates", "gate-kind-and-matrix", "explicit-with-indices", "plus-with-index", "gkp-sim-samples-1e400"],
 )
 def test_bad_documents_are_validation_errors(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"

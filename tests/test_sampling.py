@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from quditphase import (
     sample_count,
     t_state,
 )
-from quditphase.basis import PhasePoint, clifford_coordinate_action, o_stack, p_stack, reduce_full_point
+from quditphase.basis import o_stack, p_stack
 from quditphase.core import embed_generator
 from quditphase.sampling import _char_measurement_array, _columns, _measurement_array, _step, _steps, _support
 
@@ -214,6 +215,32 @@ def test_two_qudit_sum_circuit():
     assert abs(report.estimate - 0.5) < 0.1
 
 
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+def test_named_word_at_d11_matches_the_dense_born_probability(char):
+    # |0,0> -> |0,1> -> |+,1> -> F|1>|1> -> |1,1> -> |1,2>: the readout (1, 2) is certain
+    s = QuditSystem(11, 2)
+    word = (
+        (GateKind.SHIFT, (1,)),
+        (GateKind.SUM, (0, 1)),
+        (GateKind.FOURIER, (0,)),
+        (GateKind.CLOCK, (0,)),
+        *[(GateKind.FOURIER, (0,))] * 3,
+        (GateKind.PHASE, (1,)),
+        (GateKind.SUM, (0, 1)),
+    )
+    readout = (1, 2)
+    unitary = np.eye(s.dim)
+    for gate in word:
+        unitary = embed_generator(s, *gate).entries @ unitary
+    exact = abs(unitary[readout[0] * s.d + readout[1], 0]) ** 2
+    assert abs(exact - 1.0) < 1e-12
+    circuit = CircuitDescription(
+        s, computational_state(s, 0), word, MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 1), readout)
+    )
+    report = (estimate_born_char if char else estimate_born)(circuit, 0.05, 0.05, seed=7)
+    assert abs(report.estimate - exact) < 0.05
+
+
 def test_partial_measurement_marginal():
     s = QuditSystem(3, 2)
     circuit = CircuitDescription(
@@ -321,19 +348,57 @@ def named_step(system, gate, labels, char):
     return labels, _step(system.d, labels, np.ones(labels.shape[1]), axes, op, None)
 
 
-@pytest.mark.parametrize("gate", NAMED_GATES, ids=NAMED_IDS)
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_o_frame_named_step_matches_coordinate_action(d, gate):
+@lru_cache(maxsize=None)
+def dense_support_entries(d, kind, char):
+    """Position and value of the one nonzero entry of each dense frame column
+    of a generator on its own 1- or 2-qudit support (SUM as (control, target)).
+
+    Each column is a dense conjugation (``dense_frame_column``); it must
+    have exactly one nonzero, of modulus one.
+    """
+    local = QuditSystem(d, 2 if kind is GateKind.SUM else 1)
+    unitary = embed_generator(local, kind).entries
+    hits, entries = [], []
+    for flat in range(d ** (2 * local.n)):
+        col = dense_frame_column(local, char, unitary, flat)
+        nonzero = np.flatnonzero(col)
+        assert len(nonzero) == 1
+        assert abs(abs(col[nonzero[0]]) - 1.0) < 1e-12
+        hits.append(nonzero[0])
+        entries.append(col[nonzero[0]])
+    return np.array(hits), np.array(entries)
+
+
+def check_named_step_against_dense_columns(d, gate, char):
+    """Every label of a two-qudit register through one named step.
+
+    The step must move the label's support part to the position of the
+    one entry of its dense column, with that entry as its sign or phase,
+    and leave the other qudit's labels as they are.
+    """
+    kind, targets = gate
     s = QuditSystem(d, 2)
-    shape = (d,) * 4
-    images, signs = named_step(s, gate, np.array(np.unravel_index(np.arange(d**4), shape)), False)
-    images = np.ravel_multi_index(tuple(images), shape)
-    amap = clifford_coordinate_action(s, *gate)
-    for flat in range(d**4):
-        point = PhasePoint.from_vector(np.unravel_index(flat, shape), d)
-        red, sign = reduce_full_point(s, amap.apply(point))
-        assert images[flat] == np.ravel_multi_index(tuple(red.vector()), shape)
-        assert signs[flat] == float(sign)
+    labels = np.array(np.unravel_index(np.arange(d**4), (d,) * 4))
+    images, phases = named_step(s, gate, labels, char)
+    axes = [*targets, *(2 + q for q in targets)]
+    local = np.ravel_multi_index(tuple(labels[axes]), (d,) * len(axes))
+    hits, entries = dense_support_entries(d, kind, char)
+    assert np.max(np.abs(entries[local] - phases)) < 1e-12
+    expected = labels.copy()
+    expected[axes] = np.unravel_index(hits[local], (d,) * len(axes))
+    assert np.array_equal(images, expected)
+
+
+@pytest.mark.parametrize("gate", NAMED_GATES, ids=NAMED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_o_frame_named_step_matches_coordinate_action(d, gate):
+    check_named_step_against_dense_columns(d, gate, char=False)
+
+
+@pytest.mark.parametrize("gate", NAMED_GATES, ids=NAMED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_hw_frame_named_step_matches_dense_conjugation(d, gate):
+    check_named_step_against_dense_columns(d, gate, char=True)
 
 
 def hw_operators(system):
@@ -354,19 +419,6 @@ def hw_expansion(system, unitary):
     ops = hw_operators(system)
     conj = unitary @ ops @ unitary.conj().T
     return conj.reshape(len(ops), -1) @ ops.conj().reshape(len(ops), -1).T / system.dim
-
-
-@pytest.mark.parametrize("gate", NAMED_GATES, ids=NAMED_IDS)
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_hw_frame_named_step_matches_dense_conjugation(d, gate):
-    s = QuditSystem(d, 2)
-    coeffs = hw_expansion(s, embed_generator(s, *gate).entries)
-    labels = np.arange(d**4)
-    images, phases = named_step(s, gate, np.array(np.unravel_index(labels, (d,) * 4)), True)
-    images = np.ravel_multi_index(tuple(images), (d,) * 4)
-    assert np.max(np.abs(coeffs[labels, images] - phases)) < 1e-12
-    coeffs[labels, images] = 0.0
-    assert np.max(np.abs(coeffs)) < 1e-12
 
 
 @pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
