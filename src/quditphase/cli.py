@@ -75,6 +75,13 @@ def _write(text: str, args) -> None:
         print(text)
 
 
+def _write_csv(rows, args) -> None:
+    """Write ``rows`` as CSV (one line each, header first) through ``_write``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write(buf.getvalue().rstrip("\n"), args)
+
+
 def _emit(doc, args, human: str = "") -> None:
     _write(json.dumps(doc, sort_keys=True), args)
     if human:
@@ -245,17 +252,12 @@ def _cmd_measure(args, rho: DensityState) -> int:
     if system.d % 2:
         doc["wigner_negativity"] = lp_norm(_wigner_of(x), 1)
     if args.csv:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["quantity", "value"])
-        w.writerow(["negativity", doc["negativity"]])
-        w.writerow(["norm_1", doc["norm_1"]])
-        for a, v in renyi.items():
-            w.writerow([f"renyi_{a}", v])
-        w.writerow(["hyperpolyhedral", doc["hyperpolyhedral"]])
+        rows = [["quantity", "value"], ["negativity", norm], ["norm_1", norm]]
+        rows += [[f"renyi_{a}", v] for a, v in renyi.items()]
+        rows.append(["hyperpolyhedral", doc["hyperpolyhedral"]])
         if "wigner_negativity" in doc:
-            w.writerow(["wigner_negativity", doc["wigner_negativity"]])
-        sys.stdout.write(buf.getvalue())
+            rows.append(["wigner_negativity", doc["wigner_negativity"]])
+        _write_csv(rows, args)
         return 0
     rows = [f"  negativity       {doc['negativity']:.12g}", f"  1-norm           {norm:.12g}"]
     rows += [f"  renyi alpha={a}   {v:.12g}" for a, v in renyi.items()]
@@ -332,11 +334,7 @@ def _cmd_gkp_check(args, cells) -> int:
             )
     doc = {"schema_version": SCHEMA_VERSION, "results": rows, "max_residual": worst}
     if args.csv:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        w.writeheader()
-        w.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        _write_csv([list(rows[0])] + [list(row.values()) for row in rows], args)
     else:
         _emit(doc, args, f"cell-norm identity check: {len(rows)} rows, max residual {worst:.3e}")
     if worst >= 1e-9:
@@ -462,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="quditphase", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--output", help="write JSON here instead of stdout")
+    out.add_argument("--output", help="write the JSON (or CSV) here instead of stdout")
     register = argparse.ArgumentParser(add_help=False, parents=[out])
     register.add_argument("--d", type=int, required=True)
     register.add_argument("--n", type=int, default=1)

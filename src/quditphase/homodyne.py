@@ -9,11 +9,11 @@ a homodyne sample is produced exactly:
     draw u with probability |x_rho(u)| / ||x_rho||_1 (full domain),
     x = Tr_p[t + sqrt(pi/2d) S u],   branch fixed to zero,
 
-where Tr_p keeps the position block (the first n components). For
-logical Clifford circuits S and t come from the integer coordinate
-action of the gate, the whole map is evaluated in integer arithmetic,
-and every output lands exactly on the sqrt(pi/2d) lattice. Samples
-carry sign(x_rho(u)) and the constant weight ||x_rho||_1 (d/8pi)^{n/2};
+where Tr_p keeps the position block (the first n components). When S
+is an integer matrix and t a lattice vector, as for every logical
+Clifford gate, the whole map is evaluated in integer arithmetic, and
+every output lands exactly on the sqrt(pi/2d) lattice. Samples carry
+sign(x_rho(u)) and the constant weight ||x_rho||_1 (d/8pi)^{n/2};
 the signed weighted histogram reproduces the pseudo-probability P~,
 which is not normalizable and is flagged as such.
 
@@ -59,23 +59,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianCircuit:
-    """Real symplectic action S with an additive displacement.
+    """Real symplectic action S with an additive displacement t, stored read-only.
 
-    When S and the displacement come from a logical gate, the exact
-    integer matrix and shift (centered representatives) are kept so the
-    sample map can run in integer arithmetic.
+    The integer map is derived, never given: when S is an integer matrix
+    and t = sqrt(pi/2d) k for an integer vector k, bit for bit, with no
+    entry of S or k beyond 2^31 (so int64 cannot overflow), ``integer_s``
+    is S and ``integer_shift`` is k as integer arrays; otherwise both are None.
     """
 
     system: QuditSystem
     s_matrix: np.ndarray
     displacement: np.ndarray
-    integer_s: np.ndarray | None = None
-    integer_shift: np.ndarray | None = None
+    integer_s: np.ndarray | None = field(init=False, default=None)
+    integer_shift: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         n = self.system.n
-        s = np.asarray(self.s_matrix, dtype=float)
-        t = np.asarray(self.displacement, dtype=float)
+        s = np.array(self.s_matrix, dtype=float)
+        t = np.array(self.displacement, dtype=float)
         if s.shape != (2 * n, 2 * n):
             raise ValidationError(f"S must be {2 * n}x{2 * n}")
         if t.shape != (2 * n,):
@@ -86,12 +87,20 @@ class GaussianCircuit:
         dev = np.max(np.abs(s.T @ omega @ s - omega))
         if dev > 1e-9:
             raise ValidationError(f"S is not symplectic (dev {dev:.3e})")
+        c = math.sqrt(math.pi / (2 * self.system.d))
+        k = np.rint(t / c)
+        lattice = np.array_equal(np.rint(s), s) and np.array_equal(c * k, t)
+        if lattice and max(np.abs(s).max(), np.abs(k).max()) <= 2**31:
+            object.__setattr__(self, "integer_s", s.astype(np.int64))
+            object.__setattr__(self, "integer_shift", k.astype(np.int64))
+            self.integer_s.flags.writeable = self.integer_shift.flags.writeable = False
+        s.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "s_matrix", s)
         object.__setattr__(self, "displacement", t)
 
     @property
     def integer_map(self) -> SymplecticAffineMap | None:
-        """Mod-2d affine coordinate action, when the circuit is a logical gate."""
+        """Mod-2d affine coordinate action, when the circuit maps the lattice to itself."""
         if self.integer_s is None:
             return None
         return SymplecticAffineMap(
@@ -102,9 +111,7 @@ class GaussianCircuit:
 
     @classmethod
     def identity(cls, system: QuditSystem) -> "GaussianCircuit":
-        n = system.n
-        return cls(system, np.eye(2 * n), np.zeros(2 * n),
-                   np.eye(2 * n, dtype=int), np.zeros(2 * n, dtype=int))
+        return cls(system, np.eye(2 * system.n), np.zeros(2 * system.n))
 
 
 @dataclass(frozen=True)
@@ -122,23 +129,16 @@ class HomodyneSample:
 def logical_clifford_symplectic(system: QuditSystem, kind, targets=None) -> GaussianCircuit:
     """Gaussian implementation of a logical generator on the code lattice.
 
-    S is the integer coordinate action of the gate; the displacement is
-    sqrt(pi/2d) times its affine shift, so e.g. the logical shift becomes
-    a position displacement by sqrt(2 pi / d).
+    S is the integer coordinate action of the gate (centered
+    representatives); the displacement is sqrt(pi/2d) times its affine
+    shift, so e.g. the logical shift becomes a position displacement by
+    sqrt(2 pi / d). Both are integral, so the circuit's integer map is set.
     """
     amap = clifford_coordinate_action(system, kind, targets)
     mod = 2 * system.d
     centered = lambda a: np.where(a % mod > system.d, a % mod - mod, a % mod)
-    s_int = centered(amap.matrix)
-    sh_int = centered(amap.shift)
     c = math.sqrt(math.pi / (2 * system.d))
-    return GaussianCircuit(
-        system,
-        s_int.astype(float),
-        c * sh_int.astype(float),
-        integer_s=s_int,
-        integer_shift=sh_int,
-    )
+    return GaussianCircuit(system, centered(amap.matrix).astype(float), c * centered(amap.shift).astype(float))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -203,8 +203,8 @@ def simulate_homodyne_batch(
 ) -> HomodyneBatch:
     """Draw ``num_samples`` homodyne samples with one seeded stream.
 
-    Each distinct drawn label is mapped once: by one integer matmul for a
-    logical circuit, by the float map S (c u) + t otherwise.
+    Each distinct drawn label is mapped once: by one integer matmul when
+    the circuit has an integer map, by the float map S (c u) + t otherwise.
     """
     system = rho.system
     if circuit.system != system:

@@ -34,9 +34,11 @@ that the factor is the Parseval bound d^k: every column has l2 norm 1 in
 both frames. Either way M bounds every trajectory weight, as the
 Hoeffding count needs, and the report says which (``norm_method``).
 Sampling builds the columns of the local labels the trajectories hold.
-A computational effect's table is a product of per-factor (d, d) tables,
-broadcast one factor at a time; its unmeasured factors read the Tr O
-table of ``basis``.
+One setup (``_frame``) gives ``forward_norm`` and both estimators the
+gate steps, the input table and the effect table of a frame. A
+computational effect's table is a product of per-factor (d, d) tables,
+broadcast one factor at a time; in the O frame its unmeasured factors
+read the Tr O table of ``basis``.
 
 Determinism contract: one uniform block per stream for the input draw
 and one per explicit gate, in trajectory order; named gates draw nothing
@@ -130,8 +132,10 @@ class MeasurementEffect:
         else:
             if self.operator is None:
                 raise ValidationError("EXPLICIT effect needs an operator")
-            if self.operator.entries.shape != (system.dim, system.dim):
-                raise ValidationError("effect shape mismatch")
+            if self.operator.system != system:
+                raise ValidationError("effect register mismatch")
+            if not self.operator.hermitian:
+                DenseOperator(system, self.operator.entries, hermitian=True)
             eig = np.linalg.eigvalsh(self.operator.entries)
             if eig.min() < -1e-9 or eig.max() > 1 + 1e-9:
                 raise ValidationError("effect must satisfy 0 <= Pi <= 1")
@@ -155,11 +159,10 @@ class CircuitDescription:
             raise ValidationError("input state system mismatch")
         for g in self.gates:
             if isinstance(g, DenseOperator):
-                if g.entries.shape != (self.system.dim, self.system.dim):
-                    raise ValidationError("gate shape mismatch")
-                u = g.entries
-                if np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) > 1e-9:
-                    raise ValidationError("explicit gate is not unitary")
+                if g.system != self.system:
+                    raise ValidationError("gate register mismatch")
+                if not g.unitary:
+                    DenseOperator(g.system, g.entries, unitary=True)
             else:
                 kind, targets = g
                 kind = GateKind(kind)
@@ -187,8 +190,7 @@ class EstimateReport:
 
 def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam: PhasePoint) -> float:
     """x_Pi(lam) = Tr(Pi O_lam), closed form for computational effects."""
-    arr = _measurement_array(system, effect)
-    return float(arr[tuple(lam.vector())])
+    return float(_effect_table(system, effect, char=False)[tuple(lam.vector())])
 
 
 def _column_blocks(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.ndarray):
@@ -380,49 +382,49 @@ def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) 
     return w
 
 
-# ------------------------------------------------------- measurement table
+# ------------------------------------------------------------ frame setup
 
-def _measurement_array(system: QuditSystem, effect: MeasurementEffect) -> np.ndarray:
-    """x_Pi over the whole restricted domain, shape (d,)*2n.
+def _effect_table(system: QuditSystem, effect: MeasurementEffect, char: bool) -> np.ndarray:
+    """Tr(Pi O_u) (real) or Tr(Pi P(u)) (complex, ``char``) over the
+    restricted domain, shape (d,)*2n.
 
-    A computational effect is a product of per-factor (d, d) tables:
-    <o|O_{l,m}|o> = (-1)^{m k} where l = 2o - k d, else 0, on a measured
-    qudit, and Tr O_{l,m} on the others.
+    A computational effect is a product of per-factor (d, d) tables. On a
+    measured qudit with outcome o, <o|O_{l,m}|o> = (-1)^{m k} where
+    l = 2o - k d, else 0, and <o|P(a,b)|o> = w^{b o} at a = 0, else 0; on
+    the others Tr O_{l,m}, and Tr P(a,b) = d at a = b = 0, else 0.
     """
     d, n = system.d, system.n
     if effect.kind == MeasurementKind.EXPLICIT:
-        arr = _contract_stack(system, o_stack(d), effect.operator.entries.astype(complex))
+        arr = _contract_stack(system, p_stack(d) if char else o_stack(d), effect.operator.entries.astype(complex))
+        if char:
+            return arr
         if np.max(np.abs(arr.imag)) > 1e-10:
             raise InvariantError("x_Pi must be real")
         return arr.real
     l, m = np.ogrid[:d, :d]
     tables = []
     for q in range(n):
-        if q in effect.indices:
-            num = 2 * effect.outcomes[effect.indices.index(q)] - l
+        if q not in effect.indices:
+            tables.append(np.where((l == 0) & (m == 0), float(d), 0.0) if char else _o_trace_table(d)[:d, :d])
+            continue
+        o = effect.outcomes[effect.indices.index(q)]
+        if char:
+            tables.append(np.where(l == 0, np.exp(2j * np.pi * m * o / d), 0.0))
+        else:
+            num = 2 * o - l
             hit = num % d == 0
             k = np.where(hit, num // d, 0)
             tables.append(np.where(hit, np.where((m * k) % 2, -1.0, 1.0), 0.0))
-        else:
-            tables.append(_o_trace_table(d)[:d, :d])
     return _factor_product(tables)
 
 
-def _char_measurement_array(system: QuditSystem, effect: MeasurementEffect) -> np.ndarray:
-    """Tr(Pi P(u)) over the restricted domain (complex), a product of
-    per-factor (d, d) tables as in ``_measurement_array``."""
-    d, n = system.d, system.n
-    if effect.kind == MeasurementKind.EXPLICIT:
-        return _contract_stack(system, p_stack(d), effect.operator.entries.astype(complex))
-    a, b = np.ogrid[:d, :d]
-    tables = []
-    for q in range(n):
-        if q in effect.indices:
-            o = effect.outcomes[effect.indices.index(q)]
-            tables.append(np.where(a == 0, np.exp(2j * np.pi * b * o / d), 0.0))
-        else:
-            tables.append(np.where((a == 0) & (b == 0), float(d), 0.0))
-    return _factor_product(tables)
+def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, QuasiDistribution, np.ndarray]:
+    """The estimator's setup in one frame: the gate steps, the restricted
+    input table (x, or chi when ``char``) and the effect table."""
+    system = circuit.system
+    table = characteristic_fn if char else x_distribution
+    return (_steps(system, circuit.gates, char), table(circuit.input_state, Domain.RESTRICTED),
+            _effect_table(system, circuit.measurement, char))
 
 
 # ---------------------------------------------------------------- norms
@@ -452,12 +454,7 @@ def forward_norm(circuit: CircuitDescription) -> float:
     therefore bounds every trajectory weight from above; the estimator's
     report names the method (``norm_method``). Named gates contribute 1.
     """
-    system = circuit.system
-    return _aggregated_norm(
-        _steps(system, circuit.gates, char=False),
-        x_distribution(circuit.input_state, Domain.RESTRICTED),
-        _measurement_array(system, circuit.measurement),
-    )[0]
+    return _aggregated_norm(*_frame(circuit, char=False))[0]
 
 
 def sample_count(m_forward: float, epsilon: float, p_fail: float) -> int:
@@ -494,14 +491,7 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
     if streams < 1 or seed < 0:
         raise ValidationError(f"need streams >= 1 and seed >= 0, got {streams} and {seed}")
-    system = circuit.system
-    if char:
-        state = characteristic_fn(circuit.input_state, Domain.RESTRICTED)
-        meas = _char_measurement_array(system, circuit.measurement)
-    else:
-        state = x_distribution(circuit.input_state, Domain.RESTRICTED)
-        meas = _measurement_array(system, circuit.measurement)
-    steps = _steps(system, circuit.gates, char)
+    steps, state, meas = _frame(circuit, char)
     m_forward, norm_method = _aggregated_norm(steps, state, meas)
     coeffs, norm0, nz0, cdf0 = _label_cdf(state.values)
     k_total = sample_count(m_forward, epsilon, p_fail)
@@ -514,7 +504,7 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         w = norm0 * (vals / np.abs(vals))
         labels = np.array(np.unravel_index(idx, meas.shape))
         for axes, op in steps:
-            w = _step(system.d, labels, w, axes, op, rng)
+            w = _step(circuit.system.d, labels, w, axes, op, rng)
 
         traj = w * meas[tuple(labels)]
         stream_sums.append(math.fsum(np.real(traj)))

@@ -326,10 +326,13 @@ def format_generator_lines(group: StabilizerGroup) -> str:
 
 
 def enumerate_single_qudit_groups(d: int) -> list[StabilizerGroup]:
-    """All single-qudit stabilizer groups for prime d (d(d+1) states) or d=4.
+    """Single-qudit stabilizer groups with one generator, for prime d or d=4.
 
-    For d = 4 the six cyclic order-4 subgroups of Z_4^2 each carry four
-    phases (24 states). Other composite d are not supported.
+    At prime d these are all of them (d(d+1) states). At d = 4 they are
+    the six cyclic order-4 subgroups of Z_4^2, each with four phases (24
+    states); the non-cyclic subgroup {0, 2}^2, generated by X^2 and Z^2,
+    needs two generators and is left out, so its 4 joint eigenstates are
+    missing from the 28. Other composite d are not supported.
     """
     def is_prime(x: int) -> bool:
         return x >= 2 and all(x % f for f in range(2, int(x**0.5) + 1))
@@ -359,7 +362,9 @@ def enumerate_single_qudit_groups(d: int) -> list[StabilizerGroup]:
 
 
 def enumerate_single_qudit_stabilizers(d: int) -> list[DensityState]:
-    """Every pure single-qudit stabilizer state, one per group.
+    """The states of ``enumerate_single_qudit_groups``, one per group:
+    every pure single-qudit stabilizer state at prime d, and 24 of the 28
+    at d = 4 (the joint eigenstates of X^2 and Z^2 are missing).
 
     The groups are distinct cyclic subgroups, each with the d eigenvalue
     exponents c = k, so their states are distinct by construction.

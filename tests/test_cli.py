@@ -73,6 +73,22 @@ def test_measure_csv(capsys):
     assert lines[1].startswith("negativity,1.207106781")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("measure", "--d", "2", "--state", "T", "--csv"),
+     ("gkp-check", "--d", "2", "--p", "1", "--samples", "1", "--csv")],
+    ids=["measure", "gkp-check"],
+)
+def test_csv_honours_output(tmp_path, capsys, argv):
+    code, printed = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out.csv"
+    code, out = run(capsys, *argv, "--output", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == printed
+
+
 def test_wigner_rejects_even_d(capsys):
     code, out = run(capsys, "wigner", "--d", "2", "--state", "T")
     doc = json.loads(out)
@@ -315,6 +331,29 @@ def test_gkp_sim_generic_s(tmp_path, capsys):
     assert code == 0
     for line in out.strip().splitlines():
         assert json.loads(line)["lattice_index"] is None
+
+
+def test_gkp_sim_integer_s_reports_lattice_index(tmp_path, capsys):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"d": 3, "n": 1, "input": {"kind": "plus"}, "S": [[0, 1], [-1, 0]],
+                                "displacement": [0.0, 0.0], "samples": 20, "seed": 2}))
+    code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+    assert code == 0
+    c = math.sqrt(math.pi / 6)
+    for line in out.strip().splitlines():
+        doc = json.loads(line)
+        # the rotation sends (l, m) to (m, -l)
+        assert doc["lattice_index"] == doc["point"]["m"]
+        assert doc["x"] == [c * k for k in doc["lattice_index"]]
+
+
+@pytest.mark.parametrize("frame", ["o", "char"])
+def test_simulate_rejects_a_non_hermitian_effect(tmp_path, capsys, frame):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({**HTH, "measurement": {"kind": "explicit", "matrix": [[0.5, 0.4], [0, 0.5]]}}))
+    code, out = run(capsys, "simulate", "--circuit", str(path), "--frame", frame)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "validation"
 
 
 def test_gkp_sim_rejects_non_symplectic(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Every generated argument vector, state spec and circuit document, valid
 or mutated, must make ``main`` exit 0, 2 or 3, with a JSON error document
-for 2 and 3; an escaping exception or any other code fails the test.
+for 2 and 3, and a 0 with --output must write the file and print no
+document; an escaping exception or any other code fails the test.
 Mutations put wrong types, NaN, +-inf, 1e400, negative values and lists
 where objects belong, and drop or add fields. Valid inputs stay cheap:
 d <= 3, n <= 2, at most 64 samples, epsilon >= 0.3 and at most 8 streams.
@@ -39,8 +40,11 @@ def exit_code(argv, output=None) -> int:
     """``main``'s exit code, or argparse's for an argv it rejects before decoding.
 
     The error document of a 2 or 3 is read from ``output`` when that is a
-    writable file, and from stdout otherwise.
+    writable file, and from stdout otherwise. A 0 with ``output`` must leave
+    stdout without a document and the file non-empty.
     """
+    if output is not None and output.is_file():
+        output.unlink()  # what an earlier example wrote there must not count
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -50,6 +54,9 @@ def exit_code(argv, output=None) -> int:
     if code in (2, 3):
         text = output.read_text() if output is not None and output.is_file() else out.getvalue()
         assert "error" in json.loads(text)
+    if code == 0 and output is not None:
+        assert out.getvalue() == ""
+        assert output.stat().st_size > 0
     return code
 
 

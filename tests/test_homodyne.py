@@ -155,6 +155,23 @@ def test_generic_s_matrix_has_no_lattice_index():
     assert smp.lattice_index is None
 
 
+def test_integer_map_is_derived_from_s():
+    s = QuditSystem(3, 1)
+    c = spacing(3)
+    with pytest.raises(TypeError):
+        GaussianCircuit(s, np.eye(2), np.zeros(2), integer_s=np.eye(2, dtype=int))
+    rotation = GaussianCircuit(s, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([c * 3, 0.0]))
+    assert np.array_equal(rotation.integer_s, [[0, 1], [-1, 0]])
+    assert np.array_equal(rotation.integer_shift, [3, 0])
+    # off the lattice by a displacement: the float map
+    assert GaussianCircuit(s, np.eye(2), np.array([0.1, 0.0])).integer_s is None
+    assert GaussianCircuit(s, np.eye(2), np.array([0.1, 0.0])).integer_shift is None
+    # integral, but 2^60 u would overflow int64: the float map
+    assert GaussianCircuit(s, np.array([[1.0, 2.0**60], [0.0, 1.0]]), np.zeros(2)).integer_s is None
+    with pytest.raises(ValueError):
+        rotation.s_matrix[0, 0] = 2.0  # the map and S cannot drift apart
+
+
 def test_pseudo_probability_report_shape():
     s = QuditSystem(2, 1)
     rho = computational_state(s, 0)

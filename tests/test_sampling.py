@@ -29,7 +29,8 @@ from quditphase import (
 )
 from quditphase.basis import o_stack, p_stack
 from quditphase.core import embed_generator
-from quditphase.sampling import _char_measurement_array, _columns, _measurement_array, _step, _steps, _support
+from quditphase import sampling
+from quditphase.sampling import _columns, _effect_table, _step, _steps, _support
 
 from dense_reference import dense_frame_column, einsum_contract_stack
 
@@ -279,6 +280,14 @@ def test_measurement_validation():
         MeasurementEffect(
             MeasurementKind.EXPLICIT, operator=DenseOperator(QuditSystem(2, 2), bad)
         ).validate(s)
+    # eigenvalues in [0, 1] but not Hermitian
+    qubit = QuditSystem(2, 1)
+    skew = DenseOperator(qubit, [[0.5, 0.4], [0.0, 0.5]])
+    with pytest.raises(ValidationError, match="hermiticity"):
+        MeasurementEffect(MeasurementKind.EXPLICIT, operator=skew).validate(qubit)
+    # the right shape on another register
+    with pytest.raises(ValidationError, match="register"):
+        MeasurementEffect(MeasurementKind.EXPLICIT, operator=DenseOperator(QuditSystem(4, 1), np.eye(4))).validate(s)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -295,23 +304,34 @@ def test_computational_effect_tables_match_the_dense_projector(d):
                         proj = np.kron(proj, np.diag(np.arange(d) == outs[idx.index(q)]) if q in idx else np.eye(d))
                     dense_o = einsum_contract_stack(system, o_stack(d), proj.astype(complex))
                     dense_p = einsum_contract_stack(system, p_stack(d), proj.astype(complex))
-                    assert np.max(np.abs(_measurement_array(system, effect) - dense_o)) < 1e-12
-                    assert np.max(np.abs(_char_measurement_array(system, effect) - dense_p)) < 1e-12
+                    assert np.max(np.abs(_effect_table(system, effect, char=False) - dense_o)) < 1e-12
+                    assert np.max(np.abs(_effect_table(system, effect, char=True) - dense_p)) < 1e-12
 
 
 def test_effect_table_at_two_ten_is_built_without_full_grids():
     s = QuditSystem(2, 10)
     effect = MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 3), (1, 0))
-    _measurement_array(s, effect)  # fill the trace-table cache
+    _effect_table(s, effect, char=False)  # fill the trace-table cache
     tracemalloc.start()
     try:
-        table = _measurement_array(s, effect)
+        table = _effect_table(s, effect, char=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.nbytes == 8 * 2**20
     # the result plus the last factor's input (a quarter of it)
     assert peak < 2 * table.nbytes
+
+
+def test_forward_norm_and_both_estimators_share_one_frame_setup(monkeypatch):
+    frames = []
+    frame = sampling._frame
+    monkeypatch.setattr(sampling, "_frame", lambda circuit, char: frames.append(char) or frame(circuit, char))
+    circuit = hth_circuit()
+    m = forward_norm(circuit)
+    assert estimate_born(circuit, 0.3, 0.05, seed=1).forward_norm == m
+    estimate_born_char(circuit, 0.3, 0.05, seed=1)
+    assert frames == [False, False, True]
 
 
 def test_circuit_validation():
@@ -328,6 +348,10 @@ def test_circuit_validation():
         CircuitDescription(
             s, computational_state(s, 0), ((GateKind.FOURIER, (3,)),), measure_zero(s)
         )
+    # a gate of the right shape on another register
+    s = QuditSystem(2, 2)
+    with pytest.raises(ValidationError, match="register"):
+        CircuitDescription(s, computational_state(s, 0), (DenseOperator(QuditSystem(4, 1), np.eye(4)),), measure_zero(s))
 
 
 NAMED_GATES = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quditphase import (
+    DensityState,
     Domain,
     QuditSystem,
     StabilizerGroup,
@@ -24,6 +25,19 @@ from quditphase.stabilizer import DependentGenerators, NonCommutingGenerators, g
 from dense_reference import dense_stabilizer_state
 
 ENUM_COUNTS = {2: 6, 3: 12, 4: 24, 5: 30}
+
+
+def test_d4_enumeration_misses_the_joint_eigenstates_of_x2_and_z2():
+    system = QuditSystem(4, 1)
+    x2 = np.roll(np.eye(4), 2, axis=0)
+    z2 = np.diag([1.0, -1.0, 1.0, -1.0])
+    listed = enumerate_single_qudit_stabilizers(4)
+    for a in (1, -1):
+        for b in (1, -1):
+            rho = DensityState(system, (np.eye(4) + a * x2) @ (np.eye(4) + b * z2) / 4)
+            assert abs(rho.purity() - 1) < 1e-12
+            assert all(np.max(np.abs(rho.matrix - other.matrix)) > 1e-6 for other in listed)
+            assert abs(lp_norm(x_distribution(rho, Domain.RESTRICTED), 1) - 1) < 1e-12
 
 
 def random_group(system, rng, word_length=12):
