@@ -409,26 +409,19 @@ def _decode_gkp_sim(args):
 def _cmd_gkp_sim(args, decoded) -> int:
     rho, circuit, num_samples, seed = decoded
     batch = simulate_homodyne_batch(rho, circuit, num_samples, seed)
-    # every field of a line is a function of the drawn label: serialize
-    # each distinct label once and repeat its line per sample
+    # every field of a line is a function of the drawn label: build each
+    # distinct label's line once and repeat it per sample. The lines share
+    # one template, keys in sorted order, with the constant fields encoded
+    # once; the per-label columns print through str, which gives the bytes
+    # of json.dumps for Python ints and finite floats (the sampler emits
+    # no others)
     n = rho.system.n
-    lattice = [None] * len(batch.points) if batch.lattice_index is None else batch.lattice_index.tolist()
-    lines = [
-        json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "x": x,
-                "branch": [0] * (2 * n),
-                "point": {"l": point[:n], "m": point[n:]},
-                "sign": sign,
-                "weight": batch.weight,
-                "lattice_index": k,
-            },
-            sort_keys=True,
-        )
-        for point, x, sign, k in zip(batch.points.tolist(), batch.x.tolist(), batch.signs.tolist(), lattice)
-    ]
-    _write("\n".join([lines[row] for row in batch.inverse.tolist()]), args)
+    template = (f'{{"branch": {[0] * (2 * n)}, "lattice_index": %s, "point": {{"l": %s, "m": %s}}, '
+                f'"schema_version": {SCHEMA_VERSION}, "sign": %s, "weight": {json.dumps(batch.weight)}, "x": %s}}')
+    lattice = ["null"] * len(batch.points) if batch.lattice_index is None else batch.lattice_index.tolist()
+    lines = [template % row for row in zip(lattice, batch.points[:, :n].tolist(), batch.points[:, n:].tolist(),
+                                           batch.signs.tolist(), batch.x.tolist())]
+    _write("\n".join(map(lines.__getitem__, batch.inverse.tolist())), args)
     print(f"emitted {len(batch)} homodyne samples", file=sys.stderr)
     return 0
 

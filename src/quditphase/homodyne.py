@@ -205,6 +205,8 @@ def simulate_homodyne_batch(
 
     Each distinct drawn label is mapped once: by one integer matmul when
     the circuit has an integer map, by the float map S (c u) + t otherwise.
+    A float-mapped position beyond the float range raises ValidationError,
+    so every returned position is finite.
     """
     system = rho.system
     if circuit.system != system:
@@ -232,10 +234,13 @@ def simulate_homodyne_batch(
     else:
         # one matrix-vector product per point: a batched float matmul
         # rounds differently and would change the output bits
-        xfull = np.array(
-            [circuit.s_matrix @ (c * uvec.astype(float)) + circuit.displacement for uvec in vecs.T]
-        ).reshape(-1, 2 * n).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            xfull = np.array(
+                [circuit.s_matrix @ (c * uvec.astype(float)) + circuit.displacement for uvec in vecs.T]
+            ).reshape(-1, 2 * n).T
         lattice = None
+        if not np.isfinite(xfull[:n]).all():
+            raise ValidationError("a mapped position is not finite: S overflows the float range")
     return HomodyneBatch(
         points=vecs.T,
         lattice_index=lattice,

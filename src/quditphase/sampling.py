@@ -395,7 +395,11 @@ def _effect_table(system: QuditSystem, effect: MeasurementEffect, char: bool) ->
     """
     d, n = system.d, system.n
     if effect.kind == MeasurementKind.EXPLICIT:
-        arr = _contract_stack(system, p_stack(d) if char else o_stack(d), effect.operator.entries.astype(complex))
+        # the Hermitian part (Pi + Pi^dagger)/2: an effect that passes the
+        # 1e-9 Hermiticity check may still carry an anti-Hermitian residue,
+        # which would give Tr(Pi O_u) an imaginary part
+        entries = effect.operator.entries.astype(complex)
+        arr = _contract_stack(system, p_stack(d) if char else o_stack(d), (entries + entries.conj().T) / 2)
         if char:
             return arr
         if np.max(np.abs(arr.imag)) > 1e-10:

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from quditphase import measures
+from quditphase import (
+    GateKind,
+    GaussianCircuit,
+    QuditSystem,
+    haar_random_state,
+    logical_clifford_symplectic,
+    measures,
+    simulate_homodyne_batch,
+)
 from quditphase.cli import main
 
 HTH = {
@@ -418,6 +426,64 @@ def test_gkp_sim_output_bytes_are_pinned(tmp_path, capsys, name):
     assert out.encode() == data
 
 
+def gkp_sim_documents(d, n):
+    """Logical FOURIER/PHASE/SUM circuits, a float shear with a -0.0
+    displacement, and a scaled shear whose positions print in exponent form."""
+    docs = [{"gate": {"kind": "FOURIER", "targets": [n - 1]}}, {"gate": {"kind": "PHASE", "targets": [0]}}]
+    if n > 1:
+        docs.append({"gate": {"kind": "SUM", "targets": [0, n - 1]}})
+    shear = 0.25 * np.ones((n, n)) + np.diag(0.5 * np.arange(n))  # symmetric, so [[I, 0], [B, I]] is symplectic
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    scale = np.diag([1e17, 1e-5, 3e20][:n])
+    for s_matrix in (np.block([[eye, zero], [shear, eye]]),
+                     np.block([[scale, scale @ shear], [zero, np.linalg.inv(scale)]])):
+        docs.append({"S": s_matrix.tolist(), "displacement": [-0.0] * n + [0.1] * n})
+    return [{"d": d, "n": n, "input": {"kind": "random", "seed": 7}, "samples": 300, "seed": 5, **doc}
+            for doc in docs]
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 5) for n in (1, 2, 3)])
+def test_gkp_sim_lines_match_the_json_dumps_oracle(tmp_path, capsys, d, n):
+    # the premise of the line encoder: str of a list of Python ints and
+    # finite floats is its JSON text
+    edge = [-0.0, 1e16, 1.5e-05, 2.0, -3]
+    assert str(edge) == json.dumps(edge)
+    system = QuditSystem(d, n)
+    rho = haar_random_state(system, np.random.default_rng(7))
+    x_texts = []
+    for doc in gkp_sim_documents(d, n):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+        assert code == 0
+        if "gate" in doc:
+            gate = doc["gate"]
+            circuit = logical_clifford_symplectic(system, GateKind(gate["kind"]), tuple(gate["targets"]))
+        else:
+            circuit = GaussianCircuit(system, np.array(doc["S"]), np.array(doc["displacement"]))
+        batch = simulate_homodyne_batch(rho, circuit, doc["samples"], doc["seed"])
+        lines = out.splitlines()
+        assert len(lines) == len(batch)
+        for i, line in enumerate(lines):
+            parsed = json.loads(line)
+            assert line == json.dumps(parsed, sort_keys=True)
+            sample = batch[i]
+            expected = {
+                "branch": list(sample.branch),
+                "lattice_index": None if sample.lattice_index is None else list(sample.lattice_index),
+                "point": {"l": list(sample.sampled_point.l), "m": list(sample.sampled_point.m)},
+                "schema_version": 1,
+                "sign": sample.sign,
+                "weight": sample.weight,
+                "x": list(sample.x),
+            }
+            assert parsed == expected
+            assert line == json.dumps(expected, sort_keys=True)  # also tells -0.0 from 0.0
+            x_texts.append(line.rpartition('"x": ')[2])
+    # the scaled shear's 1e17 and (at n > 1) 1e-5 rows print in exponent form
+    assert any("e+" in x for x in x_texts) and (n == 1 or any("e-" in x for x in x_texts))
+
+
 def test_gkp_sim_zero_samples_writes_nothing(tmp_path, capsys):
     path = tmp_path / "sim.json"
     path.write_text(json.dumps({"d": 2, "input": {"kind": "plus"}, "gate": {"kind": "FOURIER"}, "samples": 0}))
@@ -446,10 +512,12 @@ GKP_SIM_OK = {"d": 2, "n": 1, "input": {"kind": "plus"}, "gate": {"kind": "FOURI
         {**GKP_SIM_OK, "S": [[1.0, 0.0], [0.0, 1.0]]},
         {**GKP_SIM_OK, "gate": {"kind": "FOURIER", "target": [0]}},
         {**GKP_SIM_OK, "sample": 3},
+        # finite and symplectic, but S carries a position past the float range
+        {"d": 2, "n": 1, "input": {"kind": "plus"}, "S": [[1e308, 0.0], [0.0, 1e-308]], "samples": 40, "seed": 1},
     ],
     ids=["bad-gate-kind", "gate-not-object", "non-integer-samples", "negative-samples", "samples-beyond-cap",
          "negative-seed", "ragged-S", "top-level-array", "nan-in-S", "inf-displacement",
-         "gate-and-displacement", "gate-and-S", "misspelt-targets", "misspelt-samples"],
+         "gate-and-displacement", "gate-and-S", "misspelt-targets", "misspelt-samples", "position-overflows"],
 )
 def test_gkp_sim_rejects_bad_values(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ def test_sum_gate_four_by_four():
 def test_non_finite_circuit_rejected(s_matrix, displacement):
     with pytest.raises(ValidationError):
         GaussianCircuit(QuditSystem(2, 1), np.array(s_matrix), np.array(displacement))
+
+
+def test_a_position_beyond_the_float_range_is_rejected():
+    s = QuditSystem(2, 1)
+    rho = plus_state(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported once, as a ValidationError
+        with pytest.raises(ValidationError, match="not finite"):
+            simulate_homodyne_batch(rho, GaussianCircuit(s, np.diag([1e308, 1e-308]), np.zeros(2)), 40, seed=1)
+        # a momentum beyond the range is dropped with the momentum block
+        batch = simulate_homodyne_batch(rho, GaussianCircuit(s, np.diag([1e-308, 1e308]), np.zeros(2)), 40, seed=1)
+    assert np.isfinite(batch.x).all()
 
 
 def test_non_symplectic_rejected():

@@ -267,6 +267,22 @@ def test_explicit_effect_operator():
     assert abs(report.estimate - 0.5) < 0.1
 
 
+@pytest.mark.parametrize("runner", [estimate_born, estimate_born_char])
+def test_a_near_hermitian_effect_reads_as_its_hermitian_part(runner):
+    # 4.9e-10 i J is anti-Hermitian and passes the 1e-9 Hermiticity check;
+    # the effect's Hermitian part is 0.5 I
+    s = QuditSystem(2, 2)
+    rho = haar_random_state(s, np.random.default_rng(31))
+
+    def estimate(matrix):
+        effect = MeasurementEffect(MeasurementKind.EXPLICIT, operator=DenseOperator(s, matrix))
+        circuit = CircuitDescription(s, rho, ((GateKind.FOURIER, (0,)), (GateKind.SUM, (0, 1))), effect)
+        return runner(circuit, 0.1, 0.05, seed=12).estimate
+
+    near = 0.5 * np.eye(4) + 4.9e-10j * np.ones((4, 4))
+    assert abs(estimate(near) - estimate(0.5 * np.eye(4))) <= 1e-9
+
+
 def test_measurement_validation():
     s = QuditSystem(2, 2)
     with pytest.raises(ValidationError):
