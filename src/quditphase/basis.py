@@ -155,10 +155,14 @@ def _p_dagger_stack(d: int) -> np.ndarray:
     return stack
 
 
-def o_operator(system: QuditSystem, point: PhasePoint) -> DenseOperator:
-    """Dense O_{l,m}; multi-qudit via tensor product of factors."""
+def _check_factors(system: QuditSystem, point: PhasePoint) -> None:
     if point.n != system.n:
         raise ValidationError(f"point has {point.n} factors, system has {system.n}")
+
+
+def o_operator(system: QuditSystem, point: PhasePoint) -> DenseOperator:
+    """Dense O_{l,m}; multi-qudit via tensor product of factors."""
+    _check_factors(system, point)
     mat = np.ones((1, 1), dtype=complex)
     for li, mi in zip(point.l, point.m):
         mat = np.kron(mat, o_matrix(system.d, li, mi))
@@ -181,6 +185,7 @@ def _o_trace_table(d: int) -> np.ndarray:
 
 def o_trace(system: QuditSystem, point: PhasePoint) -> complex:
     """Closed-form Tr O_{l,m}; O is 2d-periodic, so any integer labels work."""
+    _check_factors(system, point)
     table, mod = _o_trace_table(system.d), 2 * system.d
     out = 1.0
     for li, mi in zip(point.l, point.m):
@@ -264,6 +269,7 @@ def _factor_product(tables: list[np.ndarray]) -> np.ndarray:
 
 def reduce_full_point(system: QuditSystem, point: PhasePoint) -> tuple[PhasePoint, int]:
     """Reduce a Z_{2d} label to the restricted domain with its sign."""
+    _check_factors(system, point)
     d = system.d
     l, m = np.array(point.l), np.array(point.m)
     sign = int(np.prod(lift_sign(d, l % d, m % d, l // d, m // d)))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import DensityState, QuditSystem, ValidationError
 from .basis import Domain, lift_table, lift_to_full
-from .measures import QuasiDistribution, characteristic_fn, check_order, lp_norm, x_distribution
+from .measures import QuasiDistribution, _renyi_order, characteristic_fn, check_order, lp_norm, x_distribution
 
 __all__ = [
     "GkpKind",
@@ -186,14 +186,10 @@ def verify_theorem2(rho: DensityState, p: float) -> float:
 def renyi_from_cell_norms(rho: DensityState, alpha: float) -> float:
     """Order-alpha stabilizer Renyi entropy recovered from cell norms.
 
-    Uses p = 2 alpha: M_alpha = (2 alpha / (1 - alpha)) log(cell ratio).
+    Uses p = 2 alpha: M_alpha = (2 alpha / (1 - alpha)) log(cell ratio),
+    the ratio being the characteristic side of ``verify_theorem2``. The
+    alpha = 1 limit is rejected as in ``stabilizer_renyi``.
     """
-    alpha = check_order(alpha, "alpha")
-    if alpha == 1:
-        raise ValidationError("alpha must be != 1")
-    p = 2.0 * alpha
-    system = rho.system
-    ratio = cell_lp_norm(gkp_char_coefficients(rho), p) / stabilizer_cell_norm(
-        system, GkpKind.CHARACTERISTIC, p
-    )
+    alpha = _renyi_order(alpha)
+    ratio = _cell_sides(rho, 2 * alpha, GkpKind.CHARACTERISTIC)[1]
     return float(2 * alpha / (1 - alpha) * math.log(ratio))

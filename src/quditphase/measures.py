@@ -12,8 +12,9 @@ tables of x and chi are their per-factor sign lifts (``basis.lift_table``). The 
 Wigner function W of odd d is the x table relabeled per factor, with a
 sign, and the normalization check reads the per-factor Tr O table. From x
 (and from W and the characteristic function chi) the module computes l_p
-norms, the negativity measure ||x||_1, the stabilizer Renyi entropy
-M_alpha, and the hyperpolyhedral test ||x||_1 <= 1.
+norms, the negativity measure ||x||_1 (a monotone at odd d only), the
+pure-state stabilizer Renyi entropy M_alpha, and the hyperpolyhedral
+test ||x||_1 <= 1, a necessary condition for a stabilizer mixture.
 
 Reference values kept by the test suite:
 
@@ -239,6 +240,15 @@ def check_order(value: float, name: str = "p") -> float:
     return float(value)
 
 
+def _renyi_order(alpha: float) -> float:
+    """``alpha`` as a float, checked to be a Renyi order other than the
+    alpha = 1 limit (within 1e-12), which is not implemented."""
+    alpha = check_order(alpha, "alpha")
+    if abs(alpha - 1.0) < 1e-12:
+        raise ValidationError("alpha = 1 (the entropy limit) is not implemented")
+    return alpha
+
+
 def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
     """(sum |f(u)|^p)^{1/p} with the near-zero cutoff applied first."""
     p = check_order(p)
@@ -277,7 +287,15 @@ def _draw_labels(nz: np.ndarray, cdf: np.ndarray, rng: np.random.Generator, coun
 
 
 def magic_negativity(rho: DensityState) -> float:
-    """||x_rho||_1 over the restricted domain; 1 exactly on stabilizer states."""
+    """||x_rho||_1 over the restricted domain; 1 exactly on pure stabilizer states.
+
+    Not a monotone at even d: ||x||_1(|0><0| (x) I/d) = 1/2, and tracing
+    out the second qudit, a free operation, leaves |0> at 1. At odd d,
+    ||x||_1 = ||W||_1 (W is a signed relabel of x), the Wigner
+    sum-negativity, which is a monotone under stabilizer operations
+    (Veitch, Mousavian, Gottesman and Emerson, New J. Phys. 16, 013009
+    (2014)).
+    """
     return lp_norm(x_distribution(rho, Domain.RESTRICTED), 1.0)
 
 
@@ -286,16 +304,15 @@ def stabilizer_renyi(rho: DensityState, alpha: float) -> float:
 
     Uses the probability vector Xi_P = d^n |chi(P)|^2 (which sums to the
     purity): M_alpha = (1-alpha)^{-1} log sum_P Xi_P^alpha - n log d.
-    The alpha = 1 limit is not implemented.
+    The alpha = 1 limit is not implemented. A pure-state measure: on mixed
+    states it is not zero on free states, e.g. M_2(I/d) = log d.
     """
     return _renyi_of(characteristic_fn(rho, Domain.RESTRICTED), alpha)
 
 
 def _renyi_of(chi: QuasiDistribution, alpha: float) -> float:
     """M_alpha from a restricted chi table (``stabilizer_renyi``)."""
-    alpha = check_order(alpha, "alpha")
-    if abs(alpha - 1.0) < 1e-12:
-        raise ValidationError("alpha = 1 (the entropy limit) is not implemented")
+    alpha = _renyi_order(alpha)
     system = chi.system
     mags = np.abs(chi.values).ravel()
     mags = mags[mags > NORM_CUTOFF]
@@ -305,7 +322,13 @@ def _renyi_of(chi: QuasiDistribution, alpha: float) -> float:
 
 
 def is_hyperpolyhedral(rho: DensityState) -> tuple[bool, float]:
-    """(||x||_1 <= 1 + 1e-12, the norm itself)."""
+    """(||x||_1 <= 1 + 1e-12, the norm itself).
+
+    A necessary condition for a stabilizer mixture only: every such
+    mixture passes (the norm is convex and 1 on pure stabilizer states),
+    but so do some states whose one-qudit reduction has ||x||_1 > 1 at
+    d=2, and which hence are no stabilizer mixture.
+    """
     return _hyperpolyhedral_of(x_distribution(rho, Domain.RESTRICTED))
 
 

@@ -35,16 +35,16 @@ both frames. Either way M bounds every trajectory weight, as the
 Hoeffding count needs, and the report says which (``norm_method``).
 Sampling builds the columns of the local labels the trajectories hold.
 One setup (``_frame``) gives ``forward_norm`` and both estimators the
-gate steps, the input table and the effect table of a frame. A
-computational effect's table is a product of per-factor (d, d) tables,
-broadcast one factor at a time; in the O frame its unmeasured factors
-read the Tr O table of ``basis``.
+gate steps, the input table and the effect steps of a frame. An effect
+is read like a named gate that keeps the labels, so a readout builds no
+d^{2n} array: one table on all 2n axes (explicit) or one (d, d) table per
+qudit (computational; unmeasured O-frame qudits read ``basis``'s Tr O).
 
 Determinism contract: one uniform block per stream for the input draw
-and one per explicit gate, in trajectory order; named gates draw nothing
-in either frame. Per-stream compensated sums are merged exactly; streams
-past the trajectory count would draw nothing and are not run. A report
-is bit-for-bit reproducible for fixed (seed, streams).
+and one per explicit gate, in trajectory order; named gates and effect
+steps draw nothing in either frame. Per-stream compensated sums are
+merged exactly; streams past the trajectory count would draw nothing and
+are not run. A report is bit-for-bit reproducible for fixed (seed, streams).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .core import (
 from .basis import (
     Domain,
     PhasePoint,
-    _factor_product,
     _o_trace_table,
     _p_dagger_stack,
     clifford_coordinate_action,
@@ -189,8 +188,14 @@ class EstimateReport:
 # ---------------------------------------------------------------- frames
 
 def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam: PhasePoint) -> float:
-    """x_Pi(lam) = Tr(Pi O_lam), closed form for computational effects."""
-    return float(_effect_table(system, effect, char=False)[tuple(lam.vector())])
+    """x_Pi(lam) = Tr(Pi O_lam) at a restricted label: the effect steps read there."""
+    effect.validate(system)
+    if lam.modulus != system.d or lam.n != system.n:
+        raise ValidationError("point does not live on this domain")
+    w, labels = np.ones(1), lam.vector()[:, None]
+    for axes, op in _effect_steps(system, effect, char=False):
+        w = _step(system.d, labels, w, axes, op, None)
+    return float(w[0])
 
 
 def _column_blocks(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.ndarray):
@@ -362,12 +367,12 @@ def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, obj
 
 
 def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) -> np.ndarray:
-    """Carry (2n, K) label vectors through one gate on its support axes.
+    """Carry (2n, K) label vectors through one gate or effect step on its axes.
 
     The labels are rewritten in place and the new weights returned. A
-    named table gives each local label its one image and unit phase and
-    draws nothing; an explicit gate draws one uniform block and samples
-    each image from the column of its trajectory's local label.
+    named table (image and unit phase) or an effect table (no image: the
+    weight only) draws nothing; an explicit gate draws one uniform block
+    and samples each image from the column of its trajectory's local label.
     """
     shape = (d,) * len(axes)
     local = np.ravel_multi_index(tuple(labels[axes]), shape)
@@ -376,22 +381,25 @@ def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) 
         w = w * cnorm * picked / np.abs(picked)
     else:
         images, phases = op
-        image = images[local]
         w = w * phases[local]
+        if images is None:
+            return w
+        image = images[local]
     labels[axes] = np.unravel_index(image, shape)
     return w
 
 
 # ------------------------------------------------------------ frame setup
 
-def _effect_table(system: QuditSystem, effect: MeasurementEffect, char: bool) -> np.ndarray:
-    """Tr(Pi O_u) (real) or Tr(Pi P(u)) (complex, ``char``) over the
-    restricted domain, shape (d,)*2n.
+def _effect_steps(system: QuditSystem, effect: MeasurementEffect, char: bool) -> list[tuple[np.ndarray, tuple]]:
+    """Tr(Pi O_u) (real) or Tr(Pi P(u)) (complex, ``char``) as label-keeping
+    steps (axes, (None, flat table)) whose product, in order, is the value at u.
 
-    A computational effect is a product of per-factor (d, d) tables. On a
-    measured qudit with outcome o, <o|O_{l,m}|o> = (-1)^{m k} where
-    l = 2o - k d, else 0, and <o|P(a,b)|o> = w^{b o} at a = 0, else 0; on
-    the others Tr O_{l,m}, and Tr P(a,b) = d at a = b = 0, else 0.
+    An explicit effect is one table on all 2n axes, a computational one a
+    (d, d) table per qudit q on axes (q, n + q). On a measured qudit with
+    outcome o, <o|O_{l,m}|o> = (-1)^{m k} where l = 2o - k d, else 0, and
+    <o|P(a,b)|o> = w^{b o} at a = 0, else 0; on the others Tr O_{l,m},
+    and Tr P(a,b) = d at a = b = 0, else 0.
     """
     d, n = system.d, system.n
     if effect.kind == MeasurementKind.EXPLICIT:
@@ -400,11 +408,9 @@ def _effect_table(system: QuditSystem, effect: MeasurementEffect, char: bool) ->
         # which would give Tr(Pi O_u) an imaginary part
         entries = effect.operator.entries.astype(complex)
         arr = _contract_stack(system, p_stack(d) if char else o_stack(d), (entries + entries.conj().T) / 2)
-        if char:
-            return arr
-        if np.max(np.abs(arr.imag)) > 1e-10:
+        if not char and np.max(np.abs(arr.imag)) > 1e-10:
             raise InvariantError("x_Pi must be real")
-        return arr.real
+        return [(np.arange(2 * n), (None, (arr if char else arr.real).reshape(-1)))]
     l, m = np.ogrid[:d, :d]
     tables = []
     for q in range(n):
@@ -416,27 +422,26 @@ def _effect_table(system: QuditSystem, effect: MeasurementEffect, char: bool) ->
             tables.append(np.where(l == 0, np.exp(2j * np.pi * m * o / d), 0.0))
         else:
             num = 2 * o - l
-            hit = num % d == 0
-            k = np.where(hit, num // d, 0)
-            tables.append(np.where(hit, np.where((m * k) % 2, -1.0, 1.0), 0.0))
-    return _factor_product(tables)
+            tables.append(np.where(num % d == 0, np.where((m * (num // d)) % 2, -1.0, 1.0), 0.0))
+    return [(np.array([q, n + q]), (None, t.reshape(-1))) for q, t in enumerate(tables)]
 
 
-def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, QuasiDistribution, np.ndarray]:
+def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, QuasiDistribution, list]:
     """The estimator's setup in one frame: the gate steps, the restricted
-    input table (x, or chi when ``char``) and the effect table."""
+    input table (x, or chi when ``char``) and the effect steps."""
     system = circuit.system
     table = characteristic_fn if char else x_distribution
     return (_steps(system, circuit.gates, char), table(circuit.input_state, Domain.RESTRICTED),
-            _effect_table(system, circuit.measurement, char))
+            _effect_steps(system, circuit.measurement, char))
 
 
 # ---------------------------------------------------------------- norms
 
-def _aggregated_norm(steps, state: QuasiDistribution, meas: np.ndarray) -> tuple[float, str]:
-    """Input 1-norm x explicit-gate column maxima x effect max, and how M was obtained.
+def _aggregated_norm(steps, state: QuasiDistribution, effect) -> tuple[float, str]:
+    """Input 1-norm x explicit-gate column maxima x effect-step maxima, and how M was obtained.
 
     Named gates contribute exactly 1: their columns have one unit entry.
+    Effect steps act on disjoint axes, so their maxima multiply to the effect's.
     """
     m, method = lp_norm(state, 1), "exact"
     for _, op in steps:
@@ -445,7 +450,7 @@ def _aggregated_norm(steps, state: QuasiDistribution, meas: np.ndarray) -> tuple
             m *= gate_norm
             if not exact:
                 method = "bound"
-    return m * float(np.max(np.abs(meas))), method
+    return m * math.prod(float(np.max(np.abs(t))) for _, (_, t) in effect), method
 
 
 def forward_norm(circuit: CircuitDescription) -> float:
@@ -495,8 +500,8 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
     if streams < 1 or seed < 0:
         raise ValidationError(f"need streams >= 1 and seed >= 0, got {streams} and {seed}")
-    steps, state, meas = _frame(circuit, char)
-    m_forward, norm_method = _aggregated_norm(steps, state, meas)
+    steps, state, effect = _frame(circuit, char)
+    m_forward, norm_method = _aggregated_norm(steps, state, effect)
     coeffs, norm0, nz0, cdf0 = _label_cdf(state.values)
     k_total = sample_count(m_forward, epsilon, p_fail)
 
@@ -506,12 +511,10 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         idx = _draw_labels(nz0, cdf0, rng, k_s)
         vals = coeffs[idx]
         w = norm0 * (vals / np.abs(vals))
-        labels = np.array(np.unravel_index(idx, meas.shape))
-        for axes, op in steps:
+        labels = np.array(np.unravel_index(idx, state.values.shape))
+        for axes, op in steps + effect:
             w = _step(circuit.system.d, labels, w, axes, op, rng)
-
-        traj = w * meas[tuple(labels)]
-        stream_sums.append(math.fsum(np.real(traj)))
+        stream_sums.append(math.fsum(np.real(w)))
 
     estimate = math.fsum(stream_sums) / k_total
     return EstimateReport(

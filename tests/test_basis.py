@@ -122,6 +122,16 @@ def test_o_trace_closed_form(single):
             assert abs(o_trace(single, pt) - dense) < 1e-10
 
 
+@pytest.mark.parametrize("factors", [1, 3])
+def test_point_functions_check_the_factor_count(factors):
+    system = QuditSystem(2, 2)
+    points = (restricted_point(system, (0,) * factors, (0,) * factors), full_point(system, (1,) * factors, (3,) * factors))
+    for point in points:
+        for call in (o_operator, o_trace, reduce_full_point):
+            with pytest.raises(ValidationError, match="factors"):
+                call(system, point)
+
+
 def test_tensor_basis_trace():
     sys2 = QuditSystem(3, 2)
     pt = full_point(sys2, (1, 0), (2, 0))

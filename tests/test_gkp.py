@@ -150,8 +150,18 @@ def test_renyi_recovered_from_cell_norms():
     assert abs(renyi_from_cell_norms(rho, 2.0) - LOG_4_3) < 1e-12
     s = QuditSystem(3, 1)
     rnd = haar_random_state(s, np.random.default_rng(3))
+    # pinned to the bit
+    assert renyi_from_cell_norms(rho, 2.0) == 0.2876820724517811
+    assert renyi_from_cell_norms(rnd, 2.0) == 0.6579962244213668
     for alpha in (0.5, 2.0, 3.0):
         assert abs(renyi_from_cell_norms(rnd, alpha) - stabilizer_renyi(rnd, alpha)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1 - 1e-13, 1 + 1e-13])
+def test_both_renyi_functions_reject_the_alpha_one_limit(alpha):
+    for renyi in (stabilizer_renyi, renyi_from_cell_norms):
+        with pytest.raises(ValidationError, match="alpha = 1"):
+            renyi(t_state(), alpha)
 
 
 def test_wigner_cell_rejects_complex_values():

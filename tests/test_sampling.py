@@ -27,10 +27,10 @@ from quditphase import (
     sample_count,
     t_state,
 )
-from quditphase.basis import o_stack, p_stack
+from quditphase.basis import PhasePoint, o_stack, p_stack
 from quditphase.core import embed_generator
 from quditphase import sampling
-from quditphase.sampling import _columns, _effect_table, _step, _steps, _support
+from quditphase.sampling import _columns, _effect_steps, _step, _steps, _support, frame_measurement_coeffs
 
 from dense_reference import dense_frame_column, einsum_contract_stack
 
@@ -320,23 +320,53 @@ def test_computational_effect_tables_match_the_dense_projector(d):
                         proj = np.kron(proj, np.diag(np.arange(d) == outs[idx.index(q)]) if q in idx else np.eye(d))
                     dense_o = einsum_contract_stack(system, o_stack(d), proj.astype(complex))
                     dense_p = einsum_contract_stack(system, p_stack(d), proj.astype(complex))
-                    assert np.max(np.abs(_effect_table(system, effect, char=False) - dense_o)) < 1e-12
-                    assert np.max(np.abs(_effect_table(system, effect, char=True) - dense_p)) < 1e-12
+                    assert np.max(np.abs(effect_at_every_label(system, effect, char=False) - dense_o.ravel())) < 1e-12
+                    assert np.max(np.abs(effect_at_every_label(system, effect, char=True) - dense_p.ravel())) < 1e-12
 
 
-def test_effect_table_at_two_ten_is_built_without_full_grids():
+def effect_at_every_label(system, effect, char):
+    """The effect steps carried through ``_step`` from every restricted label, in flat label order."""
+    labels = np.indices((system.d,) * (2 * system.n)).reshape(2 * system.n, -1)
+    start = labels.copy()
+    w = np.ones(labels.shape[1])
+    for axes, op in _effect_steps(system, effect, char):
+        w = _step(system.d, labels, w, axes, op, None)
+    assert np.array_equal(labels, start)  # effect steps keep the labels
+    return w
+
+
+def test_effect_steps_at_two_ten_are_built_without_full_grids():
     s = QuditSystem(2, 10)
     effect = MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 3), (1, 0))
-    _effect_table(s, effect, char=False)  # fill the trace-table cache
+    origin = PhasePoint((0,) * 10, (0,) * 10, 2)
+    frame_measurement_coeffs(s, effect, origin)  # fill the trace-table cache
     tracemalloc.start()
     try:
-        table = _effect_table(s, effect, char=False)
+        steps = [_effect_steps(s, effect, char) for char in (False, True)]
+        value = frame_measurement_coeffs(s, effect, origin)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.nbytes == 8 * 2**20
-    # the result plus the last factor's input (a quarter of it)
-    assert peak < 2 * table.nbytes
+    # a dense O-frame table alone would take 8 MiB
+    assert peak < 64 << 10
+    assert [len(frame) for frame in steps] == [10, 10]
+    # both measured factors read 1 at the origin, and Tr O_{0,0} = 2 on the other eight
+    assert value == 2.0**8
+
+
+@pytest.mark.parametrize(
+    "effect, point",
+    [
+        (MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0,), (5,)), PhasePoint((0, 0), (0, 0), 2)),
+        (MeasurementEffect(MeasurementKind.COMPUTATIONAL, (7,), (0,)), PhasePoint((0, 0), (0, 0), 2)),
+        (MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0,), (0,)), PhasePoint((3, 0), (0, 0), 4)),
+        (MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0,), (0,)), PhasePoint((0,), (0,), 2)),
+    ],
+    ids=["outcome", "index", "doubled-point", "one-factor-point"],
+)
+def test_frame_measurement_coeffs_validates_its_inputs(effect, point):
+    with pytest.raises(ValidationError):
+        frame_measurement_coeffs(QuditSystem(2, 2), effect, point)
 
 
 def test_forward_norm_and_both_estimators_share_one_frame_setup(monkeypatch):
