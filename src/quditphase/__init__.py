@@ -16,37 +16,26 @@ from .core import (
     DimensionCapError,
     GateKind,
     InvariantError,
-    PauliLabel,
     QuditError,
     QuditSystem,
     ValidationError,
-    adjoint,
     clifford_generator,
     computational_state,
     conjugate_by,
     embed_generator,
-    heisenberg_weyl,
-    make_clock,
-    make_shift,
     maximally_mixed,
-    mul,
     plus_state,
     pure_density,
     t_state,
-    tensor,
-    trace_inner,
 )
 from .basis import (
     Domain,
     EvenDimensionError,
     PhasePoint,
-    ShiftKind,
     SymplecticAffineMap,
     clifford_coordinate_action,
-    m_operator,
     o_operator,
     o_trace,
-    phase_shift_rule,
     reduce_full_point,
 )
 from .measures import (
@@ -96,7 +85,6 @@ from .homodyne import (
     HomodyneSample,
     logical_clifford_symplectic,
     pseudo_probability_report,
-    simulate_homodyne,
     simulate_homodyne_batch,
 )
 

@@ -16,7 +16,7 @@ This module also provides:
   sign formula ``lift_sign``, its per-factor (2d, 2d) ``lift_table`` and
   ``lift_to_full``, which turns any RESTRICTED table into the FULL one with
   one broadcast write per factor into a fresh array;
-  ``phase_shift_rule`` and ``reduce_full_point`` read the same formula.
+  ``reduce_full_point`` reads the same formula.
   Tr O is likewise one per-factor (2d, 2d) table, which ``o_trace``, the
   x normalization check and the sampler's computational effects read,
 * the Clifford action on labels as exact affine maps over Z_{2d}
@@ -36,8 +36,10 @@ import numpy as np
 
 from .core import (
     DenseOperator,
+    GateKind,
     QuditSystem,
     ValidationError,
+    _gate_targets,
     hw_matrix,
 )
 
@@ -45,16 +47,13 @@ __all__ = [
     "EvenDimensionError",
     "Domain",
     "PhasePoint",
-    "ShiftKind",
     "SymplecticAffineMap",
     "omega_block",
-    "m_operator",
     "o_operator",
     "o_matrix",
     "o_stack",
     "p_stack",
     "o_trace",
-    "phase_shift_rule",
     "lift_sign",
     "lift_table",
     "lift_to_full",
@@ -111,15 +110,6 @@ def restricted_point(system: QuditSystem, l, m) -> PhasePoint:
 
 def full_point(system: QuditSystem, l, m) -> PhasePoint:
     return PhasePoint(l, m, 2 * system.d)
-
-
-def m_operator(system: QuditSystem, l: int) -> DenseOperator:
-    """The anti-shift M_l = sum_{u+v = l mod d} |u><v| (single qudit)."""
-    d = system.d
-    mat = np.zeros((d, d), dtype=complex)
-    v = np.arange(d)
-    mat[(l - v) % d, v] = 1.0
-    return DenseOperator(system.single(), mat, unitary=True, hermitian=True)
 
 
 def o_matrix(d: int, l: int, m: int) -> np.ndarray:
@@ -191,27 +181,6 @@ def o_trace(system: QuditSystem, point: PhasePoint) -> complex:
     for li, mi in zip(point.l, point.m):
         out *= table[li % mod, mi % mod]
     return complex(out)
-
-
-class ShiftKind(str, Enum):
-    L_PLUS_D = "L+d"
-    M_PLUS_D = "M+d"
-    BOTH = "BOTH"
-
-
-def phase_shift_rule(point: PhasePoint, which: ShiftKind | str, d: int | None = None) -> int:
-    """Sign s with O at the d-shifted label equal to s * O at ``point``.
-
-    Single-factor points only. ``d`` defaults to the point's own local
-    dimension inferred from its modulus when the point is restricted; pass
-    it explicitly for full-domain points.
-    """
-    eps = {ShiftKind.L_PLUS_D: (1, 0), ShiftKind.M_PLUS_D: (0, 1), ShiftKind.BOTH: (1, 1)}[ShiftKind(which)]
-    if point.n != 1:
-        raise ValidationError("phase_shift_rule is a per-factor rule")
-    if d is None:
-        d = point.modulus
-    return lift_sign(d, point.l[0], point.m[0], *eps)
 
 
 def lift_sign(d: int, l, m, eps_l, eps_m):
@@ -346,23 +315,18 @@ def clifford_coordinate_action(
     restricted-domain signs come from ``reduce_full_point`` afterwards.
     ``targets`` selects the acted-on qudit(s); SUM takes (control, target).
     """
-    from .core import GateKind  # local import to keep module load order flat
-
     kind = GateKind(kind)
+    targets = _gate_targets(system, kind, targets)
     d, n = system.d, system.n
     mod = 2 * d
     mat = np.eye(2 * n, dtype=int)
     shift = np.zeros(2 * n, dtype=int)
     if kind is GateKind.SUM:
-        c, t = targets if targets is not None else (0, 1)
-        if c == t or not (0 <= c < n and 0 <= t < n):
-            raise ValidationError("SUM needs two distinct targets")
+        c, t = targets
         mat[t, c] = 1            # l_t += l_c
         mat[n + c, n + t] = -1   # m_c -= m_t
         return SymplecticAffineMap(mat, shift, mod)
-    (t,) = targets if targets is not None else (0,)
-    if not 0 <= t < n:
-        raise ValidationError("target out of range")
+    (t,) = targets
     if kind is GateKind.FOURIER:
         mat[t, t] = 0
         mat[t, n + t] = 1        # l -> m

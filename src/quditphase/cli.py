@@ -28,6 +28,7 @@ from .core import (
     InvariantError,
     QuditSystem,
     ValidationError,
+    _gate_targets,
     computational_state,
     maximally_mixed,
     plus_state,
@@ -206,10 +207,10 @@ def _state_from_args(args) -> DensityState:
     return _state_from_spec(system, spec)
 
 
-def _named_gate(spec) -> tuple[GateKind, tuple[int, ...]]:
-    """A {"kind": NAME, "targets": [...]} gate; targets default to (0, 1) for SUM and (0,) otherwise."""
+def _named_gate(system: QuditSystem, spec) -> tuple[GateKind, tuple[int, ...]]:
+    """A {"kind": NAME, "targets": [...]} gate with its checked targets (default per kind)."""
     kind = GateKind(str(_fields(spec, "kind", "targets")["kind"]).upper())
-    return kind, _ints(spec.get("targets", (0, 1) if kind is GateKind.SUM else (0,)))
+    return kind, _gate_targets(system, kind, _ints(spec["targets"]) if "targets" in spec else None)
 
 
 # ------------------------------------------------------------- subcommands
@@ -300,10 +301,12 @@ def _decode_gkp_check(args) -> list[tuple[QuditSystem, float]]:
     if args.samples < 1 or args.seed < 0:
         raise ValidationError(f"need --samples >= 1 and --seed >= 0, got {args.samples} and {args.seed}")
     if args.d is None:
+        if args.n is not None:
+            raise ValidationError("--n needs --d: the default grid fixes its own qudit counts")
         dims = [(d, n) for d in (2, 3, 4, 5) for n in (1, 2) if d**n <= 25]
         orders = args.p or (0.5, 1.0, 2.0, 3.0)
     else:
-        dims, orders = [(args.d, args.n)], args.p or (1.0,)
+        dims, orders = [(args.d, 1 if args.n is None else args.n)], args.p or (1.0,)
     return [(QuditSystem(d, n), check_order(p)) for d, n in dims for p in orders]
 
 
@@ -345,7 +348,7 @@ def _cmd_gkp_check(args, cells) -> int:
 def _gate_from_spec(system: QuditSystem, spec):
     if isinstance(spec, dict) and "matrix" in spec:
         return DenseOperator(system, _matrix(_fields(spec, "matrix")["matrix"]))
-    return _named_gate(spec)
+    return _named_gate(system, spec)
 
 
 def _measurement_from_spec(system: QuditSystem, spec) -> MeasurementEffect:
@@ -398,7 +401,7 @@ def _decode_gkp_sim(args):
     if "gate" in cfg:
         if "S" in cfg or "displacement" in cfg:
             raise ValidationError("a circuit takes either 'gate' or 'S' with 'displacement', not both")
-        circuit = logical_clifford_symplectic(system, *_named_gate(cfg["gate"]))
+        circuit = logical_clifford_symplectic(system, *_named_gate(system, cfg["gate"]))
     else:
         n2 = 2 * system.n
         s = np.array(cfg["S"], dtype=float).reshape(n2, n2)
@@ -483,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gkp-check", help="cell-norm identity residuals", parents=[out])
     g.add_argument("--d", type=int)
-    g.add_argument("--n", type=int, default=1)
+    g.add_argument("--n", type=int)
     g.add_argument("--p", type=float, nargs="*")
     g.add_argument("--samples", type=int, default=3)
     g.add_argument("--seed", type=int, default=0)

@@ -1,17 +1,19 @@
-"""Dense construction of qudit Pauli and Clifford operators.
+"""Dense construction of qudit Weyl and Clifford operators.
 
 Provides the basic objects every other module consumes:
 
-* ``QuditSystem``: a register of n qudits of local dimension d, with the
-  doubled phase order D (d for odd d, 2d for even d) and a dense-size cap.
+* ``QuditSystem``: a register of n qudits of local dimension d, checked
+  against the dense-size cap.
 * ``DenseOperator`` / ``DensityState``: validated dense matrices.
-* ``PauliLabel`` and ``heisenberg_weyl``: the generalized Pauli group
-  P(a, b) = w_d^{ab/2} X^a Z^b with the half-integer phase handled per
-  parity of d (multiplicative inverse of 2 for odd d, literal e^{i pi ab/d}
-  with plain-integer products for even d).
-* ``clifford_generator``: Fourier, phase, SUM, shift and clock gates.
-* Small dense-algebra helpers (tensor, mul, adjoint, trace_inner,
-  conjugate_by) used throughout the test suite.
+* ``hw_matrix``: the single-qudit Weyl operator P(a, b) = w_d^{ab/2} X^a Z^b
+  with the half-integer phase handled per parity of d (multiplicative
+  inverse of 2 for odd d, literal e^{i pi ab/d} with plain-integer products
+  for even d). X = P(1, 0) and Z = P(0, 1); a multi-qudit P(a, b) is the
+  Kronecker product of its factors (``basis.p_stack`` holds them all).
+* ``clifford_generator``: Fourier, phase, SUM, shift and clock gates, and
+  ``embed_generator``, which places one on its target qudit(s) of a
+  register; every named gate's targets are checked by one rule.
+* ``conjugate_by``: U A U^dagger.
 
 Everything is an immutable dense complex matrix; there is no sparse path.
 """
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,19 +45,10 @@ __all__ = [
     "QuditSystem",
     "DenseOperator",
     "DensityState",
-    "PauliLabel",
     "GateKind",
-    "make_shift",
-    "make_clock",
-    "heisenberg_weyl",
     "hw_matrix",
     "clifford_generator",
-    "tensor",
-    "mul",
-    "adjoint",
-    "trace_inner",
     "conjugate_by",
-    "embed_single",
     "embed_sum",
     "embed_generator",
     "computational_state",
@@ -82,54 +75,34 @@ class InvariantError(QuditError):
     """A numerical invariant that should hold algebraically was violated."""
 
 
-def _dim_cap(override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get(DIM_CAP_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_DIM_CAP
-
-
 @dataclass(frozen=True)
 class QuditSystem:
     """A register of ``n`` qudits with local dimension ``d``.
 
-    ``D`` is d for odd d and 2d for even d; it is the order of the global
-    phase group of the generalized Pauli operators. Construction fails when
-    the dense side length d^n exceeds the cap (default 4096, overridable via
-    the QUDITPHASE_DIM_CAP environment variable or the ``cap`` argument).
+    Construction fails when the dense side length d^n exceeds the cap
+    (default 4096, overridable via the QUDITPHASE_DIM_CAP environment
+    variable, read at each construction).
     """
 
     d: int
     n: int = 1
-    D: int = field(init=False)
 
-    def __init__(self, d: int, n: int = 1, cap: int | None = None):
+    def __init__(self, d: int, n: int = 1):
         if int(d) < 2:
             raise ValidationError(f"local dimension must be >= 2, got {d}")
         if int(n) < 1:
             raise ValidationError(f"qudit count must be >= 1, got {n}")
-        d, n, cap = int(d), int(n), _dim_cap(cap)
+        d, n, cap = int(d), int(n), int(os.environ.get(DIM_CAP_ENV_VAR, DEFAULT_DIM_CAP))
         # d >= 2, so n >= cap.bit_length() exceeds the cap before d**n is worth computing
         if n >= cap.bit_length() or d**n > cap:
             raise DimensionCapError(f"d^n = {d}^{n} exceeds the dense cap {cap}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "D", d if d % 2 else 2 * d)
 
     @property
     def dim(self) -> int:
         """Dense Hilbert-space dimension d^n."""
         return self.d**self.n
-
-    @property
-    def omega(self) -> complex:
-        return np.exp(2j * np.pi / self.d)
-
-    def single(self) -> "QuditSystem":
-        """The one-qudit factor of this register."""
-        return QuditSystem(self.d, 1)
 
 
 def _as_matrix(entries, side: int) -> np.ndarray:
@@ -168,9 +141,6 @@ class DenseOperator:
             if dev > 1e-9:
                 raise ValidationError(f"hermiticity violated by {dev:.3e}")
 
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return mul(self, other)
-
 
 @dataclass(frozen=True)
 class DensityState:
@@ -196,49 +166,6 @@ class DensityState:
         return float(np.vdot(self.matrix, self.matrix).real)
 
 
-def _canon_vec(values: Sequence[int] | int, n: int, mod: int) -> tuple[int, ...]:
-    if isinstance(values, (int, np.integer)):
-        vec: tuple[int, ...] = (int(values),)
-    else:
-        vec = tuple(int(v) for v in values)
-    if len(vec) != n:
-        raise ValidationError(f"label needs {n} components, got {len(vec)}")
-    return tuple(v % mod for v in vec)
-
-
-@dataclass(frozen=True)
-class PauliLabel:
-    """Canonical label (a, b, phase_exponent) of a generalized Pauli operator.
-
-    Components are reduced to [0, d) and the global phase exponent to
-    [0, D). Tensor factors are ordered like the register.
-    """
-
-    system: QuditSystem
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    phase_exponent: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _canon_vec(self.a, self.system.n, self.system.d))
-        object.__setattr__(self, "b", _canon_vec(self.b, self.system.n, self.system.d))
-        object.__setattr__(self, "phase_exponent", int(self.phase_exponent) % self.system.D)
-
-
-def make_shift(system: QuditSystem) -> DenseOperator:
-    """Single-qudit shift X with X|j> = |j+1 mod d>."""
-    d = system.d
-    mat = np.zeros((d, d), dtype=complex)
-    mat[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return DenseOperator(system.single(), mat, unitary=True)
-
-
-def make_clock(system: QuditSystem) -> DenseOperator:
-    """Single-qudit clock Z = diag(w^j), w = e^{2 pi i / d}."""
-    d = system.d
-    return DenseOperator(system.single(), np.diag(system.omega ** np.arange(d)), unitary=True)
-
-
 def _half_phase(d: int, prod: int) -> complex:
     # w_d^{prod/2}: inverse of 2 mod d for odd d; literal e^{i pi prod/d},
     # with prod over the plain integers, for even d.
@@ -262,21 +189,27 @@ def hw_matrix(d: int, a: int, b: int) -> np.ndarray:
     return _half_phase(d, a * b) * (shift * clock_pow[np.newaxis, :])
 
 
-def heisenberg_weyl(system: QuditSystem, label: PauliLabel) -> DenseOperator:
-    """Dense P(a, b) = w_D^{phase} tensor_i P(a_i, b_i)."""
-    mat = np.ones((1, 1), dtype=complex)
-    for ai, bi in zip(label.a, label.b):
-        mat = np.kron(mat, hw_matrix(system.d, ai, bi))
-    mat = mat * np.exp(2j * np.pi * label.phase_exponent / system.D)
-    return DenseOperator(system, mat, unitary=True)
-
-
 class GateKind(str, Enum):
     FOURIER = "FOURIER"
     PHASE = "PHASE"
     SUM = "SUM"
     SHIFT = "SHIFT"
     CLOCK = "CLOCK"
+
+
+def _gate_targets(system: QuditSystem, kind: GateKind, targets: Iterable[int] | None = None) -> tuple[int, ...]:
+    """The qudits a named generator acts on, checked against the register.
+
+    SUM takes two distinct qudits (control, target), default (0, 1); every
+    other kind takes one, default (0,). Each must lie in [0, n).
+    """
+    arity = 2 if kind is GateKind.SUM else 1
+    targets = tuple(range(arity)) if targets is None else tuple(targets)
+    if len(targets) != arity or len(set(targets)) != arity:
+        raise ValidationError(f"{kind.value} takes {arity} distinct target(s), got {targets}")
+    if any(not 0 <= t < system.n for t in targets):
+        raise ValidationError(f"gate target out of range for {system.n} qudit(s): {targets}")
+    return targets
 
 
 def clifford_generator(system: QuditSystem, kind: GateKind | str) -> DenseOperator:
@@ -306,33 +239,8 @@ def clifford_generator(system: QuditSystem, kind: GateKind | str) -> DenseOperat
         else:
             diag = np.exp(1j * np.pi * j * j / d)
         return DenseOperator(system, np.diag(diag), unitary=True)
-    if kind is GateKind.SHIFT:
-        return make_shift(system)
-    return make_clock(system)
-
-
-def tensor(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    if a.system.d != b.system.d:
-        raise ValidationError("tensor factors must share the local dimension")
-    sys_out = QuditSystem(a.system.d, a.system.n + b.system.n)
-    return DenseOperator(sys_out, np.kron(a.entries, b.entries))
-
-
-def mul(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    if a.system.dim != b.system.dim:
-        raise ValidationError("operator shapes do not match")
-    return DenseOperator(a.system, a.entries @ b.entries)
-
-
-def adjoint(a: DenseOperator) -> DenseOperator:
-    return DenseOperator(a.system, a.entries.conj().T)
-
-
-def trace_inner(a: DenseOperator, b: DenseOperator) -> complex:
-    """Tr[A^dagger B]."""
-    if a.system.dim != b.system.dim:
-        raise ValidationError("operator shapes do not match")
-    return complex(np.sum(a.entries.conj() * b.entries))
+    a, b = (1, 0) if kind is GateKind.SHIFT else (0, 1)
+    return DenseOperator(system, hw_matrix(d, a, b), unitary=True)
 
 
 def conjugate_by(u: DenseOperator, a: DenseOperator) -> DenseOperator:
@@ -342,26 +250,10 @@ def conjugate_by(u: DenseOperator, a: DenseOperator) -> DenseOperator:
     return DenseOperator(a.system, u.entries @ a.entries @ u.entries.conj().T)
 
 
-def embed_single(system: QuditSystem, gate: DenseOperator, target: int) -> DenseOperator:
-    """Lift a single-qudit gate onto ``target`` of an n-qudit register.
-
-    Factor 0 is the leftmost (most significant) tensor slot.
-    """
-    if gate.system.dim != system.d:
-        raise ValidationError("gate is not single-qudit")
-    if not 0 <= target < system.n:
-        raise ValidationError("target out of range")
-    mat = np.ones((1, 1), dtype=complex)
-    for k in range(system.n):
-        mat = np.kron(mat, gate.entries if k == target else np.eye(system.d))
-    return DenseOperator(system, mat)
-
-
 def embed_sum(system: QuditSystem, control: int, target: int) -> DenseOperator:
     """Lift SUM (|i>|j> -> |i>|i+j mod d>) onto an arbitrary qudit pair."""
     d, n = system.d, system.n
-    if control == target or not (0 <= control < n and 0 <= target < n):
-        raise ValidationError("SUM needs two distinct in-range qudits")
+    control, target = _gate_targets(system, GateKind.SUM, (control, target))
     idx = np.arange(d**n)
     ic = (idx // d ** (n - 1 - control)) % d
     it = (idx // d ** (n - 1 - target)) % d
@@ -372,14 +264,19 @@ def embed_sum(system: QuditSystem, control: int, target: int) -> DenseOperator:
 
 
 def embed_generator(system: QuditSystem, kind, targets: tuple[int, ...] | None = None) -> DenseOperator:
-    """Dense n-qudit unitary of a named generator acting on ``targets``."""
+    """Dense n-qudit unitary of a named generator acting on ``targets``.
+
+    Factor 0 is the leftmost (most significant) tensor slot.
+    """
     kind = GateKind(kind)
+    targets = _gate_targets(system, kind, targets)
     if kind is GateKind.SUM:
-        c, t = targets if targets is not None else (0, 1)
-        return embed_sum(system, c, t)
-    (t,) = targets if targets is not None else (0,)
-    gate = clifford_generator(system.single(), kind)
-    return embed_single(system, gate, t)
+        return embed_sum(system, *targets)
+    gate = clifford_generator(QuditSystem(system.d, 1), kind).entries
+    mat = np.ones((1, 1), dtype=complex)
+    for k in range(system.n):
+        mat = np.kron(mat, gate if k == targets[0] else np.eye(system.d))
+    return DenseOperator(system, mat)
 
 
 def pure_density(system: QuditSystem, vector: Iterable[complex]) -> DensityState:

@@ -99,10 +99,6 @@ class GkpLatticeCoefficients:
             raise ValidationError("point does not live on this cell")
         return self.values[point.l + point.m]
 
-    def as_array(self) -> np.ndarray:
-        """The cell table itself (read-only)."""
-        return self.values
-
 
 def _wigner_cell(x: QuasiDistribution) -> GkpLatticeCoefficients:
     """The Wigner cell of a restricted x table: its doubled-domain lift."""

@@ -51,7 +51,6 @@ __all__ = [
     "HistogramEntry",
     "PseudoProbabilityReport",
     "logical_clifford_symplectic",
-    "simulate_homodyne",
     "simulate_homodyne_batch",
     "pseudo_probability_report",
 ]
@@ -250,11 +249,6 @@ def simulate_homodyne_batch(
         weight=weight,
         modulus=mod,
     )
-
-
-def simulate_homodyne(rho: DensityState, circuit: GaussianCircuit, seed: int) -> HomodyneSample:
-    """One homodyne sample (the head of the seeded stream)."""
-    return simulate_homodyne_batch(rho, circuit, 1, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ from .core import (
     QuditSystem,
     SAMPLE_CAP,
     ValidationError,
+    _gate_targets,
 )
 from .basis import (
     Domain,
@@ -164,12 +165,7 @@ class CircuitDescription:
                     DenseOperator(g.system, g.entries, unitary=True)
             else:
                 kind, targets = g
-                kind = GateKind(kind)
-                arity = 2 if kind is GateKind.SUM else 1
-                if len(targets) != arity or len(set(targets)) != arity:
-                    raise ValidationError(f"{kind.value} takes {arity} distinct target(s)")
-                if any(not 0 <= t < self.system.n for t in targets):
-                    raise ValidationError("gate target out of range")
+                _gate_targets(self.system, GateKind(kind), targets)
         self.measurement.validate(self.system)
 
 

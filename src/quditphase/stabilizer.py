@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DensityState, InvariantError, QuditSystem, ValidationError
-from .basis import Domain, lift_table, lift_to_full, o_stack, p_stack
+from .basis import Domain, lift_table, lift_to_full, o_stack, omega_block, p_stack
 from .measures import QuasiDistribution, _contract_stack
 
 __all__ = [
@@ -70,9 +70,8 @@ class DependentGenerators(ValidationError):
 
 
 def _symplectic(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
-    """u Omega v^T = u_b v_a^T - u_a v_b^T mod d for row stacks u, v of Z_d^{2n} vectors."""
-    n = u.shape[1] // 2
-    return (u[:, n:] @ v[:, :n].T - u[:, :n] @ v[:, n:].T) % d
+    """u Omega v^T mod d for row stacks u, v of Z_d^{2n} vectors."""
+    return (u @ omega_block(u.shape[1] // 2) @ v.T) % d
 
 
 def _h2(d: int) -> int:
@@ -281,9 +280,8 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
 
 
 def _dual_phase_vector(gens, ks: Sequence[int], d: int, n: int) -> tuple[int, ...]:
-    """Some v with v Omega s_i^T = k_i mod d for every generator."""
-    rows = [[-c for c in s[n:]] + list(s[:n]) for s in gens]
-    v = _solve(rows, ks, d)
+    """Some v with v Omega s_i^T = k_i mod d for every generator, i.e. (S Omega^T) v = k."""
+    v = _solve(np.array(gens, dtype=np.int64) @ omega_block(n).T, ks, d)
     if v is None:
         raise ValidationError("no phase vector satisfies the given phases")
     return v

@@ -14,13 +14,10 @@ from quditphase import (
     ValidationError,
     clifford_coordinate_action,
     embed_generator,
-    m_operator,
     o_operator,
     o_trace,
-    phase_shift_rule,
 )
 from quditphase.basis import (
-    ShiftKind,
     full_point,
     lift_sign,
     o_matrix,
@@ -44,8 +41,8 @@ def test_qubit_basis_is_pauli_with_minus_y():
 
 
 def test_antidiagonal_building_block():
-    # M_l has ones exactly where row + col = l mod d
-    m = m_operator(QuditSystem(5), 3).entries
+    # O_{l,0} = M_l has ones exactly where row + col = l mod d
+    m = o_matrix(5, 3, 0)
     for u in range(5):
         for v in range(5):
             assert m[u, v] == (1.0 if (u + v) % 5 == 3 else 0.0)
@@ -87,15 +84,9 @@ def test_shift_rule_agrees_with_dense(single):
     d = single.d
     for l in range(d):
         for m in range(d):
-            pt = restricted_point(single, (l,), (m,))
-            for kind, (dl, dm) in [
-                (ShiftKind.L_PLUS_D, (d, 0)),
-                (ShiftKind.M_PLUS_D, (0, d)),
-                (ShiftKind.BOTH, (d, d)),
-            ]:
-                s = phase_shift_rule(pt, kind, d)
+            for el, em in [(1, 0), (0, 1), (1, 1)]:
                 assert np.allclose(
-                    o_matrix(d, l + dl, m + dm), s * o_matrix(d, l, m), atol=1e-12
+                    o_matrix(d, l + d * el, m + d * em), lift_sign(d, l, m, el, em) * o_matrix(d, l, m), atol=1e-12
                 )
 
 

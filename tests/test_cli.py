@@ -273,12 +273,13 @@ def test_simulate_rejects_bad_values(tmp_path, capsys, section, field, value):
         ("gkp-check", "--samples", "0", "--csv"),
         ("gkp-check", "--samples", "-1"),
         ("gkp-check", "--d", "2", "--seed", "-1"),
+        ("gkp-check", "--n", "3", "--samples", "1"),
         ("measure", "--d", "2", "--output", "{tmp_path}/missing/x.json"),
         ("measure", "--d", "2", "--output", "{tmp_path}"),
     ],
     ids=["epsilon-nan", "epsilon-inf", "epsilon-tiny", "epsilon-beyond-sample-cap", "zero-streams", "negative-seed",
          "circuit-is-directory", "gkp-check-zero-samples-csv", "gkp-check-negative-samples", "gkp-check-negative-seed",
-         "output-in-missing-directory", "output-is-directory"],
+         "gkp-check-n-without-d", "output-in-missing-directory", "output-is-directory"],
 )
 def test_bad_arguments_are_validation_errors(tmp_path, capsys, argv):
     path = tmp_path / "hth.json"

@@ -9,25 +9,20 @@ from quditphase import (
     DensityState,
     DimensionCapError,
     GateKind,
-    PauliLabel,
     QuditSystem,
     ValidationError,
-    adjoint,
+    clifford_coordinate_action,
     clifford_generator,
     computational_state,
     conjugate_by,
     embed_generator,
-    heisenberg_weyl,
-    make_clock,
-    make_shift,
+    logical_clifford_symplectic,
     maximally_mixed,
-    mul,
     plus_state,
     pure_density,
     t_state,
-    trace_inner,
 )
-from quditphase.core import hw_matrix
+from quditphase.core import DIM_CAP_ENV_VAR, hw_matrix
 
 # Hand-computed single-qubit displacement operators. P(1,1) carries the
 # half phase i, so it lands exactly on Y.
@@ -88,19 +83,9 @@ def test_trace_orthogonality(single):
         for b1 in range(d):
             for a2 in range(d):
                 for b2 in range(d):
-                    p = heisenberg_weyl(single, PauliLabel(single, (a1,), (b1,)))
-                    q = heisenberg_weyl(single, PauliLabel(single, (a2,), (b2,)))
-                    got = trace_inner(q, p)
+                    got = np.trace(hw_matrix(d, a2, b2).conj().T @ hw_matrix(d, a1, b1))
                     want = d if (a1, b1) == (a2, b2) else 0.0
                     assert abs(got - want) < 1e-10
-
-
-def test_two_qudit_displacement_is_kron():
-    sys2 = QuditSystem(3, 2)
-    label = PauliLabel(sys2, (1, 2), (0, 1))
-    full = heisenberg_weyl(sys2, label).entries
-    want = np.kron(hw_matrix(3, 1, 0), hw_matrix(3, 2, 1))
-    assert np.allclose(full, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
@@ -115,11 +100,11 @@ def test_clifford_generators_unitary(single, kind):
 
 def test_fourier_exchanges_shift_and_clock(single):
     f = clifford_generator(single, GateKind.FOURIER)
-    x = make_shift(single)
-    z = make_clock(single)
+    x = clifford_generator(single, GateKind.SHIFT)
+    z = clifford_generator(single, GateKind.CLOCK)
     assert np.allclose(conjugate_by(f, x).entries, z.entries, atol=1e-12)
     assert np.allclose(
-        conjugate_by(f, z).entries, adjoint(x).entries, atol=1e-12
+        conjugate_by(f, z).entries, x.entries.conj().T, atol=1e-12
     )
 
 
@@ -159,12 +144,13 @@ def test_t_state_is_qubit_only():
         t_state(QuditSystem(3, 1))
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
     with pytest.raises(DimensionCapError):
         QuditSystem(2, 40)
-    QuditSystem(2, 3, cap=8)
+    monkeypatch.setenv(DIM_CAP_ENV_VAR, "8")
+    QuditSystem(2, 3)
     with pytest.raises(DimensionCapError):
-        QuditSystem(2, 4, cap=8)
+        QuditSystem(2, 4)
 
 
 def test_validation_rejects_bad_inputs():
@@ -201,9 +187,14 @@ def test_pure_density_normalizes():
     assert np.allclose(pure_density(s, [1.0, 1.0]).matrix, plus_state(s).matrix)
 
 
-def test_mul_and_adjoint_roundtrip(single):
-    x = make_shift(single)
-    z = make_clock(single)
-    prod = mul(x, z)
-    back = mul(adjoint(z), adjoint(x))
-    assert np.allclose(adjoint(prod).entries, back.entries, atol=1e-12)
+@pytest.mark.parametrize("build", [embed_generator, clifford_coordinate_action, logical_clifford_symplectic])
+@pytest.mark.parametrize(
+    "kind, targets",
+    [(GateKind.FOURIER, (0, 1)), (GateKind.PHASE, (0, 1)), (GateKind.SUM, (0,)), (GateKind.SUM, (1, 1)),
+     (GateKind.SHIFT, (2,)), (GateKind.SUM, (0, -1))],
+    ids=["fourier-two-targets", "phase-two-targets", "sum-one-target", "sum-repeated-target",
+         "shift-out-of-range", "sum-negative-target"],
+)
+def test_wrong_gate_targets_are_validation_errors(build, kind, targets):
+    with pytest.raises(ValidationError):
+        build(QuditSystem(2, 2), kind, targets)

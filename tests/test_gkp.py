@@ -25,7 +25,6 @@ from quditphase import (
     gkp_char_coefficients,
     gkp_wigner_coefficients,
     haar_random_state,
-    make_shift,
     plus_state,
     renyi_from_cell_norms,
     stabilizer_cell_norm,
@@ -35,6 +34,7 @@ from quditphase import (
     verify_theorem2,
 )
 from quditphase.basis import Domain, full_point
+from quditphase.core import hw_matrix
 
 LOG_4_3 = math.log(4.0 / 3.0)
 
@@ -66,7 +66,7 @@ def test_wigner_cell_matches_comb_reference(d):
     if d == 2:
         states.append(t_state())
     for rho in states:
-        got = gkp_wigner_coefficients(rho).as_array()
+        got = gkp_wigner_coefficients(rho).values
         want = comb_cell_reference(rho.matrix, d)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -138,7 +138,7 @@ def test_char_cell_pure_shift_row():
     s = QuditSystem(3, 1)
     rho = haar_random_state(s, np.random.default_rng(12))
     gamma = gkp_char_coefficients(rho)
-    x = make_shift(s).entries
+    x = hw_matrix(3, 1, 0)
     for l in range(6):
         pt = full_point(s, (l,), (0,))
         want = np.trace(np.linalg.matrix_power(x, l) @ rho.matrix)

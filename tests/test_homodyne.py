@@ -23,7 +23,6 @@ from quditphase import (
     lp_norm,
     plus_state,
     pseudo_probability_report,
-    simulate_homodyne,
     simulate_homodyne_batch,
     t_state,
     x_distribution,
@@ -115,7 +114,7 @@ def test_sample_weight_is_norm_times_prefactor():
     g = GaussianCircuit.identity(s)
     full_norm = lp_norm(x_distribution(rho, Domain.FULL), 1.0)
     want = full_norm * math.sqrt(2 / (8 * math.pi))
-    smp = simulate_homodyne(rho, g, seed=0)
+    smp = simulate_homodyne_batch(rho, g, 1, seed=0)[0]
     assert abs(smp.weight - want) < 1e-12
     assert abs(smp.weight - 1.1283791670955123) < 1e-12
 
@@ -140,7 +139,7 @@ def test_batch_reproducibility():
     assert a == b
     c = simulate_homodyne_batch(rho, g, 10, seed=5)
     assert a != c
-    assert simulate_homodyne(rho, g, seed=4) == a[0]
+    assert simulate_homodyne_batch(rho, g, 1, seed=4)[0] == a[0]
 
 
 def test_sampled_points_follow_the_coefficient_magnitudes():
@@ -164,7 +163,7 @@ def test_sampled_points_follow_the_coefficient_magnitudes():
 def test_generic_s_matrix_has_no_lattice_index():
     s = QuditSystem(2, 1)
     shear = GaussianCircuit(s, np.array([[1.0, 0.0], [0.5, 1.0]]), np.zeros(2))
-    smp = simulate_homodyne(computational_state(s, 0), shear, seed=0)
+    smp = simulate_homodyne_batch(computational_state(s, 0), shear, 1, seed=0)[0]
     assert smp.lattice_index is None
 
 
@@ -272,7 +271,7 @@ def test_cli_path_builds_no_phase_points(tmp_path, monkeypatch, capsys):
     assert main(["gkp-sim", "--circuit", str(path)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 500
     assert built == []
-    simulate_homodyne(plus_state(QuditSystem(2, 1)), GaussianCircuit.identity(QuditSystem(2, 1)), seed=0)
+    simulate_homodyne_batch(plus_state(QuditSystem(2, 1)), GaussianCircuit.identity(QuditSystem(2, 1)), 1, seed=0)[0]
     assert len(built) == 1  # the counter does see an accessed sample
 
 
