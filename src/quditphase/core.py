@@ -21,6 +21,7 @@ Everything is an immutable dense complex matrix; there is no sparse path.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -196,15 +197,24 @@ class GateKind(str, Enum):
     SHIFT = "SHIFT"
     CLOCK = "CLOCK"
 
+    @property
+    def arity(self) -> int:
+        """Qudits the generator acts on: two for SUM (control, target), else one."""
+        return 2 if self is GateKind.SUM else 1
+
 
 def _gate_targets(system: QuditSystem, kind: GateKind, targets: Iterable[int] | None = None) -> tuple[int, ...]:
     """The qudits a named generator acts on, checked against the register.
 
     SUM takes two distinct qudits (control, target), default (0, 1); every
-    other kind takes one, default (0,). Each must lie in [0, n).
+    other kind takes one, default (0,). Each must be an integer in [0, n);
+    a bare int or any other non-sequence is rejected.
     """
-    arity = 2 if kind is GateKind.SUM else 1
-    targets = tuple(range(arity)) if targets is None else tuple(targets)
+    arity = kind.arity
+    try:
+        targets = tuple(range(arity)) if targets is None else tuple(map(operator.index, targets))
+    except TypeError:
+        raise ValidationError(f"{kind.value} targets must be a sequence of qudit indices, got {targets!r}") from None
     if len(targets) != arity or len(set(targets)) != arity:
         raise ValidationError(f"{kind.value} takes {arity} distinct target(s), got {targets}")
     if any(not 0 <= t < system.n for t in targets):

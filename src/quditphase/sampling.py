@@ -13,12 +13,16 @@ rejected before anything is drawn. The forward norm M is the input
 1-norm times each explicit gate's largest column 1-norm times the
 effect's max. A trajectory is a label vector in Z_d^{2n}, carried as one
 (2n, K) integer array per stream, and a gate touches only the 2k label
-axes of its k support qudits. Frame columns come from one batched kernel
-(``_columns``): the basis operators at a block of labels are built as one
-Kronecker product and conjugated by the gate at once, and the batch goes
-through the one stack contraction that also builds the x and chi tables
-(``measures._contract_stack``, one pass per qudit). The input label is
-drawn by the same inverse-CDF helper as the homodyne sampler's.
+axes of its k support qudits. A step reads the local label on those axes
+as a Horner index, gathers the weight factor at it, and writes the labels
+back with one take of a named gate's image digits or one unravel of an
+explicit gate's drawn image; an effect step only gathers. Frame columns
+come from one batched kernel (``_columns``): the basis operators at a
+block of labels are built as one Kronecker product and conjugated by the
+gate at once, and the batch goes through the one stack contraction that
+also builds the x and chi tables (``measures._contract_stack``, one pass
+per qudit). The input label is drawn by the same inverse-CDF helper as
+the homodyne sampler's.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
@@ -230,7 +234,10 @@ def _columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.nda
 
 @lru_cache(maxsize=64)
 def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Image label and unit factor of every local label under a generator.
+    """Image digits and unit factor of every local label under a generator.
+
+    Column u of the (2k, d^{2k}) digit table, in the smallest unsigned
+    type that holds d - 1, is the image of local label u, axis by axis.
 
     Read in closed form from the generator's Z_{2d} label action
     u -> Au + s (``clifford_coordinate_action``) on its own 1- or 2-qudit
@@ -259,7 +266,7 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
     (As = s), so JAJ fixes t and the factor is the same whether P(t) acts
     before or after the linear part.
     """
-    k = 2 if kind is GateKind.SUM else 1
+    k = kind.arity
     amap = clifford_coordinate_action(QuditSystem(d, k), kind)
     u = np.indices((d,) * (2 * k)).reshape(2 * k, -1)
     flip = np.repeat([1, -1], k)
@@ -272,9 +279,9 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
         js = flip * amap.shift
         t = js // 2 if d % 2 == 0 else js * pow(2, -1, d)
         phases = phases * np.exp(-2j * np.pi * ((t[:k] @ u[k:] - t[k:] @ u[:k]) % d) / d)
-    images = np.ravel_multi_index(tuple(full % d), (d,) * (2 * k))
-    images.flags.writeable = phases.flags.writeable = False
-    return images, phases
+    digits = (full % d).astype(np.min_scalar_type(d - 1))
+    digits.flags.writeable = phases.flags.writeable = False
+    return digits, phases
 
 
 def _support(system: QuditSystem, unitary: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -328,8 +335,12 @@ class _LocalGate:
         Trajectory t takes the first image whose cumulative |column| share
         exceeds u[t], from the column of its own local label.
         """
-        visited, counts = np.unique(local, return_counts=True)
-        order = np.argsort(local, kind="stable")
+        d, k = self.system.d, self.system.n
+        # a key of at most 16 bits sorts by radix, to the same stable order
+        order = np.argsort(local.astype(np.min_scalar_type(d ** (2 * k) - 1)), kind="stable")
+        counts = np.bincount(local)
+        visited = np.flatnonzero(counts)
+        counts = counts[visited]
         ends = np.cumsum(counts)
         image = np.empty_like(local)
         cnorm = np.empty(len(local))
@@ -365,24 +376,25 @@ def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, obj
 def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) -> np.ndarray:
     """Carry (2n, K) label vectors through one gate or effect step on its axes.
 
-    The labels are rewritten in place and the new weights returned. A
-    named table (image and unit phase) or an effect table (no image: the
-    weight only) draws nothing; an explicit gate draws one uniform block
-    and samples each image from the column of its trajectory's local label.
+    The labels are rewritten in place and the new weights returned. Each
+    trajectory's local label is its Horner index over ``axes``. A named
+    table (image digits and unit phase) gathers the factor at it and takes
+    the image digits; an effect table (no image) gathers the factor only.
+    Neither draws. An explicit gate draws one uniform block, samples each
+    image from the column of its trajectory's local label, and unravels it.
     """
-    shape = (d,) * len(axes)
-    local = np.ravel_multi_index(tuple(labels[axes]), shape)
+    local = labels[axes[0]].astype(np.int64)
+    for a in axes[1:]:
+        local *= d
+        local += labels[a]
     if isinstance(op, _LocalGate):
         image, cnorm, picked = op.draw(local, rng.random(len(local)))
-        w = w * cnorm * picked / np.abs(picked)
-    else:
-        images, phases = op
-        w = w * phases[local]
-        if images is None:
-            return w
-        image = images[local]
-    labels[axes] = np.unravel_index(image, shape)
-    return w
+        labels[axes] = np.unravel_index(image, (d,) * len(axes))
+        return w * cnorm * picked / np.abs(picked)
+    digits, phases = op
+    if digits is not None:
+        labels[axes] = np.take(digits, local, axis=1)
+    return w * phases[local]
 
 
 # ------------------------------------------------------------ frame setup

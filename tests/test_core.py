@@ -191,9 +191,11 @@ def test_pure_density_normalizes():
 @pytest.mark.parametrize(
     "kind, targets",
     [(GateKind.FOURIER, (0, 1)), (GateKind.PHASE, (0, 1)), (GateKind.SUM, (0,)), (GateKind.SUM, (1, 1)),
-     (GateKind.SHIFT, (2,)), (GateKind.SUM, (0, -1))],
+     (GateKind.SHIFT, (2,)), (GateKind.SUM, (0, -1)), (GateKind.FOURIER, 1), (GateKind.SUM, 0),
+     (GateKind.PHASE, (0.5,))],
     ids=["fourier-two-targets", "phase-two-targets", "sum-one-target", "sum-repeated-target",
-         "shift-out-of-range", "sum-negative-target"],
+         "shift-out-of-range", "sum-negative-target", "fourier-bare-int", "sum-bare-int",
+         "phase-fractional-target"],
 )
 def test_wrong_gate_targets_are_validation_errors(build, kind, targets):
     with pytest.raises(ValidationError):

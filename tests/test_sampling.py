@@ -587,6 +587,56 @@ def test_o_frame_reports_are_pinned(make, epsilon, seed, streams, estimate, samp
     assert report.forward_norm == norm
 
 
+def controlled_t_circuit():
+    # a two-qubit explicit gate: controlled-T on qubits (0, 2) of three
+    s = QuditSystem(2, 3)
+    ct = np.diag([1, 1, 1, np.exp(1j * np.pi / 4)])
+    return CircuitDescription(
+        s,
+        computational_state(s, 0),
+        (
+            (GateKind.FOURIER, (0,)),
+            (GateKind.FOURIER, (2,)),
+            (GateKind.SUM, (0, 1)),
+            DenseOperator(s, embed(2, 3, ct, [0, 2]), unitary=True),
+            (GateKind.FOURIER, (2,)),
+            (GateKind.PHASE, (1,)),
+        ),
+        MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 2), (1, 0)),
+    )
+
+
+def qutrit_explicit_effect_circuit():
+    s = QuditSystem(3, 2)
+    k = np.arange(3)
+    magic = np.kron(np.diag(np.exp(2j * np.pi * k**3 / 9)), np.eye(3))
+    psi = haar_random_state(s, np.random.default_rng(5)).matrix
+    return CircuitDescription(
+        s,
+        computational_state(s, 4),
+        ((GateKind.FOURIER, (0,)), DenseOperator(s, magic, unitary=True), (GateKind.SUM, (1, 0))),
+        MeasurementEffect(MeasurementKind.EXPLICIT, operator=DenseOperator(s, psi)),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, epsilon, seed, streams, estimate, samples, norm",
+    [
+        (controlled_t_circuit, 0.2, 21, 1, 0.4186389698043584, 2151, 3.414213562373095),
+        (qutrit_explicit_effect_circuit, 0.2, 22, 1, 0.2022872283376903, 554, 1.7320508075688765),
+        (controlled_t_circuit, 0.2, 23, 3, 0.43834365428174116, 2151, 3.414213562373095),
+    ],
+    ids=["two-qubit-gate", "explicit-effect", "3-streams"],
+)
+def test_hw_frame_reports_are_pinned(make, epsilon, seed, streams, estimate, samples, norm):
+    # reference values, as for the O frame: the Heisenberg-Weyl frame's
+    # draws, columns and phases are fixed by the determinism contract
+    report = estimate_born_char(make(), epsilon, 0.05, seed=seed, streams=streams)
+    assert report.estimate == estimate
+    assert report.samples_used == samples
+    assert report.forward_norm == norm
+
+
 def test_named_gate_arity_is_validated():
     s = QuditSystem(2, 2)
     for gate in ((GateKind.SUM, (0, 0)), (GateKind.SUM, (0,)), (GateKind.FOURIER, (0, 1))):
@@ -665,6 +715,41 @@ def test_local_columns_match_the_dense_columns_and_have_unit_l2_norm(d, k, char)
     dense = np.array([dense_frame_column(local, char, u, int(f)) for f in flats])
     assert np.max(np.abs(rows - dense)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+@pytest.mark.parametrize("d, trajectories", [(2, 300), (5, 400)], ids=["16-labels", "625-labels"])
+def test_local_draw_matches_a_per_trajectory_inverse_cdf(d, trajectories, char):
+    # 16 local labels sort on an 8-bit key, 625 on a 16-bit one; each
+    # trajectory takes the first image whose cumulative |column| share
+    # exceeds its uniform, from the dense column of its own local label
+    local_system = QuditSystem(d, 2)
+    u = haar_unitary(d * d, 8)
+    rng = np.random.default_rng(d)
+    local = rng.integers(0, d**4, size=trajectories)
+    draws = rng.random(trajectories)
+    image, cnorm, picked = sampling._LocalGate(local_system, u, char).draw(local, draws)
+    for t in range(trajectories):
+        col = dense_frame_column(local_system, char, u, int(local[t]))
+        cdf = np.cumsum(np.abs(col))
+        pos = np.searchsorted(cdf / cdf[-1], draws[t], side="right")
+        assert image[t] == pos
+        assert abs(cnorm[t] - cdf[-1]) < 1e-12
+        assert abs(picked[t] - col[pos]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, kind, dtype",
+    [(2, GateKind.SUM, np.uint8), (5, GateKind.SUM, np.uint8), (16, GateKind.SUM, np.uint8),
+     (256, GateKind.FOURIER, np.uint8), (300, GateKind.FOURIER, np.uint16)],
+)
+def test_named_table_digits_are_narrow(d, kind, dtype):
+    k = 2 if kind is GateKind.SUM else 1
+    for char in (False, True):
+        digits, phases = sampling._named_table(d, kind, char)
+        assert digits.dtype == dtype
+        assert digits.shape == (2 * k, d ** (2 * k)) == (2 * k, len(phases))
+        assert digits.nbytes <= 8 * d ** (2 * k)
 
 
 def test_haar_gate_norm_is_the_exact_column_max_at_d2_n6():
