@@ -222,9 +222,9 @@ def simulate_homodyne_batch(
     c = math.sqrt(math.pi / (2 * d))
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    picks = _draw_labels(nz, cdf, rng, num_samples)
-
-    distinct, inverse = np.unique(picks, return_inverse=True)
+    # nz ascends, so distinct positions give the distinct labels in order
+    distinct, inverse = np.unique(_draw_labels(cdf, rng, num_samples), return_inverse=True)
+    distinct = nz[distinct]
     vecs = np.array(np.unravel_index(distinct, shape))  # (2n, distinct)
     if circuit.integer_s is not None:
         k = circuit.integer_s @ vecs + circuit.integer_shift[:, None]

@@ -278,12 +278,13 @@ def _label_cdf(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.nd
     return flat, norm, nz, cdf
 
 
-def _draw_labels(nz: np.ndarray, cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` flat labels by inverse CDF from one uniform block (see
-    ``_label_cdf``); with a single nonzero label no uniform is drawn."""
-    if len(nz) == 1:
-        return np.full(count, nz[0], dtype=np.int64)
-    return nz[np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), len(nz) - 1)]
+def _draw_labels(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` positions into the nonzero labels by inverse CDF from one
+    uniform block (see ``_label_cdf``); with a single nonzero label no
+    uniform is drawn."""
+    if len(cdf) == 1:
+        return np.zeros(count, dtype=np.intp)
+    return np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), len(cdf) - 1)
 
 
 def magic_negativity(rho: DensityState) -> float:

@@ -12,17 +12,23 @@ K = ceil(2 M^2 ln(2/p_f) / eps^2), and a K above ``core.SAMPLE_CAP`` is
 rejected before anything is drawn. The forward norm M is the input
 1-norm times each explicit gate's largest column 1-norm times the
 effect's max. A trajectory is a label vector in Z_d^{2n}, carried as one
-(2n, K) integer array per stream, and a gate touches only the 2k label
-axes of its k support qudits. A step reads the local label on those axes
-as a Horner index, gathers the weight factor at it, and writes the labels
-back with one take of a named gate's image digits or one unravel of an
-explicit gate's drawn image; an effect step only gathers. Frame columns
-come from one batched kernel (``_columns``): the basis operators at a
-block of labels are built as one Kronecker product and conjugated by the
-gate at once, and the batch goes through the one stack contraction that
-also builds the x and chi tables (``measures._contract_stack``, one pass
-per qudit). The input label is drawn by the same inverse-CDF helper as
-the homodyne sampler's.
+(2n, K) array of digits (the smallest unsigned type that holds d - 1)
+per stream, and a gate touches only the 2k label axes of its k support
+qudits. A step reads the local label on those axes as a Horner index,
+gathers the weight factor at it, and writes the labels back with one
+take of a named gate's image digits or one unravel of an explicit gate's
+drawn image; an effect step only gathers. Frame columns come from one
+batched kernel (``_columns``): the basis operators at a block of labels
+are built as one Kronecker product and conjugated by the gate at once,
+and the batch goes through the one stack contraction that also builds
+the x and chi tables (``measures._contract_stack``, one pass per qudit).
+The input is drawn by the homodyne sampler's inverse-CDF helper as
+positions among the nonzero input labels, which index unit weights and
+digits built once per call. Once K is known, each run of named gates
+whose factors are all exactly +-1 (every O-frame generator; FOURIER, SUM
+and even-d PHASE in the Heisenberg-Weyl frame) is fused into one step
+while it has at most min(4096, K) local labels: products of +-1 are
+exact, so the weights are those of gate-by-gate steps, bit for bit.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
@@ -45,15 +51,17 @@ d^{2n} array: one table on all 2n axes (explicit) or one (d, d) table per
 qudit (computational; unmeasured O-frame qudits read ``basis``'s Tr O).
 
 Determinism contract: one uniform block per stream for the input draw
-and one per explicit gate, in trajectory order; named gates and effect
-steps draw nothing in either frame. Per-stream compensated sums are
-merged exactly; streams past the trajectory count would draw nothing and
-are not run. A report is bit-for-bit reproducible for fixed (seed, streams).
+and one per explicit gate, in trajectory order; named gates (fused or
+not) and effect steps draw nothing in either frame. Per-stream sums are
+compensated and merged exactly; streams past the trajectory count would
+draw nothing and are not run. A report is bit-for-bit reproducible for
+fixed (seed, streams).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -373,6 +381,39 @@ def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, obj
     return steps
 
 
+@lru_cache(maxsize=64)
+def _signs_only(d: int, kind: GateKind, char: bool) -> bool:
+    """Whether every factor of the generator's named table is exactly +1 or -1."""
+    phases = _named_table(d, kind, char)[1]
+    return bool(np.all(np.abs(phases.real) == 1) and not np.any(phases.imag))
+
+
+def _fused(d: int, gates, steps: list, char: bool, limit: int) -> list:
+    """The gate steps with each run of consecutive +-1 named steps fused
+    into one, while the run has at most ``limit`` local labels."""
+    runs, union = [], set()  # union: the axes of the open +-1 run, empty if none
+    for g, step in zip(gates, steps):
+        signs = not isinstance(g, DenseOperator) and _signs_only(d, GateKind(g[0]), char)
+        axes = set(step[0].tolist())
+        if signs and union and d ** len(union | axes) <= limit:
+            runs[-1].append(step)
+            union |= axes
+        else:
+            runs.append([step])
+            union = axes if signs else set()
+    return [run[0] if len(run) == 1 else _composite(d, run) for run in runs]
+
+
+def _composite(d: int, run: list) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A run of named steps as one: the run applied to every local label."""
+    axes = np.array(sorted(set().union(*(a.tolist() for a, _ in run))))
+    labels = np.indices((d,) * len(axes), dtype=np.min_scalar_type(d - 1)).reshape(len(axes), -1)
+    w = np.ones(labels.shape[1])
+    for a, op in run:
+        w = _step(d, labels, w, np.searchsorted(axes, a), op, None)
+    return axes, (labels, w)
+
+
 def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) -> np.ndarray:
     """Carry (2n, K) label vectors through one gate or effect step on its axes.
 
@@ -506,23 +547,32 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 
 
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
+    try:
+        streams, seed = operator.index(streams), operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"streams and seed must be integers, got {streams!r} and {seed!r}") from None
     if streams < 1 or seed < 0:
         raise ValidationError(f"need streams >= 1 and seed >= 0, got {streams} and {seed}")
+    d = circuit.system.d
     steps, state, effect = _frame(circuit, char)
     m_forward, norm_method = _aggregated_norm(steps, state, effect)
-    coeffs, norm0, nz0, cdf0 = _label_cdf(state.values)
+    flat0, norm0, nz0, cdf0 = _label_cdf(state.values)
+    unit0 = norm0 * (flat0[nz0] / np.abs(flat0[nz0]))
+    digits0 = np.array(np.unravel_index(nz0, state.values.shape)).astype(np.min_scalar_type(d - 1))
     k_total = sample_count(m_forward, epsilon, p_fail)
+    steps = _fused(d, circuit.gates, steps, char, min(_EXACT_LABELS, k_total))
 
     stream_sums = []
     for s, k_s in enumerate(_split_sizes(k_total, streams)):
         rng = _stream_rng(seed, s)
-        idx = _draw_labels(nz0, cdf0, rng, k_s)
-        vals = coeffs[idx]
-        w = norm0 * (vals / np.abs(vals))
-        labels = np.array(np.unravel_index(idx, state.values.shape))
+        pos = _draw_labels(cdf0, rng, k_s)
+        w = unit0[pos]
+        labels = np.take(digits0, pos, axis=1)
         for axes, op in steps + effect:
-            w = _step(circuit.system.d, labels, w, axes, op, rng)
-        stream_sums.append(math.fsum(np.real(w)))
+            w = _step(d, labels, w, axes, op, rng)
+        # a memoryview hands fsum Python floats one at a time: the sum over
+        # numpy scalars, faster, and with no K-entry list held
+        stream_sums.append(math.fsum(memoryview(np.real(w))))
 
     estimate = math.fsum(stream_sums) / k_total
     return EstimateReport(
@@ -531,8 +581,8 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
         failure_prob=float(p_fail),
         samples_used=k_total,
         forward_norm=float(m_forward),
-        seed=int(seed),
-        streams=int(streams),
+        seed=seed,
+        streams=streams,
         norm_method=norm_method,
     )
 

@@ -87,11 +87,21 @@ def test_sample_count_rejects_non_finite_counts(epsilon):
 
 @pytest.mark.parametrize("runner", [estimate_born, estimate_born_char], ids=["o", "hw"])
 @pytest.mark.parametrize(
-    "streams, seed", [(0, 0), (-2, 0), (1, -1)], ids=["zero-streams", "negative-streams", "negative-seed"]
+    "streams, seed",
+    [(0, 0), (-2, 0), (1, -1), (2.5, 0), (2.0, 0), (1, 1.5)],
+    ids=["zero-streams", "negative-streams", "negative-seed", "fractional-streams", "float-streams", "fractional-seed"],
 )
 def test_estimator_rejects_bad_streams_and_seeds(runner, streams, seed):
     with pytest.raises(ValidationError):
         runner(hth_circuit(), 0.5, 0.05, seed=seed, streams=streams)
+
+
+@pytest.mark.parametrize("runner", [estimate_born, estimate_born_char], ids=["o", "hw"])
+def test_numpy_integer_streams_and_seeds_are_accepted(runner):
+    want = runner(hth_circuit(), 0.5, 0.05, seed=3, streams=2)
+    got = runner(hth_circuit(), 0.5, 0.05, seed=np.int64(3), streams=np.uint8(2))
+    assert (got.estimate, got.seed, got.streams) == (want.estimate, 3, 2)
+    assert type(got.seed) is type(got.streams) is int
 
 
 @pytest.mark.parametrize("runner", [estimate_born, estimate_born_char], ids=["o", "hw"])
@@ -635,6 +645,103 @@ def test_hw_frame_reports_are_pinned(make, epsilon, seed, streams, estimate, sam
     assert report.estimate == estimate
     assert report.samples_used == samples
     assert report.forward_norm == norm
+
+
+def born_workload_circuit(haar_seed=None):
+    # the benchmark's born shape: two 6-gate named words around a T gate
+    s = QuditSystem(2, 3)
+    first = ((GateKind.FOURIER, (0,)), (GateKind.SUM, (0, 1)), (GateKind.PHASE, (2,)),
+             (GateKind.SHIFT, (1,)), (GateKind.FOURIER, (2,)), (GateKind.SUM, (2, 0)))
+    second = ((GateKind.CLOCK, (0,)), (GateKind.FOURIER, (1,)), (GateKind.SUM, (1, 2)),
+              (GateKind.PHASE, (0,)), (GateKind.SHIFT, (2,)), (GateKind.FOURIER, (0,)))
+    t = DenseOperator(s, embed(2, 3, T_GATE, [1]), unitary=True)
+    rho = computational_state(s, 0) if haar_seed is None else haar_random_state(s, np.random.default_rng(haar_seed))
+    return CircuitDescription(s, rho, first + (t,) + second, MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0,), (1,)))
+
+
+@pytest.mark.parametrize(
+    "runner, haar_seed, epsilon, seed, streams, estimate, samples, norm",
+    [
+        (estimate_born, None, 0.1, 41, 1, 0.4847303994239485, 23609, 5.65685424949238),
+        (estimate_born, None, 0.1, 42, 3, 0.4960820026261172, 23609, 5.65685424949238),
+        (estimate_born_char, None, 0.1, 43, 1, 0.48778008386632216, 23609, 5.65685424949238),
+        (estimate_born_char, None, 0.1, 44, 3, 0.517599220636198, 23609, 5.65685424949238),
+        (estimate_born, 31, 0.25, 45, 2, 0.566967367548814, 19935, 12.995236561845854),
+        (estimate_born_char, 31, 0.25, 46, 2, 0.5563655387247305, 19935, 12.995236561845854),
+    ],
+    ids=["o-1-stream", "o-3-streams", "hw-1-stream", "hw-3-streams", "o-haar-input", "hw-haar-input"],
+)
+def test_born_workload_reports_are_pinned(runner, haar_seed, epsilon, seed, streams, estimate, samples, norm):
+    # reference values recorded before the named runs were fused and the
+    # input drawn by position: neither may move a report by one bit
+    report = runner(born_workload_circuit(haar_seed), epsilon, 0.05, seed=seed, streams=streams)
+    assert report.estimate == estimate
+    assert report.samples_used == samples
+    assert report.forward_norm == norm
+
+
+def random_named_word(rng, n, length):
+    kinds = [GateKind.FOURIER, GateKind.PHASE, GateKind.SHIFT, GateKind.CLOCK] + ([GateKind.SUM] if n > 1 else [])
+    word = []
+    for _ in range(length):
+        kind = kinds[rng.integers(len(kinds))]
+        word.append((kind, tuple(int(q) for q in rng.choice(n, size=kind.arity, replace=False))))
+    return word
+
+
+def check_fused_steps(system, gates, char, trajectories, rng):
+    """The fused step list against each gate's own named table, applied one
+    by one through ``_step``: labels and weights must be equal bit for bit."""
+    d, n = system.d, system.n
+    flats = np.arange(d ** (2 * n)) if d ** (2 * n) <= 4096 else rng.integers(0, d ** (2 * n), size=1000)
+    labels = np.array(np.unravel_index(flats, (d,) * (2 * n))).astype(np.uint8)
+    w = rng.normal(size=len(flats)) + (1j * rng.normal(size=len(flats)) if char else 0)
+    want_labels, want = labels.copy(), w
+    for kind, qudits in gates:
+        axes = np.array([*qudits, *(n + q for q in qudits)])
+        want = _step(d, want_labels, want, axes, sampling._named_table(d, kind, char), None)
+    steps = _steps(system, gates, char)
+    fused = sampling._fused(d, gates, steps, char, min(4096, trajectories))
+    for axes, op in fused:
+        if not any(op is own for _, own in steps):
+            assert d ** len(axes) <= min(4096, trajectories)
+        w = _step(d, labels, w, axes, op, None)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(w, want)
+    return fused
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fused_named_runs_match_gate_by_gate_steps(d, char):
+    rng = np.random.default_rng(100 * d + char)
+    for n in (1, 2, 3, 4):
+        for trajectories in (50, 10**6):
+            check_fused_steps(QuditSystem(d, n), random_named_word(rng, n, 12), char, trajectories, rng)
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+def test_a_long_sum_chain_fuses_within_the_local_label_cap(char):
+    s = QuditSystem(2, 8)
+    chain = [(GateKind.SUM, (q, q + 1)) for q in range(7)] + [(GateKind.SUM, (7, 0))]
+    fused = check_fused_steps(s, chain, char, 10**6, np.random.default_rng(8))
+    assert 1 < len(fused) < len(chain)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_only_sign_tables_fuse(d):
+    # every O-frame generator has +-1 factors; in the Heisenberg-Weyl frame
+    # FOURIER, SUM and even-d PHASE do, SHIFT and CLOCK carry phases
+    for kind in GateKind:
+        assert sampling._signs_only(d, kind, False)
+        signs = kind in (GateKind.FOURIER, GateKind.SUM) or (kind is GateKind.PHASE and d % 2 == 0)
+        assert sampling._signs_only(d, kind, True) == signs
+    s = QuditSystem(d, 1)
+    for kind in (GateKind.SHIFT, GateKind.CLOCK):
+        gates = [(GateKind.FOURIER, (0,)), (kind, (0,)), (GateKind.FOURIER, (0,))]
+        assert len(sampling._fused(d, gates, _steps(s, gates, False), False, 4096)) == 1
+        fused = sampling._fused(d, gates, _steps(s, gates, True), True, 4096)
+        assert len(fused) == 3 and fused[1][1] is sampling._named_table(d, kind, True)
 
 
 def test_named_gate_arity_is_validated():
