@@ -28,9 +28,8 @@ This module also provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +38,9 @@ from .core import (
     GateKind,
     QuditSystem,
     ValidationError,
-    _gate_targets,
+    _Kind,
+    _as_int,
+    _read_gate,
     hw_matrix,
 )
 
@@ -66,28 +67,30 @@ class EvenDimensionError(ValidationError):
     """Raised by odd-d-only constructions; use O_{l,m} directly instead."""
 
 
-class Domain(str, Enum):
+class Domain(_Kind):
     RESTRICTED = "RESTRICTED"  # labels in Z_d
     FULL = "FULL"              # labels in Z_{2d}
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A label vector (l, m) with every component reduced mod ``modulus``."""
+    """A label vector (l, m) with every component reduced mod ``modulus``.
+
+    ``l`` and ``m`` are integers or sequences of integers, read exactly:
+    a label is never truncated.
+    """
 
     l: tuple[int, ...]
     m: tuple[int, ...]
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValidationError("modulus must be >= 2")
-        as_tuple = lambda v: (int(v),) if isinstance(v, (int, np.integer)) else tuple(int(c) for c in v)
-        l, m = as_tuple(self.l), as_tuple(self.m)
+        mod = _as_int(self.modulus, "modulus", 2)
+        l, m = (_as_int(v if isinstance(v, Iterable) else (v,), "label", depth=1) for v in (self.l, self.m))
         if len(l) != len(m):
             raise ValidationError("l and m must have the same length")
-        object.__setattr__(self, "l", tuple(c % self.modulus for c in l))
-        object.__setattr__(self, "m", tuple(c % self.modulus for c in m))
+        object.__setattr__(self, "l", tuple(c % mod for c in l))
+        object.__setattr__(self, "m", tuple(c % mod for c in m))
 
     @property
     def n(self) -> int:
@@ -99,7 +102,6 @@ class PhasePoint:
 
     @staticmethod
     def from_vector(vec: Sequence[int], modulus: int) -> "PhasePoint":
-        vec = [int(v) for v in vec]
         n = len(vec) // 2
         return PhasePoint(tuple(vec[:n]), tuple(vec[n:]), modulus)
 
@@ -257,7 +259,8 @@ class SymplecticAffineMap:
     """Affine label map u -> (matrix @ u + shift) mod 2d.
 
     Coordinates are ordered (l_1..l_n, m_1..m_n). The matrix must satisfy
-    M^T Omega M = Omega over Z_{2d}.
+    M^T Omega M = Omega over Z_{2d}. Entries are read exactly as integers,
+    never truncated.
     """
 
     matrix: np.ndarray
@@ -265,15 +268,16 @@ class SymplecticAffineMap:
     modulus: int
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=int) % self.modulus
-        sh = np.asarray(self.shift, dtype=int) % self.modulus
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+        mod = _as_int(self.modulus, "modulus", 2)
+        rows, sh = _as_int(self.matrix, "matrix entry", depth=2), _as_int(self.shift, "shift entry", depth=1)
+        if not rows or len(rows) % 2 or any(len(r) != len(rows) for r in rows):
             raise ValidationError("matrix must be square and even-sided")
-        if sh.shape != (mat.shape[0],):
+        if len(sh) != len(rows):
             raise ValidationError("shift length must match the matrix side")
+        mat, sh = ((np.array(v, dtype=object) % mod).astype(np.int64) for v in (rows, sh))
         n = mat.shape[0] // 2
         om = omega_block(n)
-        if np.any((mat.T @ om @ mat - om) % self.modulus):
+        if np.any((mat.T @ om @ mat - om) % mod):
             raise ValidationError("matrix is not symplectic over Z_{2d}")
         mat.flags.writeable = False
         sh.flags.writeable = False
@@ -315,8 +319,7 @@ def clifford_coordinate_action(
     restricted-domain signs come from ``reduce_full_point`` afterwards.
     ``targets`` selects the acted-on qudit(s); SUM takes (control, target).
     """
-    kind = GateKind(kind)
-    targets = _gate_targets(system, kind, targets)
+    kind, targets = _read_gate(system, kind, targets)
     d, n = system.d, system.n
     mod = 2 * d
     mat = np.eye(2 * n, dtype=int)

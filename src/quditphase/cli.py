@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import operator
 import sys
 
 import numpy as np
@@ -28,7 +27,8 @@ from .core import (
     InvariantError,
     QuditSystem,
     ValidationError,
-    _gate_targets,
+    _as_int,
+    _read_gate,
     computational_state,
     maximally_mixed,
     plus_state,
@@ -151,20 +151,16 @@ def _fields(doc, *allowed: str) -> dict:
     return doc
 
 
-def _ints(values) -> tuple[int, ...]:
-    """Integer labels; a float or a string among them is a TypeError, not truncated."""
-    return tuple(operator.index(v) for v in values)
-
-
 # input spec kind -> (the fields it takes besides "kind", its builder)
 _STATES = {
-    "computational": (("index",), lambda system, spec: computational_state(system, int(spec.get("index", 0)))),
+    "computational": (("index",), lambda system, spec: computational_state(system, spec.get("index", 0))),
     "plus": ((), lambda system, spec: plus_state(system)),
     "mixed": ((), lambda system, spec: maximally_mixed(system)),
     "magic_t": ((), lambda system, spec: t_state(system)),
     "stabilizer": (("generators",), lambda system, spec: stabilizer_state(parse_generator_lines(system, spec["generators"]))),
     "matrix": (("matrix",), lambda system, spec: DensityState(system, _matrix(spec["matrix"]))),
-    "random": (("seed",), lambda system, spec: haar_random_state(system, np.random.default_rng(int(spec.get("seed", 0))))),
+    "random": (("seed",), lambda system, spec: haar_random_state(
+        system, np.random.default_rng(_as_int(spec.get("seed", 0), "seed", 0)))),
 }
 
 # --state NAME[:ARG] -> (input spec kind, the field ARG fills)
@@ -209,8 +205,7 @@ def _state_from_args(args) -> DensityState:
 
 def _named_gate(system: QuditSystem, spec) -> tuple[GateKind, tuple[int, ...]]:
     """A {"kind": NAME, "targets": [...]} gate with its checked targets (default per kind)."""
-    kind = GateKind(str(_fields(spec, "kind", "targets")["kind"]).upper())
-    return kind, _gate_targets(system, kind, _ints(spec["targets"]) if "targets" in spec else None)
+    return _read_gate(system, str(_fields(spec, "kind", "targets")["kind"]).upper(), spec.get("targets"))
 
 
 # ------------------------------------------------------------- subcommands
@@ -298,8 +293,6 @@ def _cmd_char(args, rho: DensityState) -> int:
 
 def _decode_gkp_check(args) -> list[tuple[QuditSystem, float]]:
     """(system, p) cells: --d/--n or the d^n <= 25 grid, each at every --p."""
-    if args.samples < 1 or args.seed < 0:
-        raise ValidationError(f"need --samples >= 1 and --seed >= 0, got {args.samples} and {args.seed}")
     if args.d is None:
         if args.n is not None:
             raise ValidationError("--n needs --d: the default grid fixes its own qudit counts")
@@ -315,12 +308,13 @@ def _cmd_gkp_check(args, cells) -> int:
     worst = 0.0
     for system, p in cells:
         d, n = system.d, system.n
-        rng = np.random.default_rng(args.seed)
-        for k in range(args.samples):
+        rng = np.random.default_rng(_as_int(args.seed, "--seed", 0))
+        for k in range(_as_int(args.samples, "--samples", 1)):
             rho = haar_random_state(system, rng)
             lhs, rhs = _cell_sides(rho, p, GkpKind.WIGNER)
             lhs_c, rhs_c = _cell_sides(rho, p, GkpKind.CHARACTERISTIC)
-            worst = max(worst, abs(lhs - rhs), abs(lhs_c - rhs_c))
+            # np.max, unlike max, keeps a NaN residual, which then fails the check below
+            worst = float(np.max([worst, abs(lhs - rhs), abs(lhs_c - rhs_c)]))
             rows.append(
                 {
                     "d": d,
@@ -340,7 +334,7 @@ def _cmd_gkp_check(args, cells) -> int:
         _write_csv([list(rows[0])] + [list(row.values()) for row in rows], args)
     else:
         _emit(doc, args, f"cell-norm identity check: {len(rows)} rows, max residual {worst:.3e}")
-    if worst >= 1e-9:
+    if not worst < 1e-9:
         raise InvariantError(f"cell-norm identity residual {worst:.3e} exceeds 1e-9")
     return 0
 
@@ -352,20 +346,18 @@ def _gate_from_spec(system: QuditSystem, spec):
 
 
 def _measurement_from_spec(system: QuditSystem, spec) -> MeasurementEffect:
-    kind = str(_fields(spec, "kind", "indices", "outcomes", "matrix").get("kind", "computational")).lower()
-    if kind == "computational":
-        _fields(spec, "kind", "indices", "outcomes")
-        indices = _ints(spec.get("indices", range(system.n)))
-        return MeasurementEffect(MeasurementKind.COMPUTATIONAL, indices, _ints(spec.get("outcomes", (0,) * system.n)))
-    if kind == "explicit":
+    kind = str(_fields(spec, "kind", "indices", "outcomes", "matrix").get("kind", "computational"))
+    kind = MeasurementKind(kind.upper())
+    if kind is MeasurementKind.EXPLICIT:
         matrix = _matrix(_fields(spec, "kind", "matrix")["matrix"])
-        return MeasurementEffect(MeasurementKind.EXPLICIT, operator=DenseOperator(system, matrix))
-    raise ValidationError(f"unknown measurement kind {kind!r}")
+        return MeasurementEffect(kind, operator=DenseOperator(system, matrix))
+    _fields(spec, "kind", "indices", "outcomes")
+    return MeasurementEffect(kind, spec.get("indices", range(system.n)), spec.get("outcomes", (0,) * system.n))
 
 
 def _decode_simulate(args) -> CircuitDescription:
     cfg = _fields(_read_json(args.circuit), "d", "n", "input", "gates", "measurement")
-    system = QuditSystem(int(cfg["d"]), int(cfg.get("n", 1)))
+    system = QuditSystem(cfg["d"], cfg.get("n", 1))
     return CircuitDescription(
         system,
         _state_from_spec(system, cfg["input"]),
@@ -396,7 +388,7 @@ def _cmd_simulate(args, circuit: CircuitDescription) -> int:
 def _decode_gkp_sim(args):
     """(input state, Gaussian circuit, samples, seed) of a gkp-sim document."""
     cfg = _fields(_read_json(args.circuit), "d", "n", "input", "gate", "S", "displacement", "samples", "seed")
-    system = QuditSystem(int(cfg["d"]), int(cfg.get("n", 1)))
+    system = QuditSystem(cfg["d"], cfg.get("n", 1))
     rho = _state_from_spec(system, cfg["input"])
     if "gate" in cfg:
         if "S" in cfg or "displacement" in cfg:
@@ -406,7 +398,7 @@ def _decode_gkp_sim(args):
         n2 = 2 * system.n
         s = np.array(cfg["S"], dtype=float).reshape(n2, n2)
         circuit = GaussianCircuit(system, s, np.array(cfg.get("displacement", [0.0] * n2), dtype=float))
-    return rho, circuit, int(cfg.get("samples", 1)), int(cfg.get("seed", 0))
+    return rho, circuit, cfg.get("samples", 1), cfg.get("seed", 0)
 
 
 def _cmd_gkp_sim(args, decoded) -> int:

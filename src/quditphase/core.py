@@ -21,7 +21,6 @@ Everything is an immutable dense complex matrix; there is no sparse path.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -76,10 +75,26 @@ class InvariantError(QuditError):
     """A numerical invariant that should hold algebraically was violated."""
 
 
+def _as_int(value, what: str, lo=-math.inf, hi=math.inf, depth: int = 0):
+    """``value`` read exactly as a Python int in [lo, hi), or for ``depth`` > 0 as a tuple of
+    such reads nested that many sequence levels deep. Python and numpy integers pass; bool,
+    float, str and every other type raise ValidationError, so no label, count or seed is truncated."""
+    if depth:
+        if not isinstance(value, Iterable):
+            raise ValidationError(f"{what} must be a sequence of integers, got {value!r}")
+        return tuple(_as_int(v, what, lo, hi, depth - 1) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if not lo <= value < hi:
+        raise ValidationError(f"{what} must lie in [{lo}, {hi}), got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QuditSystem:
     """A register of ``n`` qudits with local dimension ``d``.
 
+    ``d`` and ``n`` are read exactly as integers, never truncated.
     Construction fails when the dense side length d^n exceeds the cap
     (default 4096, overridable via the QUDITPHASE_DIM_CAP environment
     variable, read at each construction).
@@ -89,11 +104,8 @@ class QuditSystem:
     n: int = 1
 
     def __init__(self, d: int, n: int = 1):
-        if int(d) < 2:
-            raise ValidationError(f"local dimension must be >= 2, got {d}")
-        if int(n) < 1:
-            raise ValidationError(f"qudit count must be >= 1, got {n}")
-        d, n, cap = int(d), int(n), int(os.environ.get(DIM_CAP_ENV_VAR, DEFAULT_DIM_CAP))
+        d, n = _as_int(d, "local dimension", 2), _as_int(n, "qudit count", 1)
+        cap = int(os.environ.get(DIM_CAP_ENV_VAR, DEFAULT_DIM_CAP))
         # d >= 2, so n >= cap.bit_length() exceeds the cap before d**n is worth computing
         if n >= cap.bit_length() or d**n > cap:
             raise DimensionCapError(f"d^n = {d}^{n} exceeds the dense cap {cap}")
@@ -117,6 +129,22 @@ def _as_matrix(entries, side: int) -> np.ndarray:
     return arr
 
 
+def _check_unitary(entries: np.ndarray) -> None:
+    """Raise unless U U^dagger = I to 1e-9 in max-norm; no identity is built."""
+    dev = entries @ entries.conj().T
+    dev.flat[:: len(dev) + 1] -= 1
+    dev = np.max(np.abs(dev))
+    if dev > 1e-9:
+        raise ValidationError(f"unitarity violated by {dev:.3e}")
+
+
+def _check_hermitian(entries: np.ndarray) -> None:
+    """Raise unless A = A^dagger to 1e-9 in max-norm."""
+    dev = np.max(np.abs(entries - entries.conj().T))
+    if dev > 1e-9:
+        raise ValidationError(f"hermiticity violated by {dev:.3e}")
+
+
 @dataclass(frozen=True)
 class DenseOperator:
     """A dense complex matrix tied to a qudit register.
@@ -132,15 +160,10 @@ class DenseOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_matrix(self.entries, self.system.dim))
-        eye = np.eye(self.system.dim)
         if self.unitary:
-            dev = np.max(np.abs(self.entries @ self.entries.conj().T - eye))
-            if dev > 1e-9:
-                raise ValidationError(f"unitarity violated by {dev:.3e}")
+            _check_unitary(self.entries)
         if self.hermitian:
-            dev = np.max(np.abs(self.entries - self.entries.conj().T))
-            if dev > 1e-9:
-                raise ValidationError(f"hermiticity violated by {dev:.3e}")
+            _check_hermitian(self.entries)
 
 
 @dataclass(frozen=True)
@@ -190,7 +213,15 @@ def hw_matrix(d: int, a: int, b: int) -> np.ndarray:
     return _half_phase(d, a * b) * (shift * clock_pow[np.newaxis, :])
 
 
-class GateKind(str, Enum):
+class _Kind(str, Enum):
+    """A kind name: a value that names no member raises ValidationError."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"{cls.__name__} must be one of {[k.value for k in cls]}, got {value!r}") from None
+
+
+class GateKind(_Kind):
     FOURIER = "FOURIER"
     PHASE = "PHASE"
     SUM = "SUM"
@@ -203,23 +234,19 @@ class GateKind(str, Enum):
         return 2 if self is GateKind.SUM else 1
 
 
-def _gate_targets(system: QuditSystem, kind: GateKind, targets: Iterable[int] | None = None) -> tuple[int, ...]:
-    """The qudits a named generator acts on, checked against the register.
+def _read_gate(system: QuditSystem, kind, targets: Iterable[int] | None = None) -> tuple[GateKind, tuple[int, ...]]:
+    """A named generator read once: its ``GateKind`` and its targets, checked against the register.
 
     SUM takes two distinct qudits (control, target), default (0, 1); every
     other kind takes one, default (0,). Each must be an integer in [0, n);
     a bare int or any other non-sequence is rejected.
     """
+    kind = GateKind(kind)
     arity = kind.arity
-    try:
-        targets = tuple(range(arity)) if targets is None else tuple(map(operator.index, targets))
-    except TypeError:
-        raise ValidationError(f"{kind.value} targets must be a sequence of qudit indices, got {targets!r}") from None
+    targets = _as_int(range(arity) if targets is None else targets, f"{kind.value} target", 0, system.n, 1)
     if len(targets) != arity or len(set(targets)) != arity:
         raise ValidationError(f"{kind.value} takes {arity} distinct target(s), got {targets}")
-    if any(not 0 <= t < system.n for t in targets):
-        raise ValidationError(f"gate target out of range for {system.n} qudit(s): {targets}")
-    return targets
+    return kind, targets
 
 
 def clifford_generator(system: QuditSystem, kind: GateKind | str) -> DenseOperator:
@@ -263,7 +290,7 @@ def conjugate_by(u: DenseOperator, a: DenseOperator) -> DenseOperator:
 def embed_sum(system: QuditSystem, control: int, target: int) -> DenseOperator:
     """Lift SUM (|i>|j> -> |i>|i+j mod d>) onto an arbitrary qudit pair."""
     d, n = system.d, system.n
-    control, target = _gate_targets(system, GateKind.SUM, (control, target))
+    control, target = _read_gate(system, GateKind.SUM, (control, target))[1]
     idx = np.arange(d**n)
     ic = (idx // d ** (n - 1 - control)) % d
     it = (idx // d ** (n - 1 - target)) % d
@@ -278,8 +305,7 @@ def embed_generator(system: QuditSystem, kind, targets: tuple[int, ...] | None =
 
     Factor 0 is the leftmost (most significant) tensor slot.
     """
-    kind = GateKind(kind)
-    targets = _gate_targets(system, kind, targets)
+    kind, targets = _read_gate(system, kind, targets)
     if kind is GateKind.SUM:
         return embed_sum(system, *targets)
     gate = clifford_generator(QuditSystem(system.d, 1), kind).entries
@@ -302,8 +328,7 @@ def pure_density(system: QuditSystem, vector: Iterable[complex]) -> DensityState
 
 
 def computational_state(system: QuditSystem, index: int = 0) -> DensityState:
-    if not 0 <= index < system.dim:
-        raise ValidationError(f"basis index must lie in [0, {system.dim}), got {index}")
+    index = _as_int(index, "basis index", 0, system.dim)
     vec = np.zeros(system.dim, dtype=complex)
     vec[index] = 1.0
     return pure_density(system, vec)

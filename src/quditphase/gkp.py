@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import DensityState, QuditSystem, ValidationError
+from .core import DensityState, QuditSystem, ValidationError, _Kind
 from .basis import Domain, lift_table, lift_to_full
 from .measures import QuasiDistribution, _renyi_order, characteristic_fn, check_order, lp_norm, x_distribution
 
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 
-class GkpKind(str, Enum):
+class GkpKind(_Kind):
     WIGNER = "WIGNER"
     CHARACTERISTIC = "CHARACTERISTIC"
 
@@ -69,6 +68,7 @@ class GkpLatticeCoefficients:
     prefactor: float
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", GkpKind(self.kind))
         self._freeze(np.array(self.values))
 
     @classmethod
@@ -86,7 +86,7 @@ class GkpLatticeCoefficients:
     def _freeze(self, arr: np.ndarray) -> None:
         if arr.shape != (2 * self.system.d,) * (2 * self.system.n):
             raise ValidationError(f"cell values shape {arr.shape} does not match Z_2d^2n")
-        if self.kind == GkpKind.WIGNER and np.iscomplexobj(arr):
+        if self.kind is GkpKind.WIGNER and np.iscomplexobj(arr):
             worst = float(np.max(np.abs(arr.imag)))
             if worst > 1e-10:
                 raise ValidationError(f"Wigner cell values must be real (dev {worst:.3e})")
@@ -142,12 +142,17 @@ def cell_lp_norm(coeffs: GkpLatticeCoefficients, p: float) -> float:
 
 
 def stabilizer_cell_norm(system: QuditSystem, kind: GkpKind, p: float) -> float:
-    """Closed-form cell norm shared by every pure stabilizer input."""
-    p = check_order(p)
+    """Closed-form cell norm shared by every pure stabilizer input; ``kind``
+    must name a ``GkpKind`` exactly."""
+    kind, p = GkpKind(kind), check_order(p)
     d, n = system.d, system.n
-    if kind == GkpKind.WIGNER:
-        return (4 * d) ** (n / p) / (8 * math.pi * d) ** (n / 2)
-    return (2 * math.pi / d) ** (n / 2) * (4 * d) ** (n / p)
+    try:
+        grid = (4 * d) ** (n / p)
+    except OverflowError:
+        raise ValidationError(f"the stabilizer cell norm at p = {p} lies beyond the float range") from None
+    if kind is GkpKind.WIGNER:
+        return grid / (8 * math.pi * d) ** (n / 2)
+    return (2 * math.pi / d) ** (n / 2) * grid
 
 
 _CELLS = {
@@ -158,13 +163,17 @@ _CELLS = {
 
 def _cell_sides(rho: DensityState, p: float, kind: GkpKind) -> tuple[float, float]:
     """(d^{n(1-1/p)} ||table||_p, cell norm / stabilizer baseline), both
-    read from one restricted table."""
+    read from one restricted table; a side beyond the float range raises
+    ValidationError."""
     p = check_order(p)
     system = rho.system
     table, cell = _CELLS[kind]
     dist = table(rho, Domain.RESTRICTED)
     lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(dist, p)
-    return lhs, cell_lp_norm(cell(dist), p) / stabilizer_cell_norm(system, kind, p)
+    rhs = cell_lp_norm(cell(dist), p) / stabilizer_cell_norm(system, kind, p)
+    if not (0 < lhs < math.inf and 0 < rhs < math.inf):
+        raise ValidationError(f"a cell-norm side at p = {p} lies beyond the float range")
+    return lhs, rhs
 
 
 def verify_theorem1(rho: DensityState, p: float) -> float:

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import SAMPLE_CAP, DensityState, QuditSystem, ValidationError
+from .core import SAMPLE_CAP, DensityState, QuditSystem, ValidationError, _as_int
 from .basis import (
     Domain,
     PhasePoint,
@@ -210,10 +210,7 @@ def simulate_homodyne_batch(
     system = rho.system
     if circuit.system != system:
         raise ValidationError("circuit system mismatch")
-    if not 0 <= num_samples <= SAMPLE_CAP:
-        raise ValidationError(f"num_samples must lie in [0, {SAMPLE_CAP}], got {num_samples}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    num_samples, seed = _as_int(num_samples, "num_samples", 0, SAMPLE_CAP + 1), _as_int(seed, "seed", 0)
     d, n = system.d, system.n
     mod = 2 * d
     shape = (mod,) * (2 * n)

@@ -27,6 +27,7 @@ Reference values kept by the test suite:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -97,6 +98,7 @@ class QuasiDistribution:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "domain", Domain(self.domain))
         self._freeze(np.asarray(self.values).copy())
 
     @classmethod
@@ -249,15 +251,40 @@ def _renyi_order(alpha: float) -> float:
     return alpha
 
 
+def _power_sum(mags: np.ndarray, p: float) -> tuple[float, np.float64]:
+    """(scale, s) with sum mags^p = scale^p s, for nonzero magnitudes.
+
+    While the plain sum is a normal float it is s, with scale 1, so those
+    results keep their bits. Otherwise (p beyond a few hundred underflows
+    every term) the terms are rescaled by the largest magnitude, so s lies
+    in [1, len(mags)].
+    """
+    with np.errstate(under="ignore", over="ignore"):
+        total = np.sum(mags**p)
+        if sys.float_info.min <= total < math.inf:
+            return 1.0, total
+        top = float(np.max(mags))
+        return top, np.sum((mags / top) ** p)
+
+
 def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
-    """(sum |f(u)|^p)^{1/p} with the near-zero cutoff applied first."""
+    """(sum |f(u)|^p)^{1/p} with the near-zero cutoff applied first.
+
+    A sum that under- or overflows is rescaled by the largest magnitude; a
+    norm beyond the float range raises ValidationError.
+    """
     p = check_order(p)
     arr = dist.values if isinstance(dist, QuasiDistribution) else np.asarray(dist)
     mags = np.abs(arr).ravel()
     mags = mags[mags > NORM_CUTOFF]
     if mags.size == 0:
         return 0.0
-    return float(np.sum(mags**p) ** (1.0 / p))
+    scale, total = _power_sum(mags, p)
+    with np.errstate(over="ignore"):
+        norm = float(scale * total ** (1.0 / p))
+    if not norm < math.inf:
+        raise ValidationError(f"the l_{p} norm lies beyond the float range")
+    return norm
 
 
 def _label_cdf(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -318,8 +345,8 @@ def _renyi_of(chi: QuasiDistribution, alpha: float) -> float:
     mags = np.abs(chi.values).ravel()
     mags = mags[mags > NORM_CUTOFF]
     xi = system.dim * mags**2
-    total = float(np.sum(xi**alpha))
-    return float(np.log(total) / (1.0 - alpha) - system.n * np.log(system.d))
+    scale, total = _power_sum(xi, alpha)
+    return float((alpha * np.log(scale) + np.log(float(total))) / (1.0 - alpha) - system.n * np.log(system.d))
 
 
 def is_hyperpolyhedral(rho: DensityState) -> tuple[bool, float]:

@@ -61,9 +61,7 @@ fixed (seed, streams).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Union
 
@@ -77,7 +75,11 @@ from .core import (
     QuditSystem,
     SAMPLE_CAP,
     ValidationError,
-    _gate_targets,
+    _Kind,
+    _as_int,
+    _check_hermitian,
+    _check_unitary,
+    _read_gate,
 )
 from .basis import (
     Domain,
@@ -117,37 +119,44 @@ _EXACT_LABELS = 4096  # local labels up to which a gate's column max is exact
 _BLOCK_BYTES = 4 << 20  # one block of complex columns in ``_columns``
 
 
-class MeasurementKind(str, Enum):
+class MeasurementKind(_Kind):
     COMPUTATIONAL = "COMPUTATIONAL"
     EXPLICIT = "EXPLICIT"
 
 
 @dataclass(frozen=True)
 class MeasurementEffect:
-    """Projective computational readout on a subset, or an explicit effect."""
+    """Projective computational readout on a subset, or an explicit effect.
+
+    ``kind`` must name a ``MeasurementKind`` exactly, and ``indices`` and
+    ``outcomes`` are read exactly as integers, never truncated; all three
+    are read once, here.
+    """
 
     kind: MeasurementKind
     indices: tuple[int, ...] = ()
     outcomes: tuple[int, ...] = ()
     operator: DenseOperator | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "kind", MeasurementKind(self.kind))
+        object.__setattr__(self, "indices", _as_int(self.indices, "measured index", depth=1))
+        object.__setattr__(self, "outcomes", _as_int(self.outcomes, "outcome", depth=1))
+
     def validate(self, system: QuditSystem) -> None:
-        if self.kind == MeasurementKind.COMPUTATIONAL:
+        if self.kind is MeasurementKind.COMPUTATIONAL:
             if len(self.indices) != len(self.outcomes) or not self.indices:
                 raise ValidationError("indices and outcomes must pair up")
-            if len(set(self.indices)) != len(self.indices):
+            if len(set(_as_int(self.indices, "measured index", 0, system.n, 1))) != len(self.indices):
                 raise ValidationError("measured indices must be distinct")
-            if any(not 0 <= i < system.n for i in self.indices):
-                raise ValidationError("measured index out of range")
-            if any(not 0 <= o < system.d for o in self.outcomes):
-                raise ValidationError("outcome out of range")
+            _as_int(self.outcomes, "outcome", 0, system.d, 1)
         else:
             if self.operator is None:
                 raise ValidationError("EXPLICIT effect needs an operator")
             if self.operator.system != system:
                 raise ValidationError("effect register mismatch")
             if not self.operator.hermitian:
-                DenseOperator(system, self.operator.entries, hermitian=True)
+                _check_hermitian(self.operator.entries)
             eig = np.linalg.eigvalsh(self.operator.entries)
             if eig.min() < -1e-9 or eig.max() > 1 + 1e-9:
                 raise ValidationError("effect must satisfy 0 <= Pi <= 1")
@@ -159,7 +168,7 @@ GateSpec = Union[NamedGate, DenseOperator]
 
 @dataclass(frozen=True)
 class CircuitDescription:
-    """Input state, ordered gate list, and one measurement effect."""
+    """Input state, ordered gate list (each named gate read once, here), and one measurement effect."""
 
     system: QuditSystem
     input_state: DensityState
@@ -169,15 +178,17 @@ class CircuitDescription:
     def __post_init__(self):
         if self.input_state.system != self.system:
             raise ValidationError("input state system mismatch")
+        gates = []
         for g in self.gates:
             if isinstance(g, DenseOperator):
                 if g.system != self.system:
                     raise ValidationError("gate register mismatch")
                 if not g.unitary:
-                    DenseOperator(g.system, g.entries, unitary=True)
+                    _check_unitary(g.entries)
             else:
-                kind, targets = g
-                _gate_targets(self.system, GateKind(kind), targets)
+                g = _read_gate(self.system, *g)
+            gates.append(g)
+        object.__setattr__(self, "gates", tuple(gates))
         self.measurement.validate(self.system)
 
 
@@ -376,7 +387,7 @@ def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, obj
             op = _LocalGate(QuditSystem(system.d, len(qudits)), v, char)
         else:
             kind, qudits = g
-            op = _named_table(system.d, GateKind(kind), char)
+            op = _named_table(system.d, kind, char)
         steps.append((np.array([*qudits, *(system.n + q for q in qudits)]), op))
     return steps
 
@@ -393,7 +404,7 @@ def _fused(d: int, gates, steps: list, char: bool, limit: int) -> list:
     into one, while the run has at most ``limit`` local labels."""
     runs, union = [], set()  # union: the axes of the open +-1 run, empty if none
     for g, step in zip(gates, steps):
-        signs = not isinstance(g, DenseOperator) and _signs_only(d, GateKind(g[0]), char)
+        signs = not isinstance(g, DenseOperator) and _signs_only(d, g[0], char)
         axes = set(step[0].tolist())
         if signs and union and d ** len(union | axes) <= limit:
             runs[-1].append(step)
@@ -451,7 +462,7 @@ def _effect_steps(system: QuditSystem, effect: MeasurementEffect, char: bool) ->
     and Tr P(a,b) = d at a = b = 0, else 0.
     """
     d, n = system.d, system.n
-    if effect.kind == MeasurementKind.EXPLICIT:
+    if effect.kind is MeasurementKind.EXPLICIT:
         # the Hermitian part (Pi + Pi^dagger)/2: an effect that passes the
         # 1e-9 Hermiticity check may still carry an anti-Hermitian residue,
         # which would give Tr(Pi O_u) an imaginary part
@@ -547,12 +558,7 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 
 
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
-    try:
-        streams, seed = operator.index(streams), operator.index(seed)
-    except TypeError:
-        raise ValidationError(f"streams and seed must be integers, got {streams!r} and {seed!r}") from None
-    if streams < 1 or seed < 0:
-        raise ValidationError(f"need streams >= 1 and seed >= 0, got {streams} and {seed}")
+    streams, seed = _as_int(streams, "streams", 1), _as_int(seed, "seed", 0)
     d = circuit.system.d
     steps, state, effect = _frame(circuit, char)
     m_forward, norm_method = _aggregated_norm(steps, state, effect)

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DensityState, InvariantError, QuditSystem, ValidationError
+from .core import DensityState, InvariantError, QuditSystem, ValidationError, _as_int
 from .basis import Domain, lift_table, lift_to_full, o_stack, omega_block, p_stack
 from .measures import QuasiDistribution, _contract_stack
 
@@ -139,7 +139,10 @@ def _solve(a: Sequence[Sequence[int]], k: Sequence[int], d: int) -> tuple[int, .
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """n commuting independent generators plus the phase vector v."""
+    """n commuting independent generators plus the phase vector v.
+
+    Entries are read exactly as integers, never truncated, and reduced mod d.
+    """
 
     system: QuditSystem
     generators: tuple[tuple[int, ...], ...]
@@ -147,10 +150,10 @@ class StabilizerGroup:
 
     def __post_init__(self):
         d, n = self.system.d, self.system.n
-        gens = tuple(tuple(int(c) % d for c in g) for g in self.generators)
+        gens = tuple(tuple(c % d for c in g) for g in _as_int(self.generators, "generator entry", depth=2))
         if len(gens) != n or any(len(g) != 2 * n for g in gens):
             raise ValidationError(f"need {n} generators of length {2 * n}")
-        v = tuple(int(c) % d for c in self.phase_vector)
+        v = tuple(c % d for c in _as_int(self.phase_vector, "phase vector entry", depth=1))
         if len(v) != 2 * n:
             raise ValidationError(f"phase vector must have length {2 * n}")
         arr = np.array(gens, dtype=np.int64)

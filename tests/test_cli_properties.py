@@ -5,7 +5,8 @@ or mutated, must make ``main`` exit 0, 2 or 3, with a JSON error document
 for 2 and 3, and a 0 with --output must write the file and print no
 document; an escaping exception or any other code fails the test.
 Mutations put wrong types, NaN, +-inf, 1e400, negative values and lists
-where objects belong, and drop or add fields. Valid inputs stay cheap:
+where objects belong, and drop or add fields; a float, bool or string in
+an integer field must exit 2. Valid inputs stay cheap:
 d <= 3, n <= 2, at most 64 samples, epsilon >= 0.3 and at most 8 streams.
 """
 
@@ -254,3 +255,39 @@ def test_direct_arguments_exit_0_2_or_3(workdir, data):
     if output is not None:
         argv += ["--output", output]
     assert exit_code(argv, output) in (0, 2, 3)
+
+
+# integer fields of simulate and gkp-sim documents, and the lists whose entries are integers
+INTEGER_FIELDS = {"d", "n", "index", "seed", "samples"}
+INTEGER_LISTS = {"targets", "indices", "outcomes"}
+
+
+def integer_spots(doc):
+    """(container, key) of every integer a valid document holds in an integer field."""
+    for parent, key in spots(doc):
+        if isinstance(key, str) and key in INTEGER_FIELDS and type(parent[key]) is int:
+            yield parent, key
+        if isinstance(key, str) and key in INTEGER_LISTS:
+            yield from ((parent[key], i) for i in range(len(parent[key])))
+
+
+@settings(PROFILE)
+@given(st.data())
+def test_non_integral_integer_fields_exit_2(workdir, data):
+    """A float, bool or string in an integer field exits 2 with a JSON error
+    document. Each replacement truncates back to the valid value (2 -> 2.0 or
+    2.5, 1 -> true, "1"), so a read that truncated would exit 0 instead."""
+    command = data.draw(st.sampled_from(["simulate", "gkp-sim"]), label="command")
+    doc = data.draw(simulate_docs() if command == "simulate" else gkp_sim_docs())
+    parent, key = data.draw(st.sampled_from(list(integer_spots(doc))), label="spot")
+    value = parent[key]
+    replacements = [float(value), value + 0.5, str(value)] + ([bool(value)] if value < 2 else [])
+    parent[key] = data.draw(st.sampled_from(replacements), label="non-integer")
+    path = write_json(data, workdir, "integers.json", doc)
+    assert exit_code([command, "--circuit", path]) == 2
+
+
+def test_a_boolean_index_exits_2(workdir):
+    path = workdir / "bool-index.json"
+    path.write_text(json.dumps({"d": 2, "n": 1, "input": {"kind": "computational", "index": True}, "gates": []}))
+    assert exit_code(["simulate", "--circuit", path]) == 2
