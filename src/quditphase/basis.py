@@ -116,6 +116,7 @@ def full_point(system: QuditSystem, l, m) -> PhasePoint:
 
 def o_matrix(d: int, l: int, m: int) -> np.ndarray:
     """Single-qudit O_{l,m} = e^{-i pi m l / d} M_l Z^m at any integer labels."""
+    d, l, m = _as_int(d, "local dimension", 2), _as_int(l, "label l"), _as_int(m, "label m")
     v = np.arange(d)
     mat = np.zeros((d, d), dtype=complex)
     mat[(l - v) % d, v] = np.exp(-1j * np.pi * m * l / d) * np.exp(2j * np.pi * (m % d) * v / d)

@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -68,12 +69,13 @@ SCHEMA_VERSION = 1
 # ----------------------------------------------------------- serialization
 
 def _write(text: str, args) -> None:
-    """Write ``text`` plus a newline to --output or stdout; empty text writes nothing."""
+    """Write ``text`` plus a newline to --output or stdout, without copying ``text``; empty text writes nothing."""
+    end = "\n" if text else ""
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            fh.write(text + ("\n" if text else ""))
-    elif text:
-        print(text)
+            print(text, end=end, file=fh)
+    else:
+        print(text, end=end)
 
 
 def _write_csv(rows, args) -> None:
@@ -401,22 +403,32 @@ def _decode_gkp_sim(args):
     return rho, circuit, cfg.get("samples", 1), cfg.get("seed", 0)
 
 
+def _row_texts(column: np.ndarray) -> list[str]:
+    """str of each row of ``column`` (a list for a 2-D column), printed once per distinct row.
+
+    Rows match by their bytes, not by ==: 0.0 == -0.0, but the two print
+    apart. For Python ints and finite floats str gives the JSON text.
+    """
+    rows = np.ascontiguousarray(column)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * math.prod(rows.shape[1:])))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array(list(map(str, rows[first].tolist())), dtype=object)[inverse].tolist()
+
+
 def _cmd_gkp_sim(args, decoded) -> int:
     rho, circuit, num_samples, seed = decoded
     batch = simulate_homodyne_batch(rho, circuit, num_samples, seed)
     # every field of a line is a function of the drawn label: build each
-    # distinct label's line once and repeat it per sample. The lines share
-    # one template, keys in sorted order, with the constant fields encoded
-    # once; the per-label columns print through str, which gives the bytes
-    # of json.dumps for Python ints and finite floats (the sampler emits
-    # no others)
+    # distinct label's line once from its column texts and repeat it per
+    # sample. The lines share one template, keys in sorted order, with the
+    # constant fields encoded once; the sampler emits only finite floats
     n = rho.system.n
     template = (f'{{"branch": {[0] * (2 * n)}, "lattice_index": %s, "point": {{"l": %s, "m": %s}}, '
                 f'"schema_version": {SCHEMA_VERSION}, "sign": %s, "weight": {json.dumps(batch.weight)}, "x": %s}}')
-    lattice = ["null"] * len(batch.points) if batch.lattice_index is None else batch.lattice_index.tolist()
-    lines = [template % row for row in zip(lattice, batch.points[:, :n].tolist(), batch.points[:, n:].tolist(),
-                                           batch.signs.tolist(), batch.x.tolist())]
-    _write("\n".join(map(lines.__getitem__, batch.inverse.tolist())), args)
+    lattice = ["null"] * len(batch.points) if batch.lattice_index is None else _row_texts(batch.lattice_index)
+    columns = (batch.points[:, :n], batch.points[:, n:], batch.signs, batch.x)
+    lines = [template % row for row in zip(lattice, *map(_row_texts, columns))]
+    _write("\n".join(np.array(lines, dtype=object)[batch.inverse].tolist()), args)
     print(f"emitted {len(batch)} homodyne samples", file=sys.stderr)
     return 0
 

@@ -207,6 +207,7 @@ def hw_matrix(d: int, a: int, b: int) -> np.ndarray:
     pattern of the doubled-domain periodicity (P(a+d, b) = (-1)^b P(a, b)
     for even d; exact d-periodicity for odd d).
     """
+    d, a, b = _as_int(d, "local dimension", 2), _as_int(a, "label a"), _as_int(b, "label b")
     shift = np.zeros((d, d), dtype=complex)
     shift[(np.arange(d) + a) % d, np.arange(d)] = 1.0
     clock_pow = np.exp(2j * np.pi * ((b % d) * np.arange(d)) / d)

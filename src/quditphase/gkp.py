@@ -25,13 +25,23 @@ lifting its cell from the one restricted table it also norms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DensityState, QuditSystem, ValidationError, _Kind
 from .basis import Domain, lift_table, lift_to_full
-from .measures import QuasiDistribution, _renyi_order, characteristic_fn, check_order, lp_norm, x_distribution
+from .measures import (
+    QuasiDistribution,
+    _magnitudes,
+    _power_sum,
+    _renyi_order,
+    characteristic_fn,
+    check_order,
+    lp_norm,
+    x_distribution,
+)
 
 __all__ = [
     "GkpKind",
@@ -161,16 +171,43 @@ _CELLS = {
 }
 
 
+def _scaled_sides(dist: QuasiDistribution, coeffs: GkpLatticeCoefficients, p: float) -> tuple[float, float]:
+    """The sides of ``_cell_sides`` as d^n (||table||_p^p / d^n)^{1/p} and
+    c (||cell||_p^p / (4d)^n)^{1/p}, each from its scaled power sum, so a
+    side in the float range comes out finite even where its norm or the
+    baseline (4d)^{n/p} does not; c is the p-free quotient of the cell
+    prefactor and the baseline's prefactor. The 1/p power scales the
+    rounding of a sum (about log2 N ulps over N terms) by 1/p, so an order
+    at which that exceeds 1e-9 raises ValidationError."""
+    if math.log2(coeffs.values.size) * sys.float_info.epsilon / p > 1e-9:
+        raise ValidationError(f"at p = {p} the scaled cell-norm sides would lose their precision")
+    system = dist.system
+    dn, cells = system.d ** system.n, (4 * system.d) ** system.n
+    c = coeffs.prefactor * cells / stabilizer_cell_norm(system, coeffs.kind, 1.0)
+
+    def side(values, factor: float, count: int) -> float:
+        scale, total = _power_sum(_magnitudes(values), p)
+        with np.errstate(over="ignore"):
+            return float(factor * scale * (total / count) ** (1.0 / p))
+
+    return side(dist, dn, dn), side(coeffs.values, c, cells)
+
+
 def _cell_sides(rho: DensityState, p: float, kind: GkpKind) -> tuple[float, float]:
     """(d^{n(1-1/p)} ||table||_p, cell norm / stabilizer baseline), both
-    read from one restricted table; a side beyond the float range raises
-    ValidationError."""
+    read from one restricted table. Where a norm or the baseline leaves the
+    float range both sides are read again in scaled form; a side beyond the
+    float range raises ValidationError."""
     p = check_order(p)
     system = rho.system
     table, cell = _CELLS[kind]
     dist = table(rho, Domain.RESTRICTED)
-    lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(dist, p)
-    rhs = cell_lp_norm(cell(dist), p) / stabilizer_cell_norm(system, kind, p)
+    coeffs = cell(dist)
+    try:
+        lhs = system.d ** (system.n * (1 - 1 / p)) * lp_norm(dist, p)
+        rhs = cell_lp_norm(coeffs, p) / stabilizer_cell_norm(system, kind, p)
+    except ValidationError:
+        lhs, rhs = _scaled_sides(dist, coeffs, p)
     if not (0 < lhs < math.inf and 0 < rhs < math.inf):
         raise ValidationError(f"a cell-norm side at p = {p} lies beyond the float range")
     return lhs, rhs

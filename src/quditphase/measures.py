@@ -40,6 +40,7 @@ from .core import (
     InvariantError,
     QuditSystem,
     ValidationError,
+    _as_int,
     conjugate_by,
     embed_generator,
     pure_density,
@@ -267,6 +268,13 @@ def _power_sum(mags: np.ndarray, p: float) -> tuple[float, np.float64]:
         return top, np.sum((mags / top) ** p)
 
 
+def _magnitudes(dist: QuasiDistribution | np.ndarray) -> np.ndarray:
+    """The flat |f(u)| above the near-zero cutoff."""
+    arr = dist.values if isinstance(dist, QuasiDistribution) else np.asarray(dist)
+    mags = np.abs(arr).ravel()
+    return mags[mags > NORM_CUTOFF]
+
+
 def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
     """(sum |f(u)|^p)^{1/p} with the near-zero cutoff applied first.
 
@@ -274,9 +282,7 @@ def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
     norm beyond the float range raises ValidationError.
     """
     p = check_order(p)
-    arr = dist.values if isinstance(dist, QuasiDistribution) else np.asarray(dist)
-    mags = np.abs(arr).ravel()
-    mags = mags[mags > NORM_CUTOFF]
+    mags = _magnitudes(dist)
     if mags.size == 0:
         return 0.0
     scale, total = _power_sum(mags, p)
@@ -379,7 +385,7 @@ def random_clifford_word(
     single = [GateKind.FOURIER, GateKind.PHASE, GateKind.SHIFT, GateKind.CLOCK]
     kinds = single + ([GateKind.SUM] if system.n >= 2 else [])
     word = []
-    for _ in range(length):
+    for _ in range(_as_int(length, "word length", 0)):
         kind = kinds[int(rng.integers(len(kinds)))]
         if kind is GateKind.SUM:
             c, t = rng.choice(system.n, size=2, replace=False)

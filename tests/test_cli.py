@@ -10,12 +10,14 @@ import pytest
 from quditphase import (
     GateKind,
     GaussianCircuit,
+    HomodyneBatch,
     QuditSystem,
     haar_random_state,
     logical_clifford_symplectic,
     measures,
     simulate_homodyne_batch,
 )
+from quditphase import cli
 from quditphase.cli import main
 
 HTH = {
@@ -483,6 +485,69 @@ def test_gkp_sim_lines_match_the_json_dumps_oracle(tmp_path, capsys, d, n):
             x_texts.append(line.rpartition('"x": ')[2])
     # the scaled shear's 1e17 and (at n > 1) 1e-5 rows print in exponent form
     assert any("e+" in x for x in x_texts) and (n == 1 or any("e-" in x for x in x_texts))
+
+
+def oracle_line(sample) -> str:
+    """The JSON text of one gkp-sim sample through json.dumps."""
+    return json.dumps({
+        "branch": list(sample.branch),
+        "lattice_index": None if sample.lattice_index is None else list(sample.lattice_index),
+        "point": {"l": list(sample.sampled_point.l), "m": list(sample.sampled_point.m)},
+        "schema_version": 1,
+        "sign": sample.sign,
+        "weight": sample.weight,
+        "x": list(sample.x),
+    }, sort_keys=True)
+
+
+def test_gkp_sim_lines_share_a_lattice_index_row_across_labels(tmp_path, capsys):
+    # logical PHASE keeps the position block, so labels that differ only in m share their lattice_index row
+    doc = {"d": 3, "n": 2, "input": {"kind": "random", "seed": 7}, "gate": {"kind": "PHASE", "targets": [0]},
+           "samples": 500, "seed": 5}
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+    assert code == 0
+    system = QuditSystem(3, 2)
+    circuit = logical_clifford_symplectic(system, GateKind.PHASE, (0,))
+    batch = simulate_homodyne_batch(haar_random_state(system, np.random.default_rng(7)), circuit, 500, 5)
+    assert len(np.unique(batch.lattice_index, axis=0)) < len(batch.points)
+    assert out.splitlines() == [oracle_line(sample) for sample in batch]
+
+
+def test_gkp_sim_tells_rows_apart_by_their_bytes(tmp_path, capsys, monkeypatch):
+    # the float map S (c u) + t never yields -0.0, since each dot product
+    # starts from +0.0, so the writer gets a hand-built batch: its x rows
+    # [0.0, 0.5] and [-0.0, 0.5] are equal under == but print apart
+    batch = HomodyneBatch(
+        points=np.array([[0, 1, 0, 0], [0, 1, 1, 0], [1, 1, 0, 0]]),
+        lattice_index=None,
+        x=np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 0.5]]),
+        signs=np.array([1, -1, 1]),
+        inverse=np.array([0, 1, 2, 1, 0, 2, 1]),
+        weight=0.375,
+        modulus=4,
+    )
+    assert np.array_equal(batch.x[0], batch.x[1]) and batch.x[0].tobytes() != batch.x[1].tobytes()
+    monkeypatch.setattr(cli, "simulate_homodyne_batch", lambda *args: batch)
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"d": 2, "n": 2, "input": {"kind": "plus"}, "S": (-np.eye(4)).tolist(),
+                                "displacement": [-0.0] * 4, "samples": 7}))
+    code, out = run(capsys, "gkp-sim", "--circuit", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == [oracle_line(sample) for sample in batch]
+    assert [line.rpartition('"x": ')[2] for line in lines[:2]] == ["[0.0, 0.5]}", "[-0.0, 0.5]}"]
+
+
+def test_gkp_sim_zero_samples_on_the_float_map_writes_an_empty_file(tmp_path, capsys):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"d": 2, "input": {"kind": "plus"}, "S": [[1.0, 0.0], [0.5, 1.0]], "samples": 0}))
+    target = tmp_path / "out.jsonl"
+    target.write_text("stale")
+    code, out = run(capsys, "gkp-sim", "--circuit", str(path), "--output", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == b""
 
 
 def test_gkp_sim_zero_samples_writes_nothing(tmp_path, capsys):

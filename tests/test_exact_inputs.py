@@ -31,10 +31,14 @@ from quditphase import (
     StabilizerGroup,
     SymplecticAffineMap,
     ValidationError,
+    cell_lp_norm,
+    characteristic_fn,
     computational_state,
     embed_generator,
     estimate_born,
     estimate_born_char,
+    gkp_char_coefficients,
+    gkp_wigner_coefficients,
     haar_random_state,
     lp_norm,
     plus_state,
@@ -42,10 +46,16 @@ from quditphase import (
     simulate_homodyne_batch,
     stabilizer_cell_norm,
     stabilizer_renyi,
+    verify_theorem1,
+    verify_theorem2,
     x_distribution,
 )
 from quditphase import cli
+from quditphase.basis import o_matrix
 from quditphase.cli import main
+from quditphase.core import hw_matrix
+from quditphase.gkp import _cell_sides
+from quditphase.measures import random_clifford_word
 
 QUBIT = QuditSystem(2, 1)
 
@@ -81,6 +91,13 @@ ENTRY_POINTS = {
         plus_state(QUBIT), GaussianCircuit.identity(QUBIT), v, 0),
     "simulate_homodyne_batch seed": lambda v: simulate_homodyne_batch(
         plus_state(QUBIT), GaussianCircuit.identity(QUBIT), 3, v),
+    "o_matrix d": lambda v: o_matrix(v, 1, 1),
+    "o_matrix l": lambda v: o_matrix(2, v, 1),
+    "o_matrix m": lambda v: o_matrix(2, 1, v),
+    "hw_matrix d": lambda v: hw_matrix(v, 1, 0),
+    "hw_matrix a": lambda v: hw_matrix(2, v, 0),
+    "hw_matrix b": lambda v: hw_matrix(2, 0, v),
+    "random_clifford_word length": lambda v: random_clifford_word(QUBIT, np.random.default_rng(0), v),
 }
 
 
@@ -96,6 +113,18 @@ def test_integer_inputs_are_never_truncated(entry, bad):
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_numpy_integers_pass(entry, kind):
     ENTRY_POINTS[entry](kind(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: o_matrix(2, True, 1),  # once built O_{1,1}
+    lambda: o_matrix(2, 1.5, 1),  # once an IndexError
+    lambda: hw_matrix(2, 1.5, 0),  # once an IndexError
+    lambda: random_clifford_word(QUBIT, np.random.default_rng(0), 2.5),  # once a TypeError
+    lambda: random_clifford_word(QUBIT, np.random.default_rng(0), True),  # once a one-gate word
+], ids=["o_matrix-True", "o_matrix-1.5", "hw_matrix-1.5", "word-length-2.5", "word-length-True"])
+def test_label_builders_read_their_integers_exactly(call):
+    with pytest.raises(ValidationError, match="integer"):
+        call()
 
 
 def test_reads_store_python_ints():
@@ -201,6 +230,35 @@ def test_high_order_renyi_matches_the_cell_norm_route():
 def test_stabilizer_cell_norm_beyond_the_float_range_raises():
     with pytest.raises(ValidationError, match="float range"):
         stabilizer_cell_norm(QuditSystem(2, 5), GkpKind.WIGNER, 0.003)
+
+
+def test_cell_sides_keep_their_bits_where_every_norm_is_in_range():
+    system = QuditSystem(2, 3)
+    rho = haar_random_state(system, np.random.default_rng(3))
+    for p in (0.5, 1.0, 2.0, 300.0):
+        x, chi = x_distribution(rho), characteristic_fn(rho)
+        assert _cell_sides(rho, p, GkpKind.WIGNER) == (
+            2 ** (3 * (1 - 1 / p)) * lp_norm(x, p),
+            cell_lp_norm(gkp_wigner_coefficients(rho), p) / stabilizer_cell_norm(system, GkpKind.WIGNER, p))
+        assert _cell_sides(rho, p, GkpKind.CHARACTERISTIC) == (
+            2 ** (3 * (1 - 1 / p)) * lp_norm(chi, p),
+            cell_lp_norm(gkp_char_coefficients(rho), p) / stabilizer_cell_norm(system, GkpKind.CHARACTERISTIC, p))
+
+
+def test_theorems_hold_at_a_small_order_where_the_norms_overflow():
+    rho = plus_state(QuditSystem(2, 5))
+    with pytest.raises(ValidationError, match="float range"):
+        cell_lp_norm(gkp_wigner_coefficients(rho), 0.01)  # ~1e450
+    with pytest.raises(ValidationError, match="float range"):
+        stabilizer_cell_norm(QuditSystem(2, 5), GkpKind.WIGNER, 0.01)  # (4d)^{n/p} = 8^500
+    for kind in GkpKind:
+        lhs, rhs = _cell_sides(rho, 0.01, kind)
+        assert lhs == pytest.approx(1.0, rel=1e-12) and rhs == pytest.approx(1.0, rel=1e-12)
+    assert verify_theorem1(rho, 0.01) < 1e-9
+    assert verify_theorem2(rho, 0.01) < 1e-9
+    assert renyi_from_cell_norms(rho, 0.005) == pytest.approx(0.0, abs=1e-9)
+    with pytest.raises(ValidationError, match="precision"):
+        verify_theorem1(rho, 1e-300)  # 1/p would scale the sum's rounding past any tolerance
 
 
 @pytest.mark.parametrize("p, code", [("300", 0), ("0.003", 2), ("1e-300", 2)])
