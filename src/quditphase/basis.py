@@ -14,8 +14,8 @@ This module also provides:
 
 * closed-form traces (``o_trace``) and the one doubled-domain lift: the
   sign formula ``lift_sign``, its per-factor (2d, 2d) ``lift_table`` and
-  ``lift_to_full``, which turns any RESTRICTED table into the FULL one with
-  one broadcast write per factor into a fresh array;
+  ``lift_to_full``, which turns any RESTRICTED table into the FULL one as
+  a column-only lift times one cached +-1 row-sign table, written once;
   ``reduce_full_point`` reads the same formula.
   Tr O is likewise one per-factor (2d, 2d) table, which ``o_trace``, the
   x normalization check and the sampler's computational effects read,
@@ -194,48 +194,72 @@ def lift_sign(d: int, l, m, eps_l, eps_m):
     return 1 - 2 * ((m * eps_l + l * eps_m + d * eps_l * eps_m) % 2)
 
 
+@lru_cache(maxsize=32)
 def lift_table(d: int, char: bool = False) -> np.ndarray:
     """Per-factor (2d, 2d) table: entry [L, M] is the sign of the label (L, M)
     relative to (L mod d, M mod d). For O it is ``lift_sign``. For P
     (``char``), per ``hw_matrix``'s doubled-label phases, it is the same at
-    even d and all ones at odd d.
+    even d and all ones at odd d. Cached read-only.
     """
     if char and d % 2:
-        return np.ones((2 * d, 2 * d))
-    lab = np.arange(2 * d)
-    return lift_sign(d, lab[:, None] % d, lab % d, lab[:, None] // d, lab // d).astype(float)
+        table = np.ones((2 * d, 2 * d))
+    else:
+        lab = np.arange(2 * d)
+        table = lift_sign(d, lab[:, None] % d, lab % d, lab[:, None] // d, lab // d).astype(float)
+    table.flags.writeable = False
+    return table
 
 
 def lift_to_full(restricted: np.ndarray, table: np.ndarray) -> np.ndarray:
     """restricted(u mod d) * prod_i table[l_i, m_i] over Z_{2d}^{2n}.
 
-    With ``lift_table(d)`` this is the FULL table of a RESTRICTED one. The
-    lift runs innermost factor first, one broadcast multiply per factor into
-    a fresh array: with rows (l_1..l_n) and columns (m_1..m_n), factor i
-    views its input as (d^i, 1, d, inner) per side and writes
-    (d^i, 2, d, inner), where the (2, d) axes are L = d e + l and inner
-    spans the factors already lifted. Every step writes its output once, so
-    the whole lift writes about 4/3 of the final table.
+    With ``lift_table(d)`` this is the FULL table of a RESTRICTED one. Every
+    table lifted here has lifted rows that are its restricted rows times a
+    per-column sign, table[l + d, M] = table[l, M] * s[M] (s[M] = (-1)^M,
+    or 1 for the chi table at odd d); any other table raises
+    ``ValidationError``. So with L_i = d e_i + l_i the FULL table factors as
+    F[(e, l), M] = G[l, M] * C[e, M]. G = restricted(l, M mod d) *
+    prod_i table[l_i, M_i] is the column-only lift, 1/2^n of F: a column
+    gather of the restricted table times the product of the restricted
+    rows. C = prod_i s[M_i]^{e_i} is a +-1 table of 2^n x (2d)^n entries,
+    cached with the gather index per (d, n, s, dtype). F is written once,
+    by one broadcast multiply whose inner loop spans all (2d)^n columns.
     """
     d, n = table.shape[0] // 2, restricted.ndim // 2
+    top, low = table[:d], table[d:]
+    flips = np.where((low == top).all(axis=0), 1, -1)
+    if not (low == top * flips).all():
+        raise ValidationError("lifted rows of the lift table are not +-1 times its restricted rows")
     dtype = np.result_type(restricted, table)
-    sign = table.astype(dtype).reshape(1, 2, d, 1, 1, 2, d, 1)
-    prev = restricted
-    for i in reversed(range(n)):
-        inner = (2 * d) ** (n - 1 - i)
-        out = np.empty((d**i, 2, d, inner) * 2, dtype=dtype)
-        np.multiply(prev.reshape((d**i, 1, d, inner) * 2), sign, out=out)
-        prev = out
-    return prev.reshape((2 * d,) * (2 * n))
+    columns, signs = _lift_layout(d, n, tuple(flips.tolist()), dtype)
+    lifted = np.take(restricted.reshape(d**n, d**n), columns, axis=1) * _factor_product([top] * n)
+    out = np.empty((2, d) * n + (len(columns),), dtype=dtype)
+    np.multiply(lifted.reshape((1, d) * n + (-1,)), signs, out=out)
+    return out.reshape((2 * d,) * (2 * n))
+
+
+@lru_cache(maxsize=32)
+def _lift_layout(d: int, n: int, flips: tuple[int, ...], dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``lift_to_full``'s gather index of M mod d over the (2d)^n columns and
+    its row-sign table C[e, M] = prod_i flips[M_i]^{e_i}, shaped
+    (2, 1)^n x (2d)^n; cached read-only."""
+    columns = np.zeros(1, dtype=np.intp)
+    for _ in range(n):  # Horner index of M mod d in the restricted columns
+        columns = (columns[:, None] * d + np.arange(2 * d) % d).ravel()
+    signs = _factor_product([np.array([[1] * (2 * d), flips], dtype=dtype)] * n).reshape((2, 1) * n + (-1,))
+    columns.flags.writeable = signs.flags.writeable = False
+    return columns, signs
 
 
 def _factor_product(tables: list[np.ndarray]) -> np.ndarray:
-    """prod_i tables[i][l_i, m_i] over Z_d^{2n} from per-factor (d, d)
-    tables: one broadcast multiply per factor, in factor order."""
-    d, n = len(tables[0]), len(tables)
-    out = np.ones((1,) * (2 * n), dtype=np.result_type(*tables))
-    for i, table in enumerate(tables):
-        out = out * table.reshape((1,) * i + (d,) + (1,) * (n - 1) + (d,) + (1,) * (n - 1 - i))
+    """prod_i tables[i][a_i, b_i] as a (k^n, c^n) matrix from per-factor
+    (k, c) tables, rows (a_1..a_n) and columns (b_1..b_n): one broadcast
+    multiply per factor, last factor first, so each inner loop spans the
+    columns of the factors already multiplied."""
+    out = np.ones((1, 1), dtype=np.result_type(*tables))
+    for table in reversed(tables):
+        (k, c), (rows, cols) = table.shape, out.shape
+        out = (table[:, None, :, None] * out[None, :, None, :]).reshape(k * rows, c * cols)
     return out
 
 

@@ -15,8 +15,10 @@ finite table:
 A cell is an array over Z_{2d}^{2n}: the Wigner cell is the lifted x
 table, and gamma is the restricted chi^* lifted with the gamma phase and
 a factor d folded into the per-factor (2d, 2d) lift table, so each cell
-is written once. Cell l_p norms are prefactor * ||values||_p. For every pure
-stabilizer input they collapse to closed forms, and the quotient against
+is written once. That table's lifted rows are built as exactly its
+restricted rows times (-1)^m, the form ``basis.lift_to_full`` requires.
+Cell l_p norms are prefactor * ||values||_p. For every pure stabilizer
+input they collapse to closed forms, and the quotient against
 that baseline reproduces d^{n(1-1/p)} ||x||_p (resp. ||chi||_p) exactly;
 ``verify_theorem1`` / ``verify_theorem2`` return those residuals, each
 lifting its cell from the one restricted table it also norms.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,13 +126,20 @@ def gkp_wigner_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
     return _wigner_cell(x_distribution(rho, Domain.RESTRICTED))
 
 
+@lru_cache(maxsize=32)
 def _gamma_table(d: int) -> np.ndarray:
     """Per-factor (2d, 2d) lift table of gamma: the chi lift sign times
     d e^{-i pi l m/d} w_d^{-l m/2}, with w_d^{1/2} via inv2 at odd d, so the
-    n-factor product carries the d^n as well."""
-    lm = np.multiply.outer(np.arange(2 * d), np.arange(2 * d))
+    n-factor product carries the d^n as well. Moving l by d multiplies the
+    entry by (-1)^m, so the lifted rows are written as exactly the
+    restricted rows times (-1)^m, as ``lift_to_full`` requires. Cached
+    read-only."""
+    lm = np.multiply.outer(np.arange(d), np.arange(2 * d))
     half = 2 * ((pow(2, -1, d) * lm) % d) if d % 2 else lm
-    return d * lift_table(d, char=True) * np.exp(-1j * math.pi * (lm + half) / d)
+    top = d * lift_table(d, char=True)[:d] * np.exp(-1j * math.pi * (lm + half) / d)
+    table = np.concatenate([top, top * (1 - 2 * (np.arange(2 * d) % 2))])
+    table.flags.writeable = False
+    return table
 
 
 def _char_cell(chi: QuasiDistribution) -> GkpLatticeCoefficients:

@@ -218,7 +218,7 @@ def _wigner_of(x: QuasiDistribution) -> QuasiDistribution:
     for axis, a in enumerate([a1] * n + [a2] * n):
         w = np.take(w, a, axis=axis)
     sign = (1 - 2 * ((a1[:, None] * a2) % 2)).astype(float)
-    return QuasiDistribution._adopt(system, Domain.RESTRICTED, w * _factor_product([sign] * n))
+    return QuasiDistribution._adopt(system, Domain.RESTRICTED, w * _factor_product([sign] * n).reshape(w.shape))
 
 
 def characteristic_fn(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) -> QuasiDistribution:

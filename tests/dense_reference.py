@@ -11,7 +11,8 @@ from ``hw_matrix``, sharing no code with the library's group table.
 Kronecker product, a dense conjugation and one contraction, sharing no
 code with the library's batched column kernel or its support reduction.
 ``gather_lift`` is the index-gather form of the per-factor lift, kept as
-the reference for the library's broadcast ``lift_to_full``.
+the reference for the library's ``lift_to_full`` (a column-only lift times
+a cached row-sign table); it takes any (2d, 2d) table.
 ``einsum_contract_stack`` is the one-einsum form of the per-factor stack
 contraction Tr(Stack_u M), the reference for the library's tensordot
 passes and the contraction every table here uses.

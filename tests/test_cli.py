@@ -167,6 +167,25 @@ def test_gkp_check_csv(capsys):
     assert out.splitlines()[0].startswith("d,n,p,")
 
 
+def test_gkp_check_passes_large_sides_that_agree_to_their_rounding(capsys):
+    # the sides are ~1.13e14, so their absolute residual is 0.125 at ~1e-15 relative
+    code, out = run(capsys, "gkp-check", "--d", "2", "--n", "5", "--p", "0.1", "--samples", "1")
+    assert code == 0
+    doc = json.loads(out)
+    row = doc["results"][0]
+    assert row["lhs"] > 1e14
+    assert doc["max_residual"] == max(row["residual"], row["residual_char"]) > 1e-9
+
+
+@pytest.mark.parametrize("side", [1e12, 0.5])
+def test_gkp_check_fails_sides_apart_by_more_than_their_rounding(capsys, monkeypatch, side):
+    # side 0.5: below 1 the check stays the absolute residual
+    monkeypatch.setattr(cli, "_cell_sides", lambda rho, p, kind: (side, side + 1e-6 * max(side, 1.0)))
+    code, out = run(capsys, "gkp-check", "--d", "2", "--n", "1", "--p", "1", "--samples", "1")
+    assert code == 3
+    assert json.loads(out.splitlines()[-1])["error"]["type"] == "invariant"
+
+
 def test_simulate_circuit(tmp_path, capsys):
     path = tmp_path / "hth.json"
     path.write_text(json.dumps(HTH))

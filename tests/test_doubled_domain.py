@@ -14,6 +14,7 @@ from quditphase import (
     QuasiDistribution,
     QuditSystem,
     StabilizerGroup,
+    ValidationError,
     characteristic_fn,
     discrete_wigner,
     enumerate_single_qudit_groups,
@@ -85,6 +86,7 @@ def test_sparse_stabilizer_table_matches_the_dense_reference(d, n):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_lift_table_entries_follow_lift_sign(d):
     o_table, p_table = lift_table(d), lift_table(d, char=True)
+    assert not o_table.flags.writeable and not p_table.flags.writeable and not _gamma_table(d).flags.writeable
     for big_l in range(2 * d):
         for big_m in range(2 * d):
             l, el, m, em = big_l % d, big_l // d, big_m % d, big_m // d
@@ -92,21 +94,60 @@ def test_lift_table_entries_follow_lift_sign(d):
             assert p_table[big_l, big_m] == (1 if d % 2 else lift_sign(d, l, m, el, em))
 
 
+def random_lift_table(d, rng, complex_table):
+    """Random restricted rows; the lifted rows are them times a random +-1 per column."""
+    top = rng.standard_normal((d, 2 * d))
+    if complex_table:
+        top = top + 1j * rng.standard_normal(top.shape)
+    return np.concatenate([top, top * rng.choice([-1.0, 1.0], size=2 * d)])
+
+
 def test_lift_to_full_tiles_and_multiplies_per_factor():
     rng = np.random.default_rng(5)
     for (d, n), complex_table in itertools.product([(2, 3), (2, 4), (2, 5), (3, 3)], (False, True)):
         values = rng.standard_normal((d,) * (2 * n))
-        table = rng.standard_normal((2 * d, 2 * d))
+        table = random_lift_table(d, rng, complex_table)
         if complex_table:
             values = values + 1j * rng.standard_normal(values.shape)
-            table = table + 1j * rng.standard_normal(table.shape)
         want = np.tile(values, (2,) * (2 * n))
         for i in range(n):  # table[L_i, M_i] broadcast over axes i and n + i
             want = want * np.moveaxis(table.reshape(table.shape + (1,) * (2 * n - 2)), (0, 1), (i, n + i))
         assert np.allclose(lift_to_full(values, table), want, rtol=1e-15, atol=0), (d, n, complex_table)
 
 
-LIFT_CASES = [(2, 5), (3, 3), (4, 2), (5, 2)]
+@pytest.mark.parametrize("complex_table", [False, True])
+def test_lift_to_full_rejects_a_table_whose_lifted_rows_are_not_signed_copies(complex_table):
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((3,) * 4)
+    table = random_lift_table(3, rng, complex_table)
+    lift_to_full(values, table)
+    table[4, 2] *= 1.5  # one lifted entry off its +-1 multiple
+    with pytest.raises(ValidationError, match="lifted rows"):
+        lift_to_full(values, table)
+    with pytest.raises(ValidationError, match="lifted rows"):
+        lift_to_full(values, rng.standard_normal((6, 6)))
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_lift_to_full_peaks_near_its_output_bytes(complex_values):
+    # with warm caches the lift allocates its output and two tables 1/2^n its size
+    d, n = 2, 5
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((d,) * (2 * n))
+    if complex_values:
+        values = values + 1j * rng.standard_normal(values.shape)
+    table = lift_table(d)
+    lift_to_full(values, table)
+    tracemalloc.start()
+    try:
+        out = lift_to_full(values, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes, peak / out.nbytes
+
+
+LIFT_CASES = [(2, 1), (2, 5), (3, 3), (4, 2), (5, 2), (6, 2), (7, 1)]
 
 
 @pytest.mark.parametrize("d, n", LIFT_CASES)
