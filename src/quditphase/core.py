@@ -175,9 +175,7 @@ class DensityState:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.system.dim))
-        herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if herm > 1e-9:
-            raise ValidationError(f"density matrix not Hermitian (dev {herm:.3e})")
+        _check_hermitian(self.matrix)
         tr = self.matrix.trace()
         if abs(tr - 1) > 1e-9:
             raise ValidationError(f"density matrix trace {tr} != 1")

@@ -37,6 +37,7 @@ from .core import DensityState, QuditSystem, ValidationError, _Kind
 from .basis import Domain, lift_table, lift_to_full
 from .measures import (
     QuasiDistribution,
+    _Table,
     _magnitudes,
     _power_sum,
     _renyi_order,
@@ -65,14 +66,13 @@ class GkpKind(_Kind):
 
 
 @dataclass(frozen=True)
-class GkpLatticeCoefficients:
+class GkpLatticeCoefficients(_Table):
     """One unit cell worth of delta-peak weights for an encoded state.
 
-    ``values`` is the cell table over Z_{2d}^{2n}, 2n axes of length 2d
-    ordered (l-block, m-block), stored read-only. As for
-    ``QuasiDistribution``, the public constructor stores a read-only copy
-    and the library hands over the cells it builds through ``_adopt``,
-    which freezes them in place without a copy.
+    ``values`` is the cell over Z_{2d}^{2n}, stored as ``QuasiDistribution``
+    stores a FULL table (``measures._Table``): 2n axes of length 2d ordered
+    (l-block, m-block), read-only, copied by the public constructor and
+    adopted without a copy by the library. A WIGNER cell must be real to 1e-10.
     """
 
     system: QuditSystem
@@ -82,35 +82,18 @@ class GkpLatticeCoefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GkpKind(self.kind))
-        self._freeze(np.array(self.values))
+        super().__post_init__()
 
-    @classmethod
-    def _adopt(
-        cls, system: QuditSystem, kind: GkpKind, values: np.ndarray, prefactor: float
-    ) -> "GkpLatticeCoefficients":
-        """Wrap a fresh cell array: checked, frozen in place, not copied."""
-        cell = object.__new__(cls)
-        object.__setattr__(cell, "system", system)
-        object.__setattr__(cell, "kind", kind)
-        object.__setattr__(cell, "prefactor", prefactor)
-        cell._freeze(values)
-        return cell
+    @property
+    def modulus(self) -> int:
+        return 2 * self.system.d
 
     def _freeze(self, arr: np.ndarray) -> None:
-        if arr.shape != (2 * self.system.d,) * (2 * self.system.n):
-            raise ValidationError(f"cell values shape {arr.shape} does not match Z_2d^2n")
+        super()._freeze(arr)
         if self.kind is GkpKind.WIGNER and np.iscomplexobj(arr):
             worst = float(np.max(np.abs(arr.imag)))
             if worst > 1e-10:
                 raise ValidationError(f"Wigner cell values must be real (dev {worst:.3e})")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def value(self, point) -> complex:
-        """The weight at a ``PhasePoint`` of modulus 2d."""
-        if point.modulus != 2 * self.system.d or point.n != self.system.n:
-            raise ValidationError("point does not live on this cell")
-        return self.values[point.l + point.m]
 
 
 def _wigner_cell(x: QuasiDistribution) -> GkpLatticeCoefficients:

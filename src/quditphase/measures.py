@@ -83,16 +83,58 @@ __all__ = [
 NORM_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class QuasiDistribution:
-    """Coefficients indexed by phase-space labels.
+def _kept(mags: np.ndarray) -> np.ndarray:
+    """The one zero rule: a magnitude counts as nonzero where |v| >= NORM_CUTOFF."""
+    return mags >= NORM_CUTOFF
 
-    ``values`` has 2n axes ordered (l_1..l_n, m_1..m_n), each of length d
-    (RESTRICTED) or 2d (FULL), and is read-only. The public constructor
-    stores a read-only copy of what it is given, so a caller's array stays
-    the caller's. Library functions hand over the fresh tables they build
-    through ``_adopt``, which freezes them in place without a copy.
+
+def _real(arr: np.ndarray, what: str) -> np.ndarray:
+    """The contiguous real part (a copy, for complex ``arr``) of a contraction
+    that must be real; an imaginary part past 1e-10 raises InvariantError."""
+    if np.max(np.abs(arr.imag)) > 1e-10:
+        raise InvariantError(f"{what} must be real")
+    return np.ascontiguousarray(arr.real)
+
+
+class _Table:
+    """The storage contract of every phase-space table (a frozen dataclass
+    with ``system`` and ``values`` that says what its ``modulus`` is).
+
+    ``values`` has 2n axes of length ``modulus``, ordered (l_1..l_n,
+    m_1..m_n), and is read-only. The public constructor stores a read-only
+    copy, so a caller's array stays the caller's; library functions hand
+    over fresh tables through ``_adopt``, which freezes them without a copy.
     """
+
+    def __post_init__(self):
+        self._freeze(np.asarray(self.values).copy())
+
+    @classmethod
+    def _adopt(cls, *fields):
+        """Wrap the fields, in constructor order, around a fresh array no one else holds."""
+        table = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, fields):
+            object.__setattr__(table, name, value)
+        table._freeze(table.values)
+        return table
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        shape = (self.modulus,) * (2 * self.system.n)
+        if arr.shape != shape:
+            raise ValidationError(f"values shape {arr.shape} does not match {shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
+
+    def value(self, point: PhasePoint) -> complex:
+        if point.modulus != self.modulus or point.n != self.system.n:
+            raise ValidationError("point does not live on this table")
+        return self.values[point.l + point.m]
+
+
+@dataclass(frozen=True)
+class QuasiDistribution(_Table):
+    """Coefficients indexed by phase-space labels: a ``_Table`` whose axes
+    have length d (RESTRICTED) or 2d (FULL)."""
 
     system: QuditSystem
     domain: Domain
@@ -100,33 +142,11 @@ class QuasiDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", Domain(self.domain))
-        self._freeze(np.asarray(self.values).copy())
-
-    @classmethod
-    def _adopt(cls, system: QuditSystem, domain: Domain, values: np.ndarray) -> "QuasiDistribution":
-        """Wrap a fresh array no one else holds: shape-checked, frozen in place, not copied."""
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "system", system)
-        object.__setattr__(dist, "domain", domain)
-        dist._freeze(values)
-        return dist
-
-    def _freeze(self, arr: np.ndarray) -> None:
-        if arr.shape != (self.modulus,) * (2 * self.system.n):
-            raise ValidationError(
-                f"values shape {arr.shape} does not match domain {self.domain}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        super().__post_init__()
 
     @property
     def modulus(self) -> int:
         return self.system.d if self.domain is Domain.RESTRICTED else 2 * self.system.d
-
-    def value(self, point: PhasePoint) -> complex:
-        if point.modulus != self.modulus or point.n != self.system.n:
-            raise ValidationError("point does not live on this domain")
-        return self.values[point.l + point.m]
 
     def items(self) -> Iterator[tuple[PhasePoint, complex]]:
         n, mod = self.system.n, self.modulus
@@ -180,10 +200,7 @@ def x_distribution(rho: DensityState, domain: Domain | str = Domain.RESTRICTED) 
     domain = Domain(domain)
     system = rho.system
     raw = _contract_stack(system, o_stack(system.d), rho.matrix) / system.dim
-    if np.max(np.abs(raw.imag)) > 1e-10:
-        raise InvariantError("x of a Hermitian state must be real")
-    # one contiguous copy of the real part, so the table does not pin raw
-    restricted = QuasiDistribution._adopt(system, Domain.RESTRICTED, np.ascontiguousarray(raw.real))
+    restricted = QuasiDistribution._adopt(system, Domain.RESTRICTED, _real(raw, "x of a Hermitian state"))
     bound = 1.0 / system.dim + 1e-9
     if np.max(np.abs(restricted.values)) > bound:
         raise InvariantError("coefficient bound |x| <= d^-n violated")
@@ -269,10 +286,10 @@ def _power_sum(mags: np.ndarray, p: float) -> tuple[float, np.float64]:
 
 
 def _magnitudes(dist: QuasiDistribution | np.ndarray) -> np.ndarray:
-    """The flat |f(u)| above the near-zero cutoff."""
+    """The flat |f(u)| that ``_kept`` counts as nonzero."""
     arr = dist.values if isinstance(dist, QuasiDistribution) else np.asarray(dist)
     mags = np.abs(arr).ravel()
-    return mags[mags > NORM_CUTOFF]
+    return mags[_kept(mags)]
 
 
 def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
@@ -296,12 +313,12 @@ def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
 def _label_cdf(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """What drawing labels u of a signed table with probability |x(u)| / ||x||_1 needs.
 
-    Returns the flat table with entries below NORM_CUTOFF zeroed, its
+    Returns the flat table with the entries ``_kept`` drops zeroed, its
     1-norm, the flat labels of its nonzero entries and their cdf,
     cumsum |x| / ||x||_1 with the last entry set to 1.
     """
     flat = values.reshape(-1).copy()
-    flat[np.abs(flat) < NORM_CUTOFF] = 0.0
+    flat[~_kept(np.abs(flat))] = 0.0
     norm = float(np.sum(np.abs(flat)))
     if norm <= 0:
         raise ValidationError("input state has zero coefficient norm")
@@ -348,9 +365,7 @@ def _renyi_of(chi: QuasiDistribution, alpha: float) -> float:
     """M_alpha from a restricted chi table (``stabilizer_renyi``)."""
     alpha = _renyi_order(alpha)
     system = chi.system
-    mags = np.abs(chi.values).ravel()
-    mags = mags[mags > NORM_CUTOFF]
-    xi = system.dim * mags**2
+    xi = system.dim * _magnitudes(chi) ** 2
     scale, total = _power_sum(xi, alpha)
     return float((alpha * np.log(scale) + np.log(float(total))) / (1.0 - alpha) - system.n * np.log(system.d))
 

@@ -25,10 +25,11 @@ the x and chi tables (``measures._contract_stack``, one pass per qudit).
 The input is drawn by the homodyne sampler's inverse-CDF helper as
 positions among the nonzero input labels, which index unit weights and
 digits built once per call. Once K is known, each run of named gates
-whose factors are all exactly +-1 (every O-frame generator; FOURIER, SUM
-and even-d PHASE in the Heisenberg-Weyl frame) is fused into one step
-while it has at most min(4096, K) local labels: products of +-1 are
-exact, so the weights are those of gate-by-gate steps, bit for bit.
+whose factors are all exactly +-1 (every O-frame generator; FOURIER,
+SUM, even-d PHASE and every d = 2 generator in the Heisenberg-Weyl
+frame) is fused into one step while it has at most min(4096, K) local
+labels: products of +-1 are exact, so the weights are those of
+gate-by-gate steps, bit for bit.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
@@ -92,11 +93,12 @@ from .basis import (
     p_stack,
 )
 from .measures import (
-    NORM_CUTOFF,
     QuasiDistribution,
     _contract_stack,
     _draw_labels,
+    _kept,
     _label_cdf,
+    _real,
     characteristic_fn,
     lp_norm,
     x_distribution,
@@ -242,10 +244,8 @@ def _columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats: np.nda
         ops = (ops[:, :, None, :, None] * basis[vec[q], vec[n + q]][:, None, :, None, :]).reshape(-1, side, side)
     rows = _contract_stack(system, dual, unitary @ ops @ unitary.conj().T).reshape(len(ops), -1) / d**n
     if not char:
-        if np.max(np.abs(rows.imag)) > 1e-10:
-            raise InvariantError("frame column must be real")
-        rows = np.ascontiguousarray(rows.real)
-    rows[np.abs(rows) < NORM_CUTOFF] = 0.0
+        rows = _real(rows, "frame column")
+    rows[~_kept(np.abs(rows))] = 0.0
     if not np.all(np.any(rows, axis=1)):
         raise InvariantError("frame column vanished; unitary inconsistent")
     return rows
@@ -283,7 +283,8 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
     labels by 2Jt. So t = Js/2 at even d, where every shift is even, and
     t = 2^{-1} Js mod d at odd d. Each generator fixes its own shift
     (As = s), so JAJ fixes t and the factor is the same whether P(t) acts
-    before or after the linear part.
+    before or after the linear part. The powers w^{-j} are read from a root
+    table whose quarter turns (4j a multiple of d) are exactly 1, -i, -1, i.
     """
     k = kind.arity
     amap = clifford_coordinate_action(QuditSystem(d, k), kind)
@@ -297,7 +298,9 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
     if char:
         js = flip * amap.shift
         t = js // 2 if d % 2 == 0 else js * pow(2, -1, d)
-        phases = phases * np.exp(-2j * np.pi * ((t[:k] @ u[k:] - t[k:] @ u[:k]) % d) / d)
+        j = np.arange(d)
+        roots = np.where(4 * j % d, np.exp(-2j * np.pi * j / d), np.array([1, -1j, -1, 1j])[4 * j // d])
+        phases = phases * roots[(t[:k] @ u[k:] - t[k:] @ u[:k]) % d]
     digits = (full % d).astype(np.min_scalar_type(d - 1))
     digits.flags.writeable = phases.flags.writeable = False
     return digits, phases
@@ -468,9 +471,7 @@ def _effect_steps(system: QuditSystem, effect: MeasurementEffect, char: bool) ->
         # which would give Tr(Pi O_u) an imaginary part
         entries = effect.operator.entries.astype(complex)
         arr = _contract_stack(system, p_stack(d) if char else o_stack(d), (entries + entries.conj().T) / 2)
-        if not char and np.max(np.abs(arr.imag)) > 1e-10:
-            raise InvariantError("x_Pi must be real")
-        return [(np.arange(2 * n), (None, (arr if char else arr.real).reshape(-1)))]
+        return [(np.arange(2 * n), (None, (arr if char else _real(arr, "x_Pi")).reshape(-1)))]
     l, m = np.ogrid[:d, :d]
     tables = []
     for q in range(n):

@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import DensityState, InvariantError, QuditSystem, ValidationError, _as_int
 from .basis import Domain, lift_table, lift_to_full, o_stack, omega_block, p_stack
-from .measures import QuasiDistribution, _contract_stack
+from .measures import QuasiDistribution, _contract_stack, _real
 
 __all__ = [
     "NonCommutingGenerators",
@@ -269,9 +269,7 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     table = np.zeros((d,) * (2 * n), dtype=complex)
     table[tuple(labels.T)] = phases
     restricted = _contract_stack(system, _overlap_stack(d), table.reshape(system.dim, -1)) / float(d ** (2 * n))
-    if np.max(np.abs(restricted.imag)) > 1e-10:
-        raise InvariantError("stabilizer coefficients must be real")
-    rvals = restricted.real
+    rvals = _real(restricted, "stabilizer coefficients")
 
     support = np.abs(rvals) > 1e-10
     flat = np.isclose(np.abs(rvals[support]), d ** (-float(n)), atol=1e-10)

@@ -11,6 +11,7 @@ from quditphase import (
     Domain,
     GkpKind,
     GkpLatticeCoefficients,
+    PhasePoint,
     QuasiDistribution,
     QuditSystem,
     StabilizerGroup,
@@ -174,7 +175,8 @@ def test_lift_to_full_matches_the_gather_lift_on_the_gamma_table(d, n):
 # ------------------------------------------------------------- ownership
 
 
-@pytest.mark.parametrize(
+# both table types, built through their public constructors on Z_{2d}^{2n}
+PUBLIC_TABLES = pytest.mark.parametrize(
     "build",
     [
         lambda s, arr: QuasiDistribution(s, Domain.FULL, arr),
@@ -182,6 +184,9 @@ def test_lift_to_full_matches_the_gather_lift_on_the_gamma_table(d, n):
     ],
     ids=["distribution", "cell"],
 )
+
+
+@PUBLIC_TABLES
 def test_public_constructors_copy_the_callers_array(build):
     s = QuditSystem(2, 2)
     arr = np.random.default_rng(6).standard_normal((4,) * 4)
@@ -191,6 +196,18 @@ def test_public_constructors_copy_the_callers_array(build):
     assert arr.flags.writeable
     assert not held.values.flags.writeable
     assert np.array_equal(held.values, before)
+
+
+@PUBLIC_TABLES
+def test_tables_reject_a_wrong_shape_and_a_foreign_point(build):
+    s = QuditSystem(2, 1)
+    with pytest.raises(ValidationError, match="does not match"):
+        build(s, np.zeros((2, 2)))
+    table = build(s, np.arange(16.0).reshape(4, 4))
+    for point in (PhasePoint((0,), (0,), 2), PhasePoint((0, 0), (0, 0), 4)):
+        with pytest.raises(ValidationError, match="does not live on this table"):
+            table.value(point)
+    assert table.value(PhasePoint((1,), (3,), 4)) == 7.0
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 2)])

@@ -18,6 +18,7 @@ import pytest
 from quditphase import (
     CircuitDescription,
     DenseOperator,
+    DensityState,
     Domain,
     GateKind,
     GaussianCircuit,
@@ -33,7 +34,9 @@ from quditphase import (
     ValidationError,
     cell_lp_norm,
     characteristic_fn,
+    clifford_generator,
     computational_state,
+    conjugate_by,
     embed_generator,
     estimate_born,
     estimate_born_char,
@@ -42,6 +45,7 @@ from quditphase import (
     haar_random_state,
     lp_norm,
     plus_state,
+    pure_density,
     renyi_from_cell_norms,
     simulate_homodyne_batch,
     stabilizer_cell_norm,
@@ -312,3 +316,44 @@ def test_in_place_checks_keep_their_tolerances_and_messages():
     skew = DenseOperator(QUBIT, [[0.5, 1e-8], [0, 0.5]])
     with pytest.raises(ValidationError, match="hermiticity violated by"):
         MeasurementEffect(MeasurementKind.EXPLICIT, operator=skew).validate(QUBIT)
+
+
+# outside inputs whose rejections no other test reaches
+PAIR = QuditSystem(2, 2)
+IDENTITY_MAP = np.eye(2, dtype=int)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DensityState(QUBIT, [[0.5, 0.1], [0.0, 0.5]]), "hermiticity violated by"),
+        (lambda: DensityState(QUBIT, np.eye(2)), "trace"),
+        (lambda: DensityState(QUBIT, np.diag([1.5, -0.5])), "eigenvalue"),
+        (lambda: DensityState(QUBIT, np.eye(3) / 3), "expected a 2x2 matrix"),
+        (lambda: pure_density(QUBIT, [1.0, 0.0, 0.0]), "length 2"),
+        (lambda: clifford_generator(PAIR, GateKind.FOURIER), "single qudit"),
+        (lambda: clifford_generator(QUBIT, GateKind.SUM), "two-qudit"),
+        (lambda: conjugate_by(DenseOperator(PAIR, np.eye(4)), DenseOperator(QUBIT, np.eye(2))), "shapes"),
+        (lambda: GaussianCircuit(QUBIT, np.eye(3), np.zeros(2)), "S must be 2x2"),
+        (lambda: GaussianCircuit(QUBIT, np.eye(2), np.zeros(3)), "displacement must have length 2"),
+        (lambda: simulate_homodyne_batch(computational_state(QUBIT, 0),
+                                         GaussianCircuit(PAIR, np.eye(4), np.zeros(4)), 1, 0), "system mismatch"),
+        (lambda: SymplecticAffineMap([[1, 0, 0], [0, 1, 0]], [0, 0], 4), "square"),
+        (lambda: SymplecticAffineMap(IDENTITY_MAP, [0, 0, 0], 4), "shift length"),
+        (lambda: SymplecticAffineMap(IDENTITY_MAP, [0, 0], 4).compose(SymplecticAffineMap(IDENTITY_MAP, [0, 0], 6)),
+         "moduli differ"),
+        (lambda: StabilizerGroup(QUBIT, ((0, 1),), (0,)), "phase vector must have length 2"),
+        (lambda: MeasurementEffect(MeasurementKind.EXPLICIT).validate(QUBIT), "needs an operator"),
+        (lambda: CircuitDescription(PAIR, computational_state(QUBIT, 0), (),
+                                    MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0,), (0,))), "input state"),
+        (lambda: cli._matrix([[1.0, [0.0, 1.0, 2.0]]]), "real or \\[re, im\\]"),
+    ],
+    ids=["density-not-hermitian", "density-trace", "density-negative-eigenvalue", "matrix-shape",
+         "pure-density-length", "generator-one-qudit-on-two", "generator-sum-on-one", "conjugate-shapes",
+         "gaussian-s-shape", "gaussian-displacement-length", "homodyne-register",
+         "map-not-square", "map-shift-length", "map-compose-moduli", "stabilizer-phase-length",
+         "explicit-effect-without-operator", "circuit-input-register", "cli-matrix-entry"],
+)
+def test_outside_inputs_are_rejected(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()

@@ -15,7 +15,6 @@ from quditphase import (
     DensityState,
     GkpKind,
     GkpLatticeCoefficients,
-    PhasePoint,
     QuditSystem,
     ValidationError,
     cell_lp_norm,
@@ -177,15 +176,6 @@ def test_cell_norm_rejects_nonpositive_p():
     coeffs = gkp_wigner_coefficients(computational_state(s, 0))
     with pytest.raises(ValidationError):
         cell_lp_norm(coeffs, 0.0)
-
-
-def test_cell_rejects_wrong_shape_and_foreign_points():
-    s = QuditSystem(2, 1)
-    with pytest.raises(ValidationError):
-        GkpLatticeCoefficients(s, GkpKind.WIGNER, np.zeros((2, 2)), 1.0)
-    coeffs = gkp_wigner_coefficients(computational_state(s, 0))
-    with pytest.raises(ValidationError):
-        coeffs.value(PhasePoint((0,), (0,), 2))
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])

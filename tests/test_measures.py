@@ -24,7 +24,7 @@ from quditphase import (
     t_state,
     x_distribution,
 )
-from quditphase import measures
+from quditphase import measures, sampling
 from quditphase.basis import o_stack, p_stack
 from quditphase.measures import (
     apply_word,
@@ -203,6 +203,18 @@ def test_renyi_monotone_under_alpha():
     # M_alpha decreases in alpha for this state family
     vals = [stabilizer_renyi(rho, a) for a in (0.5, 2.0, 3.0, 4.0)]
     assert all(x > y - 1e-12 for x, y in zip(vals, vals[1:]))
+
+
+def test_an_entry_at_the_cutoff_is_kept_alike_everywhere(monkeypatch):
+    # |v| >= NORM_CUTOFF counts as nonzero in the norms, the input draw and the frame columns
+    table = np.array([[0.5, measures.NORM_CUTOFF], [0.25, 0.0]])
+    assert lp_norm(table, 1.0) > 0.75
+    flat, norm, nz, _ = measures._label_cdf(table)
+    assert flat[1] == measures.NORM_CUTOFF and norm > 0.75 and nz.tolist() == [0, 1, 2]
+    # a stubbed contraction hands the frame kernel the table times d^n = 2, which it divides out exactly
+    monkeypatch.setattr(sampling, "_contract_stack", lambda system, stack, mats: np.array([2 * table], dtype=complex))
+    rows = sampling._columns(QuditSystem(2, 1), False, np.eye(2), np.arange(1))
+    assert rows.tolist() == [table.ravel().tolist()]
 
 
 def test_lp_norm_rejects_nonpositive_p():

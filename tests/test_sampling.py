@@ -731,17 +731,31 @@ def test_a_long_sum_chain_fuses_within_the_local_label_cap(char):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_only_sign_tables_fuse(d):
     # every O-frame generator has +-1 factors; in the Heisenberg-Weyl frame
-    # FOURIER, SUM and even-d PHASE do, SHIFT and CLOCK carry phases
+    # FOURIER, SUM and even-d PHASE do, and SHIFT and CLOCK carry phases
+    # except at d = 2, where every phase is +-1
     for kind in GateKind:
         assert sampling._signs_only(d, kind, False)
-        signs = kind in (GateKind.FOURIER, GateKind.SUM) or (kind is GateKind.PHASE and d % 2 == 0)
+        signs = kind in (GateKind.FOURIER, GateKind.SUM) or (kind is GateKind.PHASE and d % 2 == 0) or d == 2
         assert sampling._signs_only(d, kind, True) == signs
     s = QuditSystem(d, 1)
     for kind in (GateKind.SHIFT, GateKind.CLOCK):
         gates = [(GateKind.FOURIER, (0,)), (kind, (0,)), (GateKind.FOURIER, (0,))]
         assert len(sampling._fused(d, gates, _steps(s, gates, False), False, 4096)) == 1
         fused = sampling._fused(d, gates, _steps(s, gates, True), True, 4096)
-        assert len(fused) == 3 and fused[1][1] is sampling._named_table(d, kind, True)
+        if d == 2:
+            assert len(fused) == 1
+        else:
+            assert len(fused) == 3 and fused[1][1] is sampling._named_table(d, kind, True)
+
+
+@pytest.mark.parametrize("kind", [GateKind.SHIFT, GateKind.CLOCK])
+def test_heisenberg_weyl_quarter_turn_factors_are_exact(kind):
+    # exp(-i pi) leaves -1 - 1.2e-16j; the factors come from exact quarter turns
+    two = sampling._named_table(2, kind, True)[1]
+    assert not np.any(two.imag) and set(two.real.tolist()) == {1.0, -1.0}
+    four = sampling._named_table(4, kind, True)[1]
+    assert all(v in (1, -1j, -1, 1j) for v in four.tolist())
+    assert set(four.tolist()) == {1, -1j, -1, 1j}
 
 
 def test_named_gate_arity_is_validated():
