@@ -1,7 +1,9 @@
 """Command-line entry points.
 
-Machine-readable JSON goes to stdout (or --output); short human tables
-go to stderr. Every JSON document carries schema_version. Exit codes:
+Each run writes to one stream, stdout or the --output file: one JSON
+document (or a CSV table), one JSON line per gkp-sim sample, and after
+them any error document. Short human tables go to stderr. Every JSON
+document carries schema_version. Exit codes:
 0 success, 2 invalid configuration, 3 numerical invariant violation. A
 sample count above ``core.SAMPLE_CAP`` (gkp-sim "samples", or the
 Hoeffding count that simulate's --epsilon implies) is invalid.
@@ -13,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
-import io
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -68,25 +72,14 @@ SCHEMA_VERSION = 1
 
 # ----------------------------------------------------------- serialization
 
-def _write(text: str, args) -> None:
-    """Write ``text`` plus a newline to --output or stdout, without copying ``text``; empty text writes nothing."""
-    end = "\n" if text else ""
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            print(text, end=end, file=fh)
-    else:
-        print(text, end=end)
+def _write_csv(rows, out) -> None:
+    """Write ``rows`` to ``out`` as CSV, one line each, header first."""
+    csv.writer(out, lineterminator="\n").writerows(rows)
 
 
-def _write_csv(rows, args) -> None:
-    """Write ``rows`` as CSV (one line each, header first) through ``_write``."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    _write(buf.getvalue().rstrip("\n"), args)
-
-
-def _emit(doc, args, human: str = "") -> None:
-    _write(json.dumps(doc, sort_keys=True), args)
+def _emit(doc: dict, out, human: str = "") -> None:
+    """Write ``doc`` with its schema_version to ``out`` as one JSON line, and ``human`` to stderr."""
+    print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True), file=out)
     if human:
         print(human, file=sys.stderr)
 
@@ -114,28 +107,12 @@ def _jsonable_real(arr: np.ndarray):
 # ------------------------------------------------------------- decoding
 #
 # One decoder per subcommand turns its arguments, state spec and circuit
-# document into library objects; ``_decode`` maps what a malformed input
-# raises there to ValidationError. The runs after decoding are not wrapped.
+# document into library objects; ``main`` maps what a malformed input, or
+# an --output that cannot be opened, raises there to ValidationError. The
+# runs after decoding are not wrapped.
 
 _DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, OverflowError, IndexError, OSError,
                   RecursionError)
-
-
-def _decode(args):
-    """The subcommand's decoded inputs; a malformed input raises ValidationError.
-
-    An --output that cannot be opened counts as one; it is dropped before
-    the open is tried, so the error document goes to stdout.
-    """
-    try:
-        path, args.output = args.output, None
-        if path:
-            open(path, "a").close()
-            args.output = path
-        return args.decode(args)
-    except _DECODE_ERRORS as exc:
-        reason = f"missing field {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
-        raise ValidationError(f"invalid input: {reason}") from exc
 
 
 def _read_json(path: str):
@@ -212,11 +189,10 @@ def _named_gate(system: QuditSystem, spec) -> tuple[GateKind, tuple[int, ...]]:
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_basis(args, system: QuditSystem) -> int:
+def _cmd_basis(args, system: QuditSystem, out) -> None:
     point = full_point(system, tuple(args.l), tuple(args.m))
     op = o_operator(system, point)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "d": system.d,
         "n": system.n,
         "l": list(point.l),
@@ -227,11 +203,10 @@ def _cmd_basis(args, system: QuditSystem) -> int:
         "matrix": _jsonable_matrix(op.entries),
     }
     human = f"O basis element d={system.d} n={system.n} (l={list(point.l)}, m={list(point.m)}), trace {doc['trace']:g}"
-    _emit(doc, args, human)
-    return 0
+    _emit(doc, out, human)
 
 
-def _cmd_measure(args, rho: DensityState) -> int:
+def _cmd_measure(args, rho: DensityState, out) -> None:
     system = rho.system
     # one x table and one chi table serve every quantity
     x = x_distribution(rho, Domain.RESTRICTED)
@@ -239,7 +214,6 @@ def _cmd_measure(args, rho: DensityState) -> int:
     chi = characteristic_fn(rho, Domain.RESTRICTED) if args.alpha else None
     renyi = {str(a): _renyi_of(chi, a) for a in args.alpha}
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "d": system.d,
         "n": system.n,
         "negativity": norm,
@@ -255,46 +229,41 @@ def _cmd_measure(args, rho: DensityState) -> int:
         rows.append(["hyperpolyhedral", doc["hyperpolyhedral"]])
         if "wigner_negativity" in doc:
             rows.append(["wigner_negativity", doc["wigner_negativity"]])
-        _write_csv(rows, args)
-        return 0
+        _write_csv(rows, out)
+        return
     rows = [f"  negativity       {doc['negativity']:.12g}", f"  1-norm           {norm:.12g}"]
     rows += [f"  renyi alpha={a}   {v:.12g}" for a, v in renyi.items()]
-    _emit(doc, args, "magic measures:\n" + "\n".join(rows))
-    return 0
+    _emit(doc, out, "magic measures:\n" + "\n".join(rows))
 
 
-def _cmd_wigner(args, rho: DensityState) -> int:
+def _cmd_wigner(args, rho: DensityState, out) -> None:
     system = rho.system
     wig = discrete_wigner(rho)  # raises EvenDimensionError for even d
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "d": system.d,
         "n": system.n,
         "values": _jsonable_real(wig.values),
         "negativity": lp_norm(wig, 1),
     }
-    _emit(doc, args, f"Wigner table d={system.d} n={system.n}, 1-norm {doc['negativity']:.12g}")
-    return 0
+    _emit(doc, out, f"Wigner table d={system.d} n={system.n}, 1-norm {doc['negativity']:.12g}")
 
 
-def _cmd_char(args, rho: DensityState) -> int:
+def _cmd_char(args, rho: DensityState, out) -> None:
     system = rho.system
     domain = Domain.FULL if args.domain == "full" else Domain.RESTRICTED
     chi = characteristic_fn(rho, domain)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "d": system.d,
         "n": system.n,
         "domain": domain.value,
         "values": _jsonable_matrix(chi.values.reshape(chi.values.shape[0], -1)),
         "norm_1": lp_norm(chi, 1),
     }
-    _emit(doc, args, f"characteristic table d={system.d} n={system.n}, 1-norm {doc['norm_1']:.12g}")
-    return 0
+    _emit(doc, out, f"characteristic table d={system.d} n={system.n}, 1-norm {doc['norm_1']:.12g}")
 
 
-def _decode_gkp_check(args) -> list[tuple[QuditSystem, float]]:
-    """(system, p) cells: --d/--n or the d^n <= 25 grid, each at every --p."""
+def _decode_gkp_check(args) -> tuple[list[tuple[QuditSystem, float]], int, int]:
+    """(cells, seed, samples): (system, p) cells from --d/--n or the d^n <= 25 grid, each at every --p."""
     if args.d is None:
         if args.n is not None:
             raise ValidationError("--n needs --d: the default grid fixes its own qudit counts")
@@ -302,16 +271,18 @@ def _decode_gkp_check(args) -> list[tuple[QuditSystem, float]]:
         orders = args.p or (0.5, 1.0, 2.0, 3.0)
     else:
         dims, orders = [(args.d, 1 if args.n is None else args.n)], args.p or (1.0,)
-    return [(QuditSystem(d, n), check_order(p)) for d, n in dims for p in orders]
+    cells = [(QuditSystem(d, n), check_order(p)) for d, n in dims for p in orders]
+    return cells, _as_int(args.seed, "--seed", 0), _as_int(args.samples, "--samples", 1)
 
 
-def _cmd_gkp_check(args, cells) -> int:
+def _cmd_gkp_check(args, decoded, out) -> None:
+    cells, seed, samples = decoded
     rows = []
     worst = scaled_worst = 0.0
     for system, p in cells:
         d, n = system.d, system.n
-        rng = np.random.default_rng(_as_int(args.seed, "--seed", 0))
-        for k in range(_as_int(args.samples, "--samples", 1)):
+        rng = np.random.default_rng(seed)
+        for k in range(samples):
             rho = haar_random_state(system, rng)
             lhs, rhs = _cell_sides(rho, p, GkpKind.WIGNER)
             lhs_c, rhs_c = _cell_sides(rho, p, GkpKind.CHARACTERISTIC)
@@ -334,14 +305,13 @@ def _cmd_gkp_check(args, cells) -> int:
                     "residual_char": abs(lhs_c - rhs_c),
                 }
             )
-    doc = {"schema_version": SCHEMA_VERSION, "results": rows, "max_residual": worst}
     if args.csv:
-        _write_csv([list(rows[0])] + [list(row.values()) for row in rows], args)
+        _write_csv([list(rows[0])] + [list(row.values()) for row in rows], out)
     else:
-        _emit(doc, args, f"cell-norm identity check: {len(rows)} rows, max residual {worst:.3e}")
+        _emit({"results": rows, "max_residual": worst}, out,
+              f"cell-norm identity check: {len(rows)} rows, max residual {worst:.3e}")
     if not scaled_worst < 1e-9:
         raise InvariantError(f"cell-norm identity residual {scaled_worst:.3e} relative to max(|lhs|, 1) exceeds 1e-9")
-    return 0
 
 
 def _gate_from_spec(system: QuditSystem, spec):
@@ -371,23 +341,11 @@ def _decode_simulate(args) -> CircuitDescription:
     )
 
 
-def _cmd_simulate(args, circuit: CircuitDescription) -> int:
+def _cmd_simulate(args, circuit: CircuitDescription, out) -> None:
     runner = estimate_born_char if args.frame == "char" else estimate_born
     report = runner(circuit, args.epsilon, args.p_fail, args.seed, streams=args.streams)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "estimate": report.estimate,
-        "epsilon": report.epsilon,
-        "failure_prob": report.failure_prob,
-        "samples_used": report.samples_used,
-        "forward_norm": report.forward_norm,
-        "norm_method": report.norm_method,
-        "seed": report.seed,
-        "streams": report.streams,
-        "frame": args.frame,
-    }
-    _emit(doc, args, f"estimate {report.estimate:.6f} from {report.samples_used} samples (M = {report.forward_norm:.6g})")
-    return 0
+    _emit({**dataclasses.asdict(report), "frame": args.frame}, out,
+          f"estimate {report.estimate:.6f} from {report.samples_used} samples (M = {report.forward_norm:.6g})")
 
 
 def _decode_gkp_sim(args):
@@ -418,7 +376,7 @@ def _row_texts(column: np.ndarray) -> list[str]:
     return np.array(list(map(str, rows[first].tolist())), dtype=object)[inverse].tolist()
 
 
-def _cmd_gkp_sim(args, decoded) -> int:
+def _cmd_gkp_sim(args, decoded, out) -> None:
     rho, circuit, num_samples, seed = decoded
     batch = simulate_homodyne_batch(rho, circuit, num_samples, seed)
     # every field of a line is a function of the drawn label: build each
@@ -431,15 +389,14 @@ def _cmd_gkp_sim(args, decoded) -> int:
     lattice = ["null"] * len(batch.points) if batch.lattice_index is None else _row_texts(batch.lattice_index)
     columns = (batch.points[:, :n], batch.points[:, n:], batch.signs, batch.x)
     lines = [template % row for row in zip(lattice, *map(_row_texts, columns))]
-    _write("\n".join(np.array(lines, dtype=object)[batch.inverse].tolist()), args)
+    if len(batch):
+        print("\n".join(np.array(lines, dtype=object)[batch.inverse].tolist()), file=out)
     print(f"emitted {len(batch)} homodyne samples", file=sys.stderr)
-    return 0
 
 
-def _cmd_enumerate(args, system: QuditSystem) -> int:
+def _cmd_enumerate(args, system: QuditSystem, out) -> None:
     groups = enumerate_single_qudit_groups(system.d)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "d": system.d,
         "count": len(groups),
         "groups": [
@@ -451,8 +408,7 @@ def _cmd_enumerate(args, system: QuditSystem) -> int:
             for grp in groups
         ],
     }
-    _emit(doc, args, f"{len(groups)} single-qudit stabilizer groups at d={system.d}")
-    return 0
+    _emit(doc, out, f"{len(groups)} single-qudit stabilizer groups at d={system.d}")
 
 
 # ------------------------------------------------------------------ main
@@ -520,15 +476,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; every document of the run goes to one stream.
+
+    That stream is stdout, or --output opened once, before decoding, so an
+    --output that cannot be opened is a validation error reported on
+    stdout. The file is emptied only once the inputs are read, since they
+    may be read from that same file.
+    """
     args = _build_parser().parse_args(argv)
+    out = sys.stdout
     try:
-        return args.run(args, _decode(args))
+        try:
+            if args.output:
+                out = open(args.output, "a")
+            inputs = args.decode(args)
+        except _DECODE_ERRORS as exc:
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+            raise ValidationError(f"invalid input: {reason}") from exc
+        finally:
+            # emptied as mode "w" would: a regular file is truncated, a device or pipe is left as it is
+            if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)
+        args.run(args, inputs, out)
+        return 0
     except ValidationError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": {"type": "validation", "message": str(exc)}}, args)
+        _emit({"error": {"type": "validation", "message": str(exc)}}, out)
         return 2
     except InvariantError as exc:
-        _emit({"schema_version": SCHEMA_VERSION, "error": {"type": "invariant", "message": str(exc)}}, args)
+        _emit({"error": {"type": "invariant", "message": str(exc)}}, out)
         return 3
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 if __name__ == "__main__":

@@ -65,7 +65,7 @@ class GkpKind(_Kind):
     CHARACTERISTIC = "CHARACTERISTIC"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GkpLatticeCoefficients(_Table):
     """One unit cell worth of delta-peak weights for an encoded state.
 

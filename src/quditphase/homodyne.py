@@ -42,7 +42,7 @@ from .basis import (
     clifford_coordinate_action,
     omega_block,
 )
-from .measures import _draw_labels, _label_cdf, x_distribution
+from .measures import _draw_labels, _label_cdf, _stream_rng, x_distribution
 
 __all__ = [
     "GaussianCircuit",
@@ -218,7 +218,7 @@ def simulate_homodyne_batch(
     weight = norm * (d / (8 * math.pi)) ** (n / 2)
     c = math.sqrt(math.pi / (2 * d))
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    rng = _stream_rng(seed)
     # nz ascends, so distinct positions give the distinct labels in order
     distinct, inverse = np.unique(_draw_labels(cdf, rng, num_samples), return_inverse=True)
     distinct = nz[distinct]

@@ -99,6 +99,8 @@ def _real(arr: np.ndarray, what: str) -> np.ndarray:
 class _Table:
     """The storage contract of every phase-space table (a frozen dataclass
     with ``system`` and ``values`` that says what its ``modulus`` is).
+    Tables are declared with ``eq=False``, so they compare and hash by
+    identity: an array-valued field has no single truth value to compare.
 
     ``values`` has 2n axes of length ``modulus``, ordered (l_1..l_n,
     m_1..m_n), and is read-only. The public constructor stores a read-only
@@ -131,7 +133,7 @@ class _Table:
         return self.values[point.l + point.m]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiDistribution(_Table):
     """Coefficients indexed by phase-space labels: a ``_Table`` whose axes
     have length d (RESTRICTED) or 2d (FULL)."""
@@ -326,6 +328,12 @@ def _label_cdf(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.nd
     cdf = np.cumsum(np.abs(flat[nz])) / norm
     cdf[-1] = 1.0
     return flat, norm, nz, cdf
+
+
+def _stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The library's one seeded stream: Philox under SeedSequence(seed), one
+    independent stream per ``spawn_key``; no key is the seed's own stream."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
 
 
 def _draw_labels(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:

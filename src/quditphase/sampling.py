@@ -99,6 +99,7 @@ from .measures import (
     _kept,
     _label_cdf,
     _real,
+    _stream_rng,
     characteristic_fn,
     lp_norm,
     x_distribution,
@@ -542,12 +543,6 @@ def sample_count(m_forward: float, epsilon: float, p_fail: float) -> int:
 
 
 # ------------------------------------------------------------- estimator
-
-def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-    )
-
 
 def _split_sizes(total: int, streams: int) -> list[int]:
     """Sizes of the streams that draw: with more streams than trajectories,

@@ -302,12 +302,16 @@ def parse_generator_lines(system: QuditSystem, text: str) -> StabilizerGroup:
         parts = line.split("|")
         if len(parts) != 3:
             raise ValidationError(f"malformed generator line: {line!r}")
-        a = [int(c) for c in parts[0].split(",")]
-        b = [int(c) for c in parts[1].split(",")]
+        try:
+            a = [int(c) for c in parts[0].split(",")]
+            b = [int(c) for c in parts[1].split(",")]
+            k = int(parts[2])
+        except ValueError:
+            raise ValidationError(f"non-integer entry or phase in generator line: {line!r}") from None
         if len(a) != system.n or len(b) != system.n:
             raise ValidationError(f"generator arity mismatch in line: {line!r}")
         gens.append(tuple(c % system.d for c in a + b))
-        ks.append(int(parts[2]))
+        ks.append(k)
     if len(gens) != system.n:
         raise ValidationError(f"expected {system.n} generators, found {len(gens)}")
     return StabilizerGroup(system, tuple(gens), _dual_phase_vector(gens, ks, system.d, system.n))

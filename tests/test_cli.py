@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -644,6 +645,46 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["schema_version"] == 1
+
+
+def test_a_failing_gkp_check_writes_its_results_and_then_the_error_to_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cell_sides", lambda rho, p, kind: (0.5, 0.5 + 1e-6))
+    argv = ("gkp-check", "--d", "2", "--p", "1", "--samples", "1")
+    code, printed = run(capsys, *argv)
+    assert code == 3
+    results, error = map(json.loads, printed.splitlines())
+    assert results["max_residual"] > 1e-9 and error["error"]["type"] == "invariant"
+    target = tmp_path / "out.json"
+    code, out = run(capsys, *argv, "--output", str(target))
+    assert code == 3 and out == ""
+    assert target.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (["gkp-sim", "--circuit"],
+         {"d": 3, "n": 2, "input": {"kind": "random", "seed": 4}, "gate": {"kind": "SUM", "targets": [0, 1]},
+          "samples": 50, "seed": 2}),
+        (["measure", "--d", "3", "--n", "2", "--input-file"], {"kind": "random", "seed": 3}),
+    ],
+    ids=["gkp-sim", "measure"],
+)
+def test_output_may_name_the_runs_own_input_file(tmp_path, capsys, flags, doc):
+    # the file is emptied only once the input has been read from it
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, printed = run(capsys, *flags, str(path))
+    assert code == 0
+    code, out = run(capsys, *flags, str(path), "--output", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == printed.encode()
+
+
+def test_output_may_be_a_device(capsys):
+    # a device, unlike a regular file, cannot be truncated; it is written as it is
+    code, out = run(capsys, "measure", "--d", "2", "--state", "T", "--output", os.devnull)
+    assert code == 0 and out == ""
 
 
 def test_unknown_state_is_validation_error(capsys):

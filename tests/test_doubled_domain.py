@@ -210,6 +210,16 @@ def test_tables_reject_a_wrong_shape_and_a_foreign_point(build):
     assert table.value(PhasePoint((1,), (3,), 4)) == 7.0
 
 
+@PUBLIC_TABLES
+def test_tables_compare_and_hash_by_identity(build):
+    s = QuditSystem(2, 1)
+    arr = np.arange(16.0).reshape(4, 4)
+    table, twin = build(s, arr), build(s, arr)
+    assert table == table and table != twin
+    assert table in [twin, table] and twin not in [table]
+    assert hash(table) == hash(table) and len({table, twin}) == 2
+
+
 @pytest.mark.parametrize("d, n", [(2, 2), (3, 2)])
 def test_library_tables_and_cells_are_read_only(d, n):
     s = QuditSystem(d, n)

@@ -242,3 +242,7 @@ def test_parse_rejects_malformed_lines():
         parse_generator_lines(s, "1|0\n")
     with pytest.raises(ValidationError):
         parse_generator_lines(s, "1,1|0|0\n")
+    with pytest.raises(ValidationError, match=r"line: 'a\|0\|0'"):
+        parse_generator_lines(s, "a|0|0\n")
+    with pytest.raises(ValidationError, match=r"line: '1\|0\|x'"):
+        parse_generator_lines(s, "1|0|x\n")
