@@ -2,11 +2,11 @@
 
 Each run writes to one stream, stdout or the --output file: one JSON
 document (or a CSV table), one JSON line per gkp-sim sample, and after
-them any error document. Short human tables go to stderr. Every JSON
-document carries schema_version. Exit codes:
-0 success, 2 invalid configuration, 3 numerical invariant violation. A
-sample count above ``core.SAMPLE_CAP`` (gkp-sim "samples", or the
-Hoeffding count that simulate's --epsilon implies) is invalid.
+them any error document; a CSV run's invariant error and short human
+tables go to stderr. Every JSON document carries schema_version. Exit
+codes: 0 success, 2 invalid configuration, 3 numerical invariant
+violation. A sample count above ``core.SAMPLE_CAP`` (gkp-sim "samples",
+or the Hoeffding count that simulate's --epsilon implies) is invalid.
 
 Matrix entries in JSON files are either plain reals or [re, im] pairs.
 """
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
         _emit({"error": {"type": "validation", "message": str(exc)}}, out)
         return 2
     except InvariantError as exc:
-        _emit({"error": {"type": "invariant", "message": str(exc)}}, out)
+        _emit({"error": {"type": "invariant", "message": str(exc)}}, sys.stderr if getattr(args, "csv", False) else out)
         return 3
     finally:
         if out is not sys.stdout:

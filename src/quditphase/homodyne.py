@@ -42,7 +42,7 @@ from .basis import (
     clifford_coordinate_action,
     omega_block,
 )
-from .measures import _draw_labels, _label_cdf, _stream_rng, x_distribution
+from .measures import _InputLabels, _stream_rng, x_distribution
 
 __all__ = [
     "GaussianCircuit",
@@ -212,17 +212,11 @@ def simulate_homodyne_batch(
         raise ValidationError("circuit system mismatch")
     num_samples, seed = _as_int(num_samples, "num_samples", 0, SAMPLE_CAP + 1), _as_int(seed, "seed", 0)
     d, n = system.d, system.n
-    mod = 2 * d
-    shape = (mod,) * (2 * n)
-    flat, norm, nz, cdf = _label_cdf(x_distribution(rho, Domain.FULL).values)
-    weight = norm * (d / (8 * math.pi)) ** (n / 2)
+    source = _InputLabels(x_distribution(rho, Domain.FULL).values)
     c = math.sqrt(math.pi / (2 * d))
-
-    rng = _stream_rng(seed)
     # nz ascends, so distinct positions give the distinct labels in order
-    distinct, inverse = np.unique(_draw_labels(cdf, rng, num_samples), return_inverse=True)
-    distinct = nz[distinct]
-    vecs = np.array(np.unravel_index(distinct, shape))  # (2n, distinct)
+    distinct, inverse = np.unique(source.draw(_stream_rng(seed), num_samples), return_inverse=True)
+    vecs = source.labels(distinct).astype(np.int64)  # (2n, distinct)
     if circuit.integer_s is not None:
         k = circuit.integer_s @ vecs + circuit.integer_shift[:, None]
         xfull = c * k.astype(float)
@@ -241,10 +235,10 @@ def simulate_homodyne_batch(
         points=vecs.T,
         lattice_index=lattice,
         x=xfull[:n].T,
-        signs=np.sign(flat[distinct]).astype(np.int64),
+        signs=np.sign(source.units(distinct)).astype(np.int64),
         inverse=inverse,
-        weight=weight,
-        modulus=mod,
+        weight=source.norm * (d / (8 * math.pi)) ** (n / 2),
+        modulus=2 * d,
     )
 
 

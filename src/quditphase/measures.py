@@ -312,37 +312,48 @@ def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
     return norm
 
 
-def _label_cdf(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """What drawing labels u of a signed table with probability |x(u)| / ||x||_1 needs.
+class _InputLabels:
+    """The input draw of both samplers (Pashayan, Wallman and Bartlett, PRL
+    115, 070501 (2015)): a label u of a signed table x, drawn with probability
+    |x(u)| / ||x||_1, carries ||x||_1 times the sign (or phase) of x(u).
+    ``nz`` holds the ``_kept`` flat labels, ascending, and ``cdf`` cumsum |x|
+    / ``norm`` over them, last entry 1. ``norm`` sums the table with dropped
+    entries zeroed, ``bound`` (M's input factor) the kept magnitudes, as
+    ``lp_norm`` does: the two can differ by an ulp, and each is pinned."""
 
-    Returns the flat table with the entries ``_kept`` drops zeroed, its
-    1-norm, the flat labels of its nonzero entries and their cdf,
-    cumsum |x| / ||x||_1 with the last entry set to 1.
-    """
-    flat = values.reshape(-1).copy()
-    flat[~_kept(np.abs(flat))] = 0.0
-    norm = float(np.sum(np.abs(flat)))
-    if norm <= 0:
-        raise ValidationError("input state has zero coefficient norm")
-    nz = np.nonzero(flat)[0]
-    cdf = np.cumsum(np.abs(flat[nz])) / norm
-    cdf[-1] = 1.0
-    return flat, norm, nz, cdf
+    def __init__(self, values: np.ndarray):
+        self._flat, self._shape = values.reshape(-1), values.shape
+        mags = np.abs(self._flat)
+        mags[~_kept(mags)] = 0.0
+        self.norm = float(np.sum(mags))
+        if self.norm <= 0:
+            raise ValidationError("input state has zero coefficient norm")
+        self.nz = np.flatnonzero(mags)
+        mags = mags[self.nz]
+        self.bound = float(np.sum(mags))
+        self.cdf = np.cumsum(mags) / self.norm
+        self.cdf[-1] = 1.0
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` positions into ``nz`` by inverse CDF from one uniform block (none for one label)."""
+        if len(self.cdf) == 1:
+            return np.zeros(count, dtype=np.intp)
+        return np.minimum(np.searchsorted(self.cdf, rng.random(count), side="right"), len(self.cdf) - 1)
+
+    def labels(self, pos) -> np.ndarray:
+        """The digits, axis by axis, of the labels at positions ``pos``, in the smallest type that holds them."""
+        return np.array(np.unravel_index(self.nz[pos], self._shape)).astype(np.min_scalar_type(self._shape[0] - 1))
+
+    def units(self, pos) -> np.ndarray:
+        """``norm`` times the sign (or phase) of the table at positions ``pos``."""
+        v = self._flat[self.nz[pos]]
+        return self.norm * (v / np.abs(v))
 
 
 def _stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
     """The library's one seeded stream: Philox under SeedSequence(seed), one
     independent stream per ``spawn_key``; no key is the seed's own stream."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
-
-
-def _draw_labels(cdf: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` positions into the nonzero labels by inverse CDF from one
-    uniform block (see ``_label_cdf``); with a single nonzero label no
-    uniform is drawn."""
-    if len(cdf) == 1:
-        return np.zeros(count, dtype=np.intp)
-    return np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), len(cdf) - 1)
 
 
 def magic_negativity(rho: DensityState) -> float:

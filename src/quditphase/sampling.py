@@ -22,9 +22,9 @@ batched kernel (``_columns``): the basis operators at a block of labels
 are built as one Kronecker product and conjugated by the gate at once,
 and the batch goes through the one stack contraction that also builds
 the x and chi tables (``measures._contract_stack``, one pass per qudit).
-The input is drawn by the homodyne sampler's inverse-CDF helper as
-positions among the nonzero input labels, which index unit weights and
-digits built once per call. Once K is known, each run of named gates
+The input is drawn from ``measures._InputLabels``, as the homodyne
+sampler's is: drawn positions index unit weights and label digits built
+once per call. Once K is known, each run of named gates
 whose factors are all exactly +-1 (every O-frame generator; FOURIER,
 SUM, even-d PHASE and every d = 2 generator in the Heisenberg-Weyl
 frame) is fused into one step while it has at most min(4096, K) local
@@ -46,7 +46,7 @@ both frames. Either way M bounds every trajectory weight, as the
 Hoeffding count needs, and the report says which (``norm_method``).
 Sampling builds the columns of the local labels the trajectories hold.
 One setup (``_frame``) gives ``forward_norm`` and both estimators the
-gate steps, the input table and the effect steps of a frame. An effect
+gate steps, the input labels and the effect steps of a frame. An effect
 is read like a named gate that keeps the labels, so a readout builds no
 d^{2n} array: one table on all 2n axes (explicit) or one (d, d) table per
 qudit (computational; unmeasured O-frame qudits read ``basis``'s Tr O).
@@ -93,15 +93,12 @@ from .basis import (
     p_stack,
 )
 from .measures import (
-    QuasiDistribution,
+    _InputLabels,
     _contract_stack,
-    _draw_labels,
     _kept,
-    _label_cdf,
     _real,
     _stream_rng,
     characteristic_fn,
-    lp_norm,
     x_distribution,
 )
 
@@ -488,24 +485,24 @@ def _effect_steps(system: QuditSystem, effect: MeasurementEffect, char: bool) ->
     return [(np.array([q, n + q]), (None, t.reshape(-1))) for q, t in enumerate(tables)]
 
 
-def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, QuasiDistribution, list]:
-    """The estimator's setup in one frame: the gate steps, the restricted
-    input table (x, or chi when ``char``) and the effect steps."""
+def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, _InputLabels, list]:
+    """The estimator's setup in one frame: the gate steps, the input labels
+    of the restricted table (x, or chi when ``char``) and the effect steps."""
     system = circuit.system
     table = characteristic_fn if char else x_distribution
-    return (_steps(system, circuit.gates, char), table(circuit.input_state, Domain.RESTRICTED),
-            _effect_steps(system, circuit.measurement, char))
+    source = _InputLabels(table(circuit.input_state, Domain.RESTRICTED).values)
+    return _steps(system, circuit.gates, char), source, _effect_steps(system, circuit.measurement, char)
 
 
 # ---------------------------------------------------------------- norms
 
-def _aggregated_norm(steps, state: QuasiDistribution, effect) -> tuple[float, str]:
+def _aggregated_norm(steps, source: _InputLabels, effect) -> tuple[float, str]:
     """Input 1-norm x explicit-gate column maxima x effect-step maxima, and how M was obtained.
 
     Named gates contribute exactly 1: their columns have one unit entry.
     Effect steps act on disjoint axes, so their maxima multiply to the effect's.
     """
-    m, method = lp_norm(state, 1), "exact"
+    m, method = source.bound, "exact"
     for _, op in steps:
         if isinstance(op, _LocalGate):
             gate_norm, exact = op.norm()
@@ -556,18 +553,16 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
     streams, seed = _as_int(streams, "streams", 1), _as_int(seed, "seed", 0)
     d = circuit.system.d
-    steps, state, effect = _frame(circuit, char)
-    m_forward, norm_method = _aggregated_norm(steps, state, effect)
-    flat0, norm0, nz0, cdf0 = _label_cdf(state.values)
-    unit0 = norm0 * (flat0[nz0] / np.abs(flat0[nz0]))
-    digits0 = np.array(np.unravel_index(nz0, state.values.shape)).astype(np.min_scalar_type(d - 1))
+    steps, source, effect = _frame(circuit, char)
+    m_forward, norm_method = _aggregated_norm(steps, source, effect)
+    unit0, digits0 = source.units(slice(None)), source.labels(slice(None))
     k_total = sample_count(m_forward, epsilon, p_fail)
     steps = _fused(d, circuit.gates, steps, char, min(_EXACT_LABELS, k_total))
 
     stream_sums = []
     for s, k_s in enumerate(_split_sizes(k_total, streams)):
         rng = _stream_rng(seed, s)
-        pos = _draw_labels(cdf0, rng, k_s)
+        pos = source.draw(rng, k_s)
         w = unit0[pos]
         labels = np.take(digits0, pos, axis=1)
         for axes, op in steps + effect:

@@ -161,6 +161,7 @@ def test_affine_map_compose_and_identity():
     f = clifford_coordinate_action(s, GateKind.FOURIER)
     ident = SymplecticAffineMap.identity(1, 6)
     assert np.array_equal(f.compose(ident).matrix, f.matrix)
+    assert f.n == ident.n == 1 and SymplecticAffineMap.identity(3, 6).n == 3
     # F^4 = identity on labels
     f4 = f.compose(f).compose(f).compose(f)
     assert np.array_equal(f4.matrix % 6, np.eye(2, dtype=int))

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import csv
 import hashlib
 import json
 import math
@@ -658,6 +659,20 @@ def test_a_failing_gkp_check_writes_its_results_and_then_the_error_to_output(tmp
     code, out = run(capsys, *argv, "--output", str(target))
     assert code == 3 and out == ""
     assert target.read_bytes() == printed.encode()
+
+
+def test_a_failing_gkp_check_csv_keeps_its_stream_a_table(tmp_path, capsys, monkeypatch):
+    # the invariant error goes to stderr, so every line of the stream has the header's ten columns
+    monkeypatch.setattr(cli, "_cell_sides", lambda rho, p, kind: (0.5, 0.5 + 1e-6))
+    argv = ["gkp-check", "--d", "2", "--p", "1", "--samples", "2", "--csv"]
+    assert main(argv) == 3
+    printed, err = capsys.readouterr()
+    assert json.loads(err)["error"]["type"] == "invariant"
+    target = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(target)]) == 3
+    assert capsys.readouterr().out == ""
+    rows = list(csv.reader(target.read_text().splitlines()))
+    assert target.read_text() == printed and len(rows) == 3 and {len(row) for row in rows} == {10}
 
 
 @pytest.mark.parametrize(

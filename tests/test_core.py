@@ -117,13 +117,15 @@ def test_embed_single_acts_on_target_only():
 
 def test_sum_gate_on_basis_states():
     sys2 = QuditSystem(3, 2)
-    u = embed_generator(sys2, GateKind.SUM, (0, 1)).entries
-    for c in range(3):
-        for t in range(3):
-            src = np.zeros(9)
-            src[3 * c + t] = 1.0
-            out = u @ src
-            assert abs(out[3 * c + (c + t) % 3] - 1) < 1e-12
+    for u in (embed_generator(sys2, GateKind.SUM, (0, 1)).entries, clifford_generator(sys2, GateKind.SUM).entries):
+        for c in range(3):
+            for t in range(3):
+                src = np.zeros(9)
+                src[3 * c + t] = 1.0
+                out = u @ src
+                assert abs(out[3 * c + (c + t) % 3] - 1) < 1e-12
+    with pytest.raises(ValidationError):
+        clifford_generator(QuditSystem(3, 1), GateKind.SUM)
 
 
 def test_state_constructors(single):

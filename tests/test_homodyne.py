@@ -178,6 +178,7 @@ def test_integer_map_is_derived_from_s():
     # off the lattice by a displacement: the float map
     assert GaussianCircuit(s, np.eye(2), np.array([0.1, 0.0])).integer_s is None
     assert GaussianCircuit(s, np.eye(2), np.array([0.1, 0.0])).integer_shift is None
+    assert GaussianCircuit(s, np.eye(2), np.array([0.1, 0.0])).integer_map is None
     # integral, but 2^60 u would overflow int64: the float map
     assert GaussianCircuit(s, np.array([[1.0, 2.0**60], [0.0, 1.0]]), np.zeros(2)).integer_s is None
     with pytest.raises(ValueError):
@@ -231,6 +232,8 @@ def test_batch_is_a_lazy_immutable_sequence():
     assert batch != simulate_homodyne_batch(rho, g, 300, seed=7)
     assert batch != head
     assert batch[:7] == head
+    assert batch != object() and not batch == object()
+    assert repr(batch) == f"HomodyneBatch(300 samples, {len(batch.points)} distinct points)"
 
 
 def test_batch_equality_in_the_generic_frame():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from quditphase import (
     Domain,
@@ -209,12 +210,71 @@ def test_an_entry_at_the_cutoff_is_kept_alike_everywhere(monkeypatch):
     # |v| >= NORM_CUTOFF counts as nonzero in the norms, the input draw and the frame columns
     table = np.array([[0.5, measures.NORM_CUTOFF], [0.25, 0.0]])
     assert lp_norm(table, 1.0) > 0.75
-    flat, norm, nz, _ = measures._label_cdf(table)
-    assert flat[1] == measures.NORM_CUTOFF and norm > 0.75 and nz.tolist() == [0, 1, 2]
+    source = measures._InputLabels(table)
+    assert source.nz.tolist() == [0, 1, 2] and source.norm > 0.75 and source.units(1) == source.norm
     # a stubbed contraction hands the frame kernel the table times d^n = 2, which it divides out exactly
     monkeypatch.setattr(sampling, "_contract_stack", lambda system, stack, mats: np.array([2 * table], dtype=complex))
     rows = sampling._columns(QuditSystem(2, 1), False, np.eye(2), np.arange(1))
     assert rows.tolist() == [table.ravel().tolist()]
+
+
+def test_an_all_zero_table_has_norm_zero_and_no_input_draw():
+    table = np.zeros((3, 3))
+    table[0, 1] = measures.NORM_CUTOFF / 2  # dropped by the zero rule
+    assert lp_norm(table, 1.0) == 0.0 and lp_norm(table, 0.5) == 0.0
+    with pytest.raises(ValidationError):
+        measures._InputLabels(table)
+
+
+def _haar_table(table, d, n, domain=Domain.RESTRICTED, seed=0):
+    return table(haar_random_state(QuditSystem(d, n), np.random.default_rng([d, n, seed])), domain).values
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+@pytest.mark.parametrize("table", [x_distribution, characteristic_fn], ids=["x", "chi"])
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_the_input_labels_hold_the_tables_norms_cdf_and_digits(d, n, table, domain):
+    values = _haar_table(table, d, n, domain)
+    source = measures._InputLabels(values)
+    mags = np.abs(values).ravel()
+    kept = mags >= measures.NORM_CUTOFF
+    # M's input factor is lp_norm's sum, bit for bit; the draw's norm sums the zeroed full table
+    assert source.bound == lp_norm(values, 1) == float(np.sum(mags[kept]))
+    assert source.norm == float(np.sum(np.where(kept, mags, 0.0)))
+    assert np.array_equal(source.nz, np.flatnonzero(kept))
+    assert source.cdf[-1] == 1.0
+    assert np.allclose(source.cdf, np.cumsum(mags[kept]) / np.sum(mags[kept]), rtol=0, atol=1e-14)
+    digits = source.labels(slice(None))
+    assert digits.dtype == np.min_scalar_type(values.shape[0] - 1)
+    assert np.array_equal(digits, np.indices(values.shape).reshape(2 * n, -1)[:, kept])
+    assert np.array_equal(source.labels(np.array([2, 0])), digits[:, [2, 0]])
+
+
+@pytest.mark.parametrize("table", [x_distribution, characteristic_fn], ids=["x", "chi"])
+@pytest.mark.parametrize("domain", list(Domain))
+def test_input_units_have_modulus_norm_and_the_sign_of_the_table(table, domain):
+    values = _haar_table(table, 3, 2, domain)
+    source = measures._InputLabels(values)
+    v = values.ravel()[source.nz]
+    units = source.units(slice(None))
+    assert np.allclose(np.abs(units), source.norm, rtol=1e-15, atol=0)
+    if np.isrealobj(values):
+        assert np.array_equal(np.sign(units), np.sign(v)) and np.all(np.abs(units) == source.norm)
+    else:
+        assert np.allclose(units / source.norm, v / np.abs(v), rtol=0, atol=1e-15)
+    assert np.array_equal(source.units(np.array([3, 1])), units[[3, 1]])
+
+
+@pytest.mark.parametrize("n, domain", [(2, Domain.RESTRICTED), (1, Domain.FULL)])
+def test_the_input_draw_has_the_law_of_the_table(n, domain):
+    values = _haar_table(x_distribution, 2, n, domain)
+    source = measures._InputLabels(values)
+    draws = 100_000
+    counts = np.bincount(source.nz[source.draw(measures._stream_rng(1), draws)], minlength=values.size)
+    mags = np.abs(values).ravel()
+    kept = mags >= measures.NORM_CUTOFF
+    assert not counts[~kept].any()
+    assert stats.chisquare(counts[kept], draws * mags[kept] / np.sum(mags[kept])).pvalue > 1e-3
 
 
 def test_lp_norm_rejects_nonpositive_p():
