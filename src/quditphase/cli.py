@@ -57,7 +57,7 @@ from .stabilizer import (
     parse_generator_lines,
     stabilizer_state,
 )
-from .gkp import GkpKind, _cell_sides
+from .gkp import GkpKind, _cell_sides, _relative_residual
 from .sampling import (
     CircuitDescription,
     MeasurementEffect,
@@ -286,11 +286,9 @@ def _cmd_gkp_check(args, decoded, out) -> None:
             rho = haar_random_state(system, rng)
             lhs, rhs = _cell_sides(rho, p, GkpKind.WIGNER)
             lhs_c, rhs_c = _cell_sides(rho, p, GkpKind.CHARACTERISTIC)
-            residuals = np.abs([lhs - rhs, lhs_c - rhs_c])
             # np.max, unlike max, keeps a NaN residual, which then fails the check below
-            worst = float(np.max([worst, *residuals]))
-            # sides of 1e14 agree only to their rounding, so the check scales by max(|lhs|, 1)
-            scaled_worst = float(np.max([scaled_worst, *(residuals / np.maximum(np.abs([lhs, lhs_c]), 1.0))]))
+            worst = float(np.max([worst, abs(lhs - rhs), abs(lhs_c - rhs_c)]))
+            scaled_worst = float(np.max([scaled_worst, _relative_residual(lhs, rhs), _relative_residual(lhs_c, rhs_c)]))
             rows.append(
                 {
                     "d": d,

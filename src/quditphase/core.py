@@ -96,8 +96,8 @@ class QuditSystem:
 
     ``d`` and ``n`` are read exactly as integers, never truncated.
     Construction fails when the dense side length d^n exceeds the cap
-    (default 4096, overridable via the QUDITPHASE_DIM_CAP environment
-    variable, read at each construction).
+    (default 4096, or the integer in the QUDITPHASE_DIM_CAP environment
+    variable, read at each construction; a non-integer raises ValidationError).
     """
 
     d: int
@@ -105,7 +105,11 @@ class QuditSystem:
 
     def __init__(self, d: int, n: int = 1):
         d, n = _as_int(d, "local dimension", 2), _as_int(n, "qudit count", 1)
-        cap = int(os.environ.get(DIM_CAP_ENV_VAR, DEFAULT_DIM_CAP))
+        try:
+            cap = int(os.environ.get(DIM_CAP_ENV_VAR, DEFAULT_DIM_CAP))
+        except ValueError:
+            raw = os.environ[DIM_CAP_ENV_VAR]
+            raise ValidationError(f"{DIM_CAP_ENV_VAR} must be an integer, got {raw!r}") from None
         # d >= 2, so n >= cap.bit_length() exceeds the cap before d**n is worth computing
         if n >= cap.bit_length() or d**n > cap:
             raise DimensionCapError(f"d^n = {d}^{n} exceeds the dense cap {cap}")

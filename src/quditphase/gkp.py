@@ -206,6 +206,11 @@ def _cell_sides(rho: DensityState, p: float, kind: GkpKind) -> tuple[float, floa
     return lhs, rhs
 
 
+def _relative_residual(lhs: float, rhs: float) -> float:
+    """The identities' verdict, scaled by max(|lhs|, 1) since sides of 1e14 agree only to their rounding; NaN stays NaN."""
+    return abs(lhs - rhs) / max(abs(lhs), 1.0)
+
+
 def verify_theorem1(rho: DensityState, p: float) -> float:
     """|d^{n(1-1/p)} ||x||_p  -  Wigner cell norm / stabilizer baseline|."""
     lhs, rhs = _cell_sides(rho, p, GkpKind.WIGNER)

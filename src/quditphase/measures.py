@@ -316,10 +316,10 @@ class _InputLabels:
     """The input draw of both samplers (Pashayan, Wallman and Bartlett, PRL
     115, 070501 (2015)): a label u of a signed table x, drawn with probability
     |x(u)| / ||x||_1, carries ||x||_1 times the sign (or phase) of x(u).
-    ``nz`` holds the ``_kept`` flat labels, ascending, and ``cdf`` cumsum |x|
-    / ``norm`` over them, last entry 1. ``norm`` sums the table with dropped
-    entries zeroed, ``bound`` (M's input factor) the kept magnitudes, as
-    ``lp_norm`` does: the two can differ by an ulp, and each is pinned."""
+    ``nz`` holds the ``_kept`` flat labels, ascending; ``cdf`` is cumsum |x| over
+    them divided by its own last entry, so it ends at exactly 1. ``norm`` (the
+    weight) sums the table with dropped entries zeroed, ``bound`` (M's input
+    factor) the kept magnitudes, as ``lp_norm`` does: they may differ by an ulp; each is pinned."""
 
     def __init__(self, values: np.ndarray):
         self._flat, self._shape = values.reshape(-1), values.shape
@@ -331,14 +331,14 @@ class _InputLabels:
         self.nz = np.flatnonzero(mags)
         mags = mags[self.nz]
         self.bound = float(np.sum(mags))
-        self.cdf = np.cumsum(mags) / self.norm
-        self.cdf[-1] = 1.0
+        self.cdf = np.cumsum(mags)
+        self.cdf /= self.cdf[-1]
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` positions into ``nz`` by inverse CDF from one uniform block (none for one label)."""
         if len(self.cdf) == 1:
             return np.zeros(count, dtype=np.intp)
-        return np.minimum(np.searchsorted(self.cdf, rng.random(count), side="right"), len(self.cdf) - 1)
+        return np.searchsorted(self.cdf, rng.random(count), side="right")
 
     def labels(self, pos) -> np.ndarray:
         """The digits, axis by axis, of the labels at positions ``pos``, in the smallest type that holds them."""

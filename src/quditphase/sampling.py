@@ -25,11 +25,10 @@ the x and chi tables (``measures._contract_stack``, one pass per qudit).
 The input is drawn from ``measures._InputLabels``, as the homodyne
 sampler's is: drawn positions index unit weights and label digits built
 once per call. Once K is known, each run of named gates
-whose factors are all exactly +-1 (every O-frame generator; FOURIER,
-SUM, even-d PHASE and every d = 2 generator in the Heisenberg-Weyl
-frame) is fused into one step while it has at most min(4096, K) local
-labels: products of +-1 are exact, so the weights are those of
-gate-by-gate steps, bit for bit.
+whose factors are all exactly +-1, which is a real factor table, is
+fused into one step while it has at most min(4096, K) local labels:
+products of +-1 are exact, so the weights are those of gate-by-gate
+steps, bit for bit.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
@@ -255,6 +254,7 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
 
     Column u of the (2k, d^{2k}) digit table, in the smallest unsigned
     type that holds d - 1, is the image of local label u, axis by axis.
+    The factors are stored real exactly when all are +-1: ``_fused`` reads that.
 
     Read in closed form from the generator's Z_{2d} label action
     u -> Au + s (``clifford_coordinate_action``) on its own 1- or 2-qudit
@@ -299,6 +299,8 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
         j = np.arange(d)
         roots = np.where(4 * j % d, np.exp(-2j * np.pi * j / d), np.array([1, -1j, -1, 1j])[4 * j // d])
         phases = phases * roots[(t[:k] @ u[k:] - t[k:] @ u[:k]) % d]
+    if not np.any(phases.imag) and np.all(np.abs(phases.real) == 1):
+        phases = np.ascontiguousarray(phases.real)
     digits = (full % d).astype(np.min_scalar_type(d - 1))
     digits.flags.writeable = phases.flags.writeable = False
     return digits, phases
@@ -393,19 +395,12 @@ def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, obj
     return steps
 
 
-@lru_cache(maxsize=64)
-def _signs_only(d: int, kind: GateKind, char: bool) -> bool:
-    """Whether every factor of the generator's named table is exactly +1 or -1."""
-    phases = _named_table(d, kind, char)[1]
-    return bool(np.all(np.abs(phases.real) == 1) and not np.any(phases.imag))
-
-
-def _fused(d: int, gates, steps: list, char: bool, limit: int) -> list:
-    """The gate steps with each run of consecutive +-1 named steps fused
-    into one, while the run has at most ``limit`` local labels."""
+def _fused(d: int, steps: list, limit: int) -> list:
+    """The gate steps with each run of consecutive +-1 named steps (a real
+    factor table) fused into one, while the run has at most ``limit`` local labels."""
     runs, union = [], set()  # union: the axes of the open +-1 run, empty if none
-    for g, step in zip(gates, steps):
-        signs = not isinstance(g, DenseOperator) and _signs_only(d, g[0], char)
+    for step in steps:
+        signs = not isinstance(step[1], _LocalGate) and not np.iscomplexobj(step[1][1])
         axes = set(step[0].tolist())
         if signs and union and d ** len(union | axes) <= limit:
             runs[-1].append(step)
@@ -557,7 +552,7 @@ def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, 
     m_forward, norm_method = _aggregated_norm(steps, source, effect)
     unit0, digits0 = source.units(slice(None)), source.labels(slice(None))
     k_total = sample_count(m_forward, epsilon, p_fail)
-    steps = _fused(d, circuit.gates, steps, char, min(_EXACT_LABELS, k_total))
+    steps = _fused(d, steps, min(_EXACT_LABELS, k_total))
 
     stream_sums = []
     for s, k_s in enumerate(_split_sizes(k_total, streams)):

@@ -281,6 +281,15 @@ def test_gkp_check_fails_a_nan_residual(monkeypatch, capsys):
     assert "invariant" in capsys.readouterr().out
 
 
+def test_an_unreadable_dim_cap_is_a_validation_error_that_names_it(monkeypatch, capsys):
+    monkeypatch.setenv("QUDITPHASE_DIM_CAP", "abc")
+    with pytest.raises(ValidationError, match="QUDITPHASE_DIM_CAP must be an integer, got 'abc'"):
+        QuditSystem(2, 1)
+    assert main(["measure", "--d", "2"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "validation" and "QUDITPHASE_DIM_CAP" in error["message"]
+
+
 # ------------------------------------------------------- in-place checks
 
 def _peak_mib(call) -> float:

@@ -265,6 +265,23 @@ def test_input_units_have_modulus_norm_and_the_sign_of_the_table(table, domain):
     assert np.array_equal(source.units(np.array([3, 1])), units[[3, 1]])
 
 
+class _TopUniform:
+    """A stub generator whose every uniform is the largest double below 1."""
+
+    def random(self, count):
+        return np.full(count, np.nextafter(1.0, 0.0))
+
+
+def test_the_input_cdf_ends_at_exactly_one_where_the_pairwise_norm_is_larger():
+    # the pairwise sum (the weight) exceeds cumsum's last entry by an ulp here,
+    # so cumsum / norm would end below the top uniform and draw past the kept labels
+    values = np.random.default_rng(3).normal(size=(4, 4))
+    source = measures._InputLabels(values)
+    assert source.norm > np.cumsum(np.abs(values))[-1]
+    assert source.cdf[-1] == 1.0 and np.all(np.diff(source.cdf) >= 0)
+    assert source.draw(_TopUniform(), 5).tolist() == [len(source.nz) - 1] * 5
+
+
 @pytest.mark.parametrize("n, domain", [(2, Domain.RESTRICTED), (1, Domain.FULL)])
 def test_the_input_draw_has_the_law_of_the_table(n, domain):
     values = _haar_table(x_distribution, 2, n, domain)

@@ -701,7 +701,7 @@ def check_fused_steps(system, gates, char, trajectories, rng):
         axes = np.array([*qudits, *(n + q for q in qudits)])
         want = _step(d, want_labels, want, axes, sampling._named_table(d, kind, char), None)
     steps = _steps(system, gates, char)
-    fused = sampling._fused(d, gates, steps, char, min(4096, trajectories))
+    fused = sampling._fused(d, steps, min(4096, trajectories))
     for axes, op in fused:
         if not any(op is own for _, own in steps):
             assert d ** len(axes) <= min(4096, trajectories)
@@ -732,16 +732,18 @@ def test_a_long_sum_chain_fuses_within_the_local_label_cap(char):
 def test_only_sign_tables_fuse(d):
     # every O-frame generator has +-1 factors; in the Heisenberg-Weyl frame
     # FOURIER, SUM and even-d PHASE do, and SHIFT and CLOCK carry phases
-    # except at d = 2, where every phase is +-1
+    # except at d = 2, where every phase is +-1. A table is real exactly then.
     for kind in GateKind:
-        assert sampling._signs_only(d, kind, False)
         signs = kind in (GateKind.FOURIER, GateKind.SUM) or (kind is GateKind.PHASE and d % 2 == 0) or d == 2
-        assert sampling._signs_only(d, kind, True) == signs
+        for char, real in ((False, True), (True, signs)):
+            phases = sampling._named_table(d, kind, char)[1]
+            assert np.all(np.isin(phases, (1.0, -1.0))) == real
+            assert phases.dtype == (np.float64 if real else np.complex128)
     s = QuditSystem(d, 1)
     for kind in (GateKind.SHIFT, GateKind.CLOCK):
         gates = [(GateKind.FOURIER, (0,)), (kind, (0,)), (GateKind.FOURIER, (0,))]
-        assert len(sampling._fused(d, gates, _steps(s, gates, False), False, 4096)) == 1
-        fused = sampling._fused(d, gates, _steps(s, gates, True), True, 4096)
+        assert len(sampling._fused(d, _steps(s, gates, False), 4096)) == 1
+        fused = sampling._fused(d, _steps(s, gates, True), 4096)
         if d == 2:
             assert len(fused) == 1
         else:

@@ -17,6 +17,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     [
         ("homodyne_demo.py", "--d", "2", "--samples", "200"),
         ("norm_identity_sweep.py", "--dims", "2", "3", "--max-dim", "9", "--states", "2"),
+        # sides near 8e8 at p = 0.1 differ by 1.2e-6, their rounding: judged relative to them, as gkp-check does
+        pytest.param(("norm_identity_sweep.py", "--dims", "3", "--max-dim", "9", "--p", "0.1", "--states", "2"),
+                     id="norm_identity_sweep.py-large-sides"),
         ("sampling_benchmark.py", "--runs", "2", "--epsilon", "0.2"),
     ],
     ids=lambda argv: argv[0],
