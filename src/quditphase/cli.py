@@ -224,11 +224,11 @@ def _cmd_measure(args, rho: DensityState, out) -> None:
     if system.d % 2:
         doc["wigner_negativity"] = lp_norm(_wigner_of(x), 1)
     if args.csv:
-        rows = [["quantity", "value"], ["negativity", norm], ["norm_1", norm]]
-        rows += [[f"renyi_{a}", v] for a, v in renyi.items()]
-        rows.append(["hyperpolyhedral", doc["hyperpolyhedral"]])
-        if "wigner_negativity" in doc:
-            rows.append(["wigner_negativity", doc["wigner_negativity"]])
+        # one row per field of the document but d and n, renyi flattened to renyi_<alpha>
+        rows = [["quantity", "value"]]
+        for key, value in doc.items():
+            if key not in ("d", "n"):
+                rows += [[f"renyi_{a}", v] for a, v in value.items()] if key == "renyi" else [[key, value]]
         _write_csv(rows, out)
         return
     rows = [f"  negativity       {doc['negativity']:.12g}", f"  1-norm           {norm:.12g}"]

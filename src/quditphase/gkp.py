@@ -20,8 +20,9 @@ restricted rows times (-1)^m, the form ``basis.lift_to_full`` requires.
 Cell l_p norms are prefactor * ||values||_p. For every pure stabilizer
 input they collapse to closed forms, and the quotient against
 that baseline reproduces d^{n(1-1/p)} ||x||_p (resp. ||chi||_p) exactly;
-``verify_theorem1`` / ``verify_theorem2`` return those residuals, each
-lifting its cell from the one restricted table it also norms.
+``verify_theorem1`` / ``verify_theorem2`` return those residuals relative
+to max(|lhs|, 1), each lifting its cell from the one restricted table it
+also norms.
 """
 
 from __future__ import annotations
@@ -212,15 +213,14 @@ def _relative_residual(lhs: float, rhs: float) -> float:
 
 
 def verify_theorem1(rho: DensityState, p: float) -> float:
-    """|d^{n(1-1/p)} ||x||_p  -  Wigner cell norm / stabilizer baseline|."""
-    lhs, rhs = _cell_sides(rho, p, GkpKind.WIGNER)
-    return abs(lhs - rhs)
+    """|lhs - rhs| / max(|lhs|, 1) for lhs = d^{n(1-1/p)} ||x||_p and rhs =
+    Wigner cell norm / stabilizer baseline: the verdict ``gkp-check`` reads."""
+    return _relative_residual(*_cell_sides(rho, p, GkpKind.WIGNER))
 
 
 def verify_theorem2(rho: DensityState, p: float) -> float:
-    """Characteristic-side analogue of ``verify_theorem1``."""
-    lhs, rhs = _cell_sides(rho, p, GkpKind.CHARACTERISTIC)
-    return abs(lhs - rhs)
+    """Characteristic-side analogue of ``verify_theorem1``, on the same relative scale."""
+    return _relative_residual(*_cell_sides(rho, p, GkpKind.CHARACTERISTIC))
 
 
 def renyi_from_cell_norms(rho: DensityState, alpha: float) -> float:

@@ -317,9 +317,8 @@ class _InputLabels:
     115, 070501 (2015)): a label u of a signed table x, drawn with probability
     |x(u)| / ||x||_1, carries ||x||_1 times the sign (or phase) of x(u).
     ``nz`` holds the ``_kept`` flat labels, ascending; ``cdf`` is cumsum |x| over
-    them divided by its own last entry, so it ends at exactly 1. ``norm`` (the
-    weight) sums the table with dropped entries zeroed, ``bound`` (M's input
-    factor) the kept magnitudes, as ``lp_norm`` does: they may differ by an ulp; each is pinned."""
+    them divided by its own last entry, so it ends at exactly 1. ``norm``, the pinned weight, sums the
+    table with dropped entries zeroed; it may differ by an ulp from ``lp_norm``, M's input factor."""
 
     def __init__(self, values: np.ndarray):
         self._flat, self._shape = values.reshape(-1), values.shape
@@ -329,8 +328,7 @@ class _InputLabels:
         if self.norm <= 0:
             raise ValidationError("input state has zero coefficient norm")
         self.nz = np.flatnonzero(mags)
-        mags = mags[self.nz]
-        self.bound = float(np.sum(mags))
+        mags = mags[self.nz]  # the full magnitudes are freed before cumsum allocates
         self.cdf = np.cumsum(mags)
         self.cdf /= self.cdf[-1]
 

@@ -22,13 +22,13 @@ batched kernel (``_columns``): the basis operators at a block of labels
 are built as one Kronecker product and conjugated by the gate at once,
 and the batch goes through the one stack contraction that also builds
 the x and chi tables (``measures._contract_stack``, one pass per qudit).
-The input is drawn from ``measures._InputLabels``, as the homodyne
-sampler's is: drawn positions index unit weights and label digits built
-once per call. Once K is known, each run of named gates
-whose factors are all exactly +-1, which is a real factor table, is
-fused into one step while it has at most min(4096, K) local labels:
-products of +-1 are exact, so the weights are those of gate-by-gate
-steps, bit for bit.
+M's input factor is ``lp_norm`` of the input table; the estimators then
+draw the input from ``measures._InputLabels``, as the homodyne sampler
+does: drawn positions index unit weights and label digits built once
+per call. Once K is known, each run of named gates whose factors are all
+exactly +-1, which is a real factor table, is fused into one step while
+it has at most min(4096, K) local labels: products of +-1 are exact, so
+the weights are those of gate-by-gate steps, bit for bit.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
@@ -45,7 +45,7 @@ both frames. Either way M bounds every trajectory weight, as the
 Hoeffding count needs, and the report says which (``norm_method``).
 Sampling builds the columns of the local labels the trajectories hold.
 One setup (``_frame``) gives ``forward_norm`` and both estimators the
-gate steps, the input labels and the effect steps of a frame. An effect
+gate steps, the input table and the effect steps of a frame. An effect
 is read like a named gate that keeps the labels, so a readout builds no
 d^{2n} array: one table on all 2n axes (explicit) or one (d, d) table per
 qudit (computational; unmeasured O-frame qudits read ``basis``'s Tr O).
@@ -98,6 +98,7 @@ from .measures import (
     _real,
     _stream_rng,
     characteristic_fn,
+    lp_norm,
     x_distribution,
 )
 
@@ -480,24 +481,24 @@ def _effect_steps(system: QuditSystem, effect: MeasurementEffect, char: bool) ->
     return [(np.array([q, n + q]), (None, t.reshape(-1))) for q, t in enumerate(tables)]
 
 
-def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, _InputLabels, list]:
-    """The estimator's setup in one frame: the gate steps, the input labels
-    of the restricted table (x, or chi when ``char``) and the effect steps."""
+def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, np.ndarray, list]:
+    """The estimator's setup in one frame: the gate steps, the input's
+    restricted table (x, or chi when ``char``) and the effect steps."""
     system = circuit.system
     table = characteristic_fn if char else x_distribution
-    source = _InputLabels(table(circuit.input_state, Domain.RESTRICTED).values)
-    return _steps(system, circuit.gates, char), source, _effect_steps(system, circuit.measurement, char)
+    values = table(circuit.input_state, Domain.RESTRICTED).values
+    return _steps(system, circuit.gates, char), values, _effect_steps(system, circuit.measurement, char)
 
 
 # ---------------------------------------------------------------- norms
 
-def _aggregated_norm(steps, source: _InputLabels, effect) -> tuple[float, str]:
+def _aggregated_norm(steps, values: np.ndarray, effect) -> tuple[float, str]:
     """Input 1-norm x explicit-gate column maxima x effect-step maxima, and how M was obtained.
 
     Named gates contribute exactly 1: their columns have one unit entry.
     Effect steps act on disjoint axes, so their maxima multiply to the effect's.
     """
-    m, method = source.bound, "exact"
+    m, method = lp_norm(values, 1), "exact"
     for _, op in steps:
         if isinstance(op, _LocalGate):
             gate_norm, exact = op.norm()
@@ -548,10 +549,11 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
     streams, seed = _as_int(streams, "streams", 1), _as_int(seed, "seed", 0)
     d = circuit.system.d
-    steps, source, effect = _frame(circuit, char)
-    m_forward, norm_method = _aggregated_norm(steps, source, effect)
-    unit0, digits0 = source.units(slice(None)), source.labels(slice(None))
+    steps, values, effect = _frame(circuit, char)
+    m_forward, norm_method = _aggregated_norm(steps, values, effect)
     k_total = sample_count(m_forward, epsilon, p_fail)
+    source = _InputLabels(values)
+    unit0, digits0 = source.units(slice(None)), source.labels(slice(None))
     steps = _fused(d, steps, min(_EXACT_LABELS, k_total))
 
     stream_sums = []

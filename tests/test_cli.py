@@ -86,6 +86,28 @@ def test_measure_csv(capsys):
 
 
 @pytest.mark.parametrize(
+    "d, text",
+    [
+        (2, "quantity,value\nnegativity,1.6775997750746483\nnorm_1,1.6775997750746483\nrenyi_0.5,1.0347281330597793\n"
+            "renyi_2.0,0.6532245003159141\nhyperpolyhedral,False\n"),
+        (3, "quantity,value\nnegativity,2.499579459118598\nnorm_1,2.499579459118598\nrenyi_0.5,1.9881742374343392\n"
+            "renyi_2.0,1.3499158495377208\nhyperpolyhedral,False\nwigner_negativity,2.499579459118598\n"),
+    ],
+)
+def test_measure_csv_rows_are_the_documents_fields(capsys, d, text):
+    argv = ("measure", "--d", str(d), "--n", "2", "--state", "random:3", "--alpha", "0.5", "2")
+    code, out = run(capsys, *argv, "--csv")
+    assert code == 0 and out == text  # pinned bytes
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    fields = {k: v for k, v in doc.items() if k not in ("schema_version", "d", "n", "renyi")}
+    fields.update({f"renyi_{a}": v for a, v in doc["renyi"].items()})
+    rows = list(csv.reader(text.splitlines()))[1:]
+    assert sorted(name for name, _ in rows) == sorted(fields)
+    assert all(value == str(fields[name]) for name, value in rows)
+
+
+@pytest.mark.parametrize(
     "argv",
     [("measure", "--d", "2", "--state", "T", "--csv"),
      ("gkp-check", "--d", "2", "--p", "1", "--samples", "1", "--csv")],

@@ -34,6 +34,7 @@ from quditphase import (
 )
 from quditphase.basis import Domain, full_point
 from quditphase.core import hw_matrix
+from quditphase.gkp import _cell_sides
 
 LOG_4_3 = math.log(4.0 / 3.0)
 
@@ -97,6 +98,16 @@ def test_norm_identities_two_qudits():
         for p in (1.0, 2.0):
             assert verify_theorem1(rho, p) < 1e-9
             assert verify_theorem2(rho, p) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_identities_are_judged_relative_to_large_sides(seed):
+    # at p = 0.1 the sides lie near 8e8, where they agree only to their rounding:
+    # an absolute residual reads up to 1.3e-6, the relative one ~1e-15
+    rho = haar_random_state(QuditSystem(3, 2), np.random.default_rng(seed))
+    assert _cell_sides(rho, 0.1, GkpKind.WIGNER)[0] > 5e8
+    assert verify_theorem1(rho, 0.1) < 1e-9
+    assert verify_theorem2(rho, 0.1) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -23,6 +23,8 @@ from quditphase import (
     estimate_born_char,
     forward_norm,
     haar_random_state,
+    lp_norm,
+    measures,
     plus_state,
     sample_count,
     t_state,
@@ -678,6 +680,25 @@ def test_born_workload_reports_are_pinned(runner, haar_seed, epsilon, seed, stre
     assert report.estimate == estimate
     assert report.samples_used == samples
     assert report.forward_norm == norm
+
+
+@pytest.mark.parametrize(
+    "make", [hth_circuit, qutrit_magic_circuit, lambda: born_workload_circuit(31)], ids=["hth", "qutrit", "haar-input"]
+)
+def test_forward_norm_reads_the_input_table_and_builds_no_draw(monkeypatch, make):
+    circuit = make()
+    reported = estimate_born(circuit, 0.25, 0.05, seed=1).forward_norm
+
+    def refuse(self, values):
+        raise AssertionError("forward_norm built the input draw")
+
+    monkeypatch.setattr(measures._InputLabels, "__init__", refuse)
+    assert forward_norm(circuit) == reported
+    # M's input factor is lp_norm's sum over the kept magnitudes, bit for bit
+    values = sampling._frame(circuit, False)[1]
+    mags = np.abs(values).ravel()
+    factor = sampling._aggregated_norm([], values, [])[0]
+    assert factor == lp_norm(values, 1) == float(np.sum(mags[mags >= measures.NORM_CUTOFF]))
 
 
 def random_named_word(rng, n, length):
