@@ -19,7 +19,9 @@ mod d (Hostens, Dehaene and De Moor, PRA 71, 042315 (2005)). The rows of
 A generate a group of order prod_i d / gcd(s_i, d), which is the
 independence test, and A v = k mod d is solvable exactly when every
 gcd(s_i, d) divides (U k)_i, which gives the phase vector of a generator
-text and the phase seeds of the single-qudit enumeration.
+text and the phase seeds of the single-qudit enumeration. That
+enumeration walks Z_d^2 once at every d and lists its cyclic subgroups of
+order d: every group at squarefree d, all but the non-cyclic ones otherwise.
 
 ``stabilizer_x_sparse`` produces the full-domain coefficient distribution
 without any dense n-qudit matrix: the same Pauli table is contracted,
@@ -46,7 +48,7 @@ import numpy as np
 
 from .core import DensityState, InvariantError, QuditSystem, ValidationError, _as_int
 from .basis import Domain, lift_table, lift_to_full, o_stack, omega_block, p_stack
-from .measures import QuasiDistribution, _contract_stack, _real
+from .measures import QuasiDistribution, _contract_stack, _kept, _real
 
 __all__ = [
     "NonCommutingGenerators",
@@ -59,6 +61,8 @@ __all__ = [
     "parse_generator_lines",
     "format_generator_lines",
 ]
+
+MAX_ENUMERATED_GROUPS = 10**6  # ~1 KB of peak memory each in enumerate-stabilizers
 
 
 class NonCommutingGenerators(ValidationError):
@@ -271,7 +275,7 @@ def stabilizer_x_sparse(group: StabilizerGroup) -> QuasiDistribution:
     restricted = _contract_stack(system, _overlap_stack(d), table.reshape(system.dim, -1)) / float(d ** (2 * n))
     rvals = _real(restricted, "stabilizer coefficients")
 
-    support = np.abs(rvals) > 1e-10
+    support = _kept(np.abs(rvals))
     flat = np.isclose(np.abs(rvals[support]), d ** (-float(n)), atol=1e-10)
     if int(support.sum()) != d**n or not np.all(flat):
         raise InvariantError("stabilizer coefficients are not a flat d^n coset")
@@ -329,45 +333,39 @@ def format_generator_lines(group: StabilizerGroup) -> str:
 
 
 def enumerate_single_qudit_groups(d: int) -> list[StabilizerGroup]:
-    """Single-qudit stabilizer groups with one generator, for prime d or d=4.
+    """Single-qudit stabilizer groups with one generator, at every d.
 
-    At prime d these are all of them (d(d+1) states). At d = 4 they are
-    the six cyclic order-4 subgroups of Z_4^2, each with four phases (24
-    states); the non-cyclic subgroup {0, 2}^2, generated by X^2 and Z^2,
-    needs two generators and is left out, so its 4 joint eigenstates are
-    missing from the 28. Other composite d are not supported.
+    The labels (a, b) of Z_d^2 are walked in lexicographic order; one of
+    order d (gcd(a, b, d) = 1) not yet seen is the smallest generator of a
+    new cyclic subgroup, whose d multiples are then marked seen. Each takes
+    the d phase vectors c u0. That is every group at squarefree d (d(d+1) at
+    prime d, 72 at d = 6); at other d the non-cyclic groups need two
+    generators and are missing (at d = 4, the one of X^2 and Z^2). A list
+    past ``MAX_ENUMERATED_GROUPS`` raises ValidationError before any group is built.
     """
-    def is_prime(x: int) -> bool:
-        return x >= 2 and all(x % f for f in range(2, int(x**0.5) + 1))
-
     system = QuditSystem(d, 1)
-    if is_prime(d):
-        subgroup_reps = [(1, b) for b in range(d)] + [(0, 1)]
-    elif d == 4:
-        reps = set()
-        for a in range(4):
-            for b in range(4):
-                # additive order 4 means some odd component
-                if a % 2 == 1 or b % 2 == 1:
-                    orbit = {((u * a) % 4, (u * b) % 4) for u in (1, 3)}
-                    reps.add(min(orbit))
-        subgroup_reps = sorted(reps)
-    else:
-        raise ValidationError(f"enumeration supports prime d or d=4, not d={d}")
+    seen = np.zeros((d, d), dtype=bool)
+    multiples = np.arange(d)
+    generators = []
+    for a, b in np.ndindex(d, d):
+        if seen[a, b] or math.gcd(a, b, d) != 1:
+            continue
+        if (len(generators) + 1) * d > MAX_ENUMERATED_GROUPS:
+            raise ValidationError(f"d={d} lists more than MAX_ENUMERATED_GROUPS = {MAX_ENUMERATED_GROUPS} groups")
+        generators.append((a, b))
+        seen[multiples * a % d, multiples * b % d] = True
 
     groups = []
-    for s in subgroup_reps:
+    for s in generators:
         u0 = _dual_phase_vector([s], [1], d, 1)
-        for k in range(d):
-            v = ((k * u0[0]) % d, (k * u0[1]) % d)
-            groups.append(StabilizerGroup(system, (tuple(s),), v))
+        groups.extend(StabilizerGroup(system, (s,), (c * u0[0] % d, c * u0[1] % d)) for c in range(d))
     return groups
 
 
 def enumerate_single_qudit_stabilizers(d: int) -> list[DensityState]:
     """The states of ``enumerate_single_qudit_groups``, one per group:
-    every pure single-qudit stabilizer state at prime d, and 24 of the 28
-    at d = 4 (the joint eigenstates of X^2 and Z^2 are missing).
+    every pure single-qudit stabilizer state at squarefree d, and those of
+    the cyclic groups otherwise (24 of the 28 at d = 4).
 
     The groups are distinct cyclic subgroups, each with the d eigenvalue
     exponents c = k, so their states are distinct by construction.

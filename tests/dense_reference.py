@@ -62,8 +62,12 @@ def _greedy_path(spec, shapes):
     return np.einsum_path(spec, *[np.empty(shape) for shape in shapes], optimize="greedy")[0]
 
 
+@lru_cache(maxsize=None)
 def _full_stack(build, d):
-    return np.array([[build(d, l, m) for m in range(2 * d)] for l in range(2 * d)])
+    """The (2d, 2d, d, d) stack of ``build(d, l, m)``, built once per d; read-only."""
+    stack = np.array([[build(d, l, m) for m in range(2 * d)] for l in range(2 * d)])
+    stack.flags.writeable = False
+    return stack
 
 
 def dense_x_full(rho):

@@ -148,12 +148,20 @@ def test_char_full_domain(capsys):
 
 
 def test_enumerate_counts(capsys):
-    for d, count in ((2, 6), (3, 12)):
+    for d, count in ((2, 6), (3, 12), (6, 72)):
         code, out = run(capsys, "enumerate-stabilizers", "--d", str(d))
         doc = json.loads(out)
         assert code == 0
         assert doc["count"] == count
         assert all("|" in g["lines"] for g in doc["groups"])
+
+
+def test_enumerate_past_the_bound_is_validation_error(capsys):
+    code, out = run(capsys, "enumerate-stabilizers", "--d", "4096")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "validation"
+    assert "MAX_ENUMERATED_GROUPS" in doc["error"]["message"]
 
 
 def test_gkp_check_single_cell(capsys):

@@ -71,7 +71,7 @@ def test_full_tables_and_cells_match_the_dense_reference(d, n):
         assert np.max(np.abs(gkp_char_coefficients(rho).values - dense_gamma(rho))) < TOL
 
 
-@pytest.mark.parametrize("d, n", CASES)
+@pytest.mark.parametrize("d, n", CASES + [(d, 1) for d in (6, 8, 9, 10, 12)])
 def test_sparse_stabilizer_table_matches_the_dense_reference(d, n):
     s = QuditSystem(d, n)
     rng = np.random.default_rng(20 * d + n)

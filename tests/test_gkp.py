@@ -110,7 +110,7 @@ def test_norm_identities_are_judged_relative_to_large_sides(seed):
     assert verify_theorem2(rho, 0.1) < 1e-9
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8, 9, 10, 12])
 def test_stabilizer_inputs_hit_the_baseline(d):
     for rho in enumerate_single_qudit_stabilizers(d):
         for p, kind, builder in (

@@ -20,6 +20,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         # sides near 8e8 at p = 0.1 differ by 1.2e-6, their rounding: judged relative to them, as gkp-check does
         pytest.param(("norm_identity_sweep.py", "--dims", "3", "--max-dim", "9", "--p", "0.1", "--states", "2"),
                      id="norm_identity_sweep.py-large-sides"),
+        # the enumerated stabilizer states at a composite d land on the cell-norm baseline
+        pytest.param(("norm_identity_sweep.py", "--dims", "6", "--max-dim", "6", "--states", "1", "--stabilizers"),
+                     id="norm_identity_sweep.py-stabilizers-d6"),
         ("sampling_benchmark.py", "--runs", "2", "--epsilon", "0.2"),
     ],
     ids=lambda argv: argv[0],

@@ -24,7 +24,10 @@ from quditphase.stabilizer import DependentGenerators, NonCommutingGenerators, g
 
 from dense_reference import dense_stabilizer_state
 
-ENUM_COUNTS = {2: 6, 3: 12, 4: 24, 5: 30}
+ENUM_COUNTS = {2: 6, 3: 12, 4: 24, 5: 30, 6: 72, 8: 96, 9: 108, 10: 180, 12: 288}
+# cyclic subgroups of Z_d^2 of order d: d prod_{p | d} (1 + 1/p)
+CYCLIC_COUNTS = {6: 12, 8: 12, 9: 12, 10: 18, 12: 24, 16: 24}
+COMPOSITE = [6, 8, 9, 10, 12]
 
 
 def test_d4_enumeration_misses_the_joint_eigenstates_of_x2_and_z2():
@@ -38,6 +41,33 @@ def test_d4_enumeration_misses_the_joint_eigenstates_of_x2_and_z2():
             assert abs(rho.purity() - 1) < 1e-12
             assert all(np.max(np.abs(rho.matrix - other.matrix)) > 1e-6 for other in listed)
             assert abs(lp_norm(x_distribution(rho, Domain.RESTRICTED), 1) - 1) < 1e-12
+
+
+def cyclic_subgroups(d):
+    """Every subgroup <g> of Z_d^2 of order d, by brute force over all g."""
+    spans = ({((k * a) % d, (k * b) % d) for k in range(d)} for a in range(d) for b in range(d))
+    return {frozenset(span) for span in spans if len(span) == d}
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_enumeration_lists_each_cyclic_subgroup_once_with_d_phases(d):
+    expected = cyclic_subgroups(d)
+    assert len(expected) == CYCLIC_COUNTS.get(d, len(expected))
+    groups = enumerate_single_qudit_groups(d)
+    assert len(groups) == d * len(expected)
+    phases = {}
+    for group in groups:
+        (a, b), = group.generators
+        phases.setdefault(frozenset(((k * a) % d, (k * b) % d) for k in range(d)), set()).add(generator_phases(group))
+    assert set(phases) == expected
+    assert all(found == {(c,) for c in range(d)} for found in phases.values())
+
+
+@pytest.mark.parametrize("d", [1009, 4096])
+def test_enumeration_refuses_a_list_past_the_bound(d):
+    assert stabilizer_module.MAX_ENUMERATED_GROUPS == 10**6
+    with pytest.raises(ValidationError, match="MAX_ENUMERATED_GROUPS = 1000000"):
+        enumerate_single_qudit_groups(d)
 
 
 def random_group(system, rng, word_length=12):
@@ -62,7 +92,7 @@ def random_group(system, rng, word_length=12):
     return StabilizerGroup(system, tuple(map(tuple, gens.tolist())), phase_vector)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5] + COMPOSITE)
 def test_enumeration_count(d):
     states = enumerate_single_qudit_stabilizers(d)
     assert len(states) == ENUM_COUNTS[d]
@@ -86,15 +116,15 @@ def test_sparse_matches_dense_on_all_enumerated(d):
             assert np.max(np.abs(sparse.values - dense.values)) < 1e-10
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5] + COMPOSITE)
 def test_sparse_support_structure(d):
     for group in enumerate_single_qudit_groups(d):
-        vals = stabilizer_x_sparse(group).values
-        mags = np.abs(vals.ravel())
+        sparse = stabilizer_x_sparse(group)
+        mags = np.abs(sparse.values.ravel())
         nz = mags[mags > 1e-12]
         assert len(nz) == 4 * d  # (4d)^n on the doubled domain, n = 1
         assert np.allclose(nz, 1.0 / d, atol=1e-12)
-        restr = stabilizer_x_sparse(group).restricted_view()
+        restr = sparse.restricted_view()
         rn = np.abs(restr.ravel())
         assert (rn > 1e-12).sum() == d  # d^n restricted points
         assert abs(lp_norm(restr, 1.0) - 1.0) < 1e-12
