@@ -316,21 +316,31 @@ class _InputLabels:
     """The input draw of both samplers (Pashayan, Wallman and Bartlett, PRL
     115, 070501 (2015)): a label u of a signed table x, drawn with probability
     |x(u)| / ||x||_1, carries ||x||_1 times the sign (or phase) of x(u).
-    ``nz`` holds the ``_kept`` flat labels, ascending; ``cdf`` is cumsum |x| over
-    them divided by its own last entry, so it ends at exactly 1. ``norm``, the pinned weight, sums the
-    table with dropped entries zeroed; it may differ by an ulp from ``lp_norm``, M's input factor."""
+    ``nz`` holds the ``_kept`` flat labels, ascending, stored only when an entry
+    is dropped; ``cdf`` is cumsum |x| over them divided by its own last entry,
+    so it ends at exactly 1. ``norm``, the pinned weight, sums the table with
+    dropped entries zeroed; it may differ by an ulp from ``lp_norm``, M's input factor."""
 
     def __init__(self, values: np.ndarray):
         self._flat, self._shape = values.reshape(-1), values.shape
         mags = np.abs(self._flat)
-        mags[~_kept(mags)] = 0.0
+        kept = _kept(mags)
+        mags *= kept  # dropped entries read zero, with no second mask
         self.norm = float(np.sum(mags))
         if self.norm <= 0:
             raise ValidationError("input state has zero coefficient norm")
-        self.nz = np.flatnonzero(mags)
-        mags = mags[self.nz]  # the full magnitudes are freed before cumsum allocates
-        self.cdf = np.cumsum(mags)
+        self._nz = None if kept.all() else np.flatnonzero(kept)
+        mags = mags if self._nz is None else mags[self._nz]  # the full magnitudes are freed before the cumsum
+        self.cdf = np.cumsum(mags, out=mags)
         self.cdf /= self.cdf[-1]
+
+    @property
+    def nz(self) -> np.ndarray:
+        return np.arange(len(self.cdf)) if self._nz is None else self._nz
+
+    def _at(self, pos):
+        """The flat labels at positions ``pos``: the positions themselves when every entry is kept."""
+        return pos if self._nz is None and not isinstance(pos, slice) else self.nz[pos]
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` positions into ``nz`` by inverse CDF from one uniform block (none for one label)."""
@@ -340,11 +350,11 @@ class _InputLabels:
 
     def labels(self, pos) -> np.ndarray:
         """The digits, axis by axis, of the labels at positions ``pos``, in the smallest type that holds them."""
-        return np.array(np.unravel_index(self.nz[pos], self._shape)).astype(np.min_scalar_type(self._shape[0] - 1))
+        return np.array(np.unravel_index(self._at(pos), self._shape)).astype(np.min_scalar_type(self._shape[0] - 1))
 
     def units(self, pos) -> np.ndarray:
         """``norm`` times the sign (or phase) of the table at positions ``pos``."""
-        v = self._flat[self.nz[pos]]
+        v = self._flat[self._at(pos)]
         return self.norm * (v / np.abs(v))
 
 

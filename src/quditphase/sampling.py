@@ -11,51 +11,45 @@ The sample count follows the Hoeffding bound
 K = ceil(2 M^2 ln(2/p_f) / eps^2), and a K above ``core.SAMPLE_CAP`` is
 rejected before anything is drawn. The forward norm M is the input
 1-norm times each explicit gate's largest column 1-norm times the
-effect's max. A trajectory is a label vector in Z_d^{2n}, carried as one
-(2n, K) array of digits (the smallest unsigned type that holds d - 1)
-per stream, and a gate touches only the 2k label axes of its k support
-qudits. A step reads the local label on those axes as a Horner index,
-gathers the weight factor at it, and writes the labels back with one
-take of a named gate's image digits or one unravel of an explicit gate's
-drawn image; an effect step only gathers. Frame columns come from one
-batched kernel (``_columns``): the basis operators at a block of labels
-are built as one Kronecker product and conjugated by the gate at once,
-and the batch goes through the one stack contraction that also builds
-the x and chi tables (``measures._contract_stack``, one pass per qudit).
-M's input factor is ``lp_norm`` of the input table; the estimators then
-draw the input from ``measures._InputLabels``, as the homodyne sampler
-does: drawn positions index unit weights and label digits built once
-per call. Once K is known, each run of named gates whose factors are all
-exactly +-1, which is a real factor table, is fused into one step while
-it has at most min(4096, K) local labels: products of +-1 are exact, so
-the weights are those of gate-by-gate steps, bit for bit.
+effect's max. A trajectory is a label vector in Z_d^{2n} and a weight;
+between explicit gates its future depends only on those, so a stream
+holds its K trajectories as S distinct states, (2n, S) digits (the
+smallest unsigned type that holds d - 1) and (S,) weights, and each
+trajectory's state. The input positions drawn from ``measures._InputLabels``
+(the homodyne sampler's source too) are the first states. A named gate
+or effect step runs once per state, on the 2k label axes of its k
+support qudits, at the Horner index of the local label there. An
+explicit gate draws each trajectory's image from its state's column, and
+each distinct (state, image) pair becomes a state. A state's weight takes
+the float operations of each of its trajectories, and a stream's sum of
+count x Re(weight) is rounded once, as math.fsum over the trajectories
+rounds it, so reports keep their bits.
 
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
-or a phase (Heisenberg-Weyl frame). The table of both is built once, in
-closed form from the generator's Z_{2d} label action
-(``basis.clifford_coordinate_action``), so no named gate is conjugated
-densely and its cost is O(d^{2k}) at any d. An
-explicit gate is first reduced to its support: qudit q is dropped only
-when U = I_q (x) V holds exactly, entry for entry, and one qudit is
-always kept. Its d^{2k} local columns give the gate's factor of M as an
-exact max while d^{2k} <= 4096, built in blocks of at most 4 MiB. Above
-that the factor is the Parseval bound d^k: every column has l2 norm 1 in
-both frames. Either way M bounds every trajectory weight, as the
-Hoeffding count needs, and the report says which (``norm_method``).
-Sampling builds the columns of the local labels the trajectories hold.
-One setup (``_frame``) gives ``forward_norm`` and both estimators the
-gate steps, the input table and the effect steps of a frame. An effect
-is read like a named gate that keeps the labels, so a readout builds no
-d^{2n} array: one table on all 2n axes (explicit) or one (d, d) table per
-qudit (computational; unmeasured O-frame qudits read ``basis``'s Tr O).
+or a phase (Heisenberg-Weyl frame), read in closed form (``_named_table``)
+at O(d^{2k}) cost at any d. An explicit gate is first reduced to its
+support: qudit q is dropped only when U = I_q (x) V holds exactly, and
+one qudit is always kept. Its frame columns come from one batched kernel
+(``_columns``) through the stack contraction of the x and chi tables
+(``measures._contract_stack``). Its d^{2k} local columns give its factor
+of M as an exact max while d^{2k} <= 4096, built in blocks of at most
+4 MiB; above that the factor is the Parseval bound d^k, as every column
+has l2 norm 1 in both frames. Either way M bounds every trajectory
+weight, as the Hoeffding count needs, and the report says which
+(``norm_method``). Sampling builds the columns of the local labels the
+states hold. One setup (``_frame``) gives ``forward_norm`` and both
+estimators the gate steps, the input table and the effect steps of a
+frame. An effect is read like a named gate that keeps the labels, so a
+readout builds no d^{2n} array: one table on all 2n axes (explicit) or
+one (d, d) table per qudit (computational; unmeasured O-frame qudits
+read ``basis``'s Tr O).
 
 Determinism contract: one uniform block per stream for the input draw
-and one per explicit gate, in trajectory order; named gates (fused or
-not) and effect steps draw nothing in either frame. Per-stream sums are
-compensated and merged exactly; streams past the trajectory count would
-draw nothing and are not run. A report is bit-for-bit reproducible for
-fixed (seed, streams).
+and one per explicit gate, in trajectory order; named gates and effects
+draw nothing. Per-stream sums are exactly rounded and merged exactly;
+streams past the trajectory count would draw nothing and are not run. A
+report is bit-for-bit reproducible for fixed (seed, streams).
 """
 
 from __future__ import annotations
@@ -213,7 +207,7 @@ def frame_measurement_coeffs(system: QuditSystem, effect: MeasurementEffect, lam
         raise ValidationError("point does not live on this domain")
     w, labels = np.ones(1), lam.vector()[:, None]
     for axes, op in _effect_steps(system, effect, char=False):
-        w = _step(system.d, labels, w, axes, op, None)
+        w = _step(system.d, labels, w, axes, op)
     return float(w[0])
 
 
@@ -255,7 +249,7 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
 
     Column u of the (2k, d^{2k}) digit table, in the smallest unsigned
     type that holds d - 1, is the image of local label u, axis by axis.
-    The factors are stored real exactly when all are +-1: ``_fused`` reads that.
+    The factors are stored real exactly when all are +-1, so an O-frame weight stays real.
 
     Read in closed form from the generator's Z_{2d} label action
     u -> Au + s (``clifford_coordinate_action``) on its own 1- or 2-qudit
@@ -396,54 +390,69 @@ def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, obj
     return steps
 
 
-def _fused(d: int, steps: list, limit: int) -> list:
-    """The gate steps with each run of consecutive +-1 named steps (a real
-    factor table) fused into one, while the run has at most ``limit`` local labels."""
-    runs, union = [], set()  # union: the axes of the open +-1 run, empty if none
-    for step in steps:
-        signs = not isinstance(step[1], _LocalGate) and not np.iscomplexobj(step[1][1])
-        axes = set(step[0].tolist())
-        if signs and union and d ** len(union | axes) <= limit:
-            runs[-1].append(step)
-            union |= axes
-        else:
-            runs.append([step])
-            union = axes if signs else set()
-    return [run[0] if len(run) == 1 else _composite(d, run) for run in runs]
-
-
-def _composite(d: int, run: list) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """A run of named steps as one: the run applied to every local label."""
-    axes = np.array(sorted(set().union(*(a.tolist() for a, _ in run))))
-    labels = np.indices((d,) * len(axes), dtype=np.min_scalar_type(d - 1)).reshape(len(axes), -1)
-    w = np.ones(labels.shape[1])
-    for a, op in run:
-        w = _step(d, labels, w, np.searchsorted(axes, a), op, None)
-    return axes, (labels, w)
-
-
-def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op, rng) -> np.ndarray:
-    """Carry (2n, K) label vectors through one gate or effect step on its axes.
-
-    The labels are rewritten in place and the new weights returned. Each
-    trajectory's local label is its Horner index over ``axes``. A named
-    table (image digits and unit phase) gathers the factor at it and takes
-    the image digits; an effect table (no image) gathers the factor only.
-    Neither draws. An explicit gate draws one uniform block, samples each
-    image from the column of its trajectory's local label, and unravels it.
-    """
-    local = labels[axes[0]].astype(np.int64)
-    for a in axes[1:]:
-        local *= d
-        local += labels[a]
-    if isinstance(op, _LocalGate):
-        image, cnorm, picked = op.draw(local, rng.random(len(local)))
-        labels[axes] = np.unravel_index(image, (d,) * len(axes))
-        return w * cnorm * picked / np.abs(picked)
+def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op) -> np.ndarray:
+    """Carry (2n, S) label vectors through one named gate or effect step on its
+    axes: gather the factor at each local label (its Horner index over the
+    axes) and, for a named table, take the image digits, in place. The new
+    weights are returned; nothing is drawn."""
+    local = np.ravel_multi_index(labels[axes], (d,) * len(axes))
     digits, phases = op
     if digits is not None:
         labels[axes] = np.take(digits, local, axis=1)
     return w * phases[local]
+
+
+def _distinct(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``key`` (each in [0, cells)) ascending, the
+    index of one entry holding each, and each entry's index among them in
+    the smallest unsigned type that holds it: by a table over the cells
+    while it is no longer than ``key``, by a sort otherwise."""
+    if cells > len(key):
+        values, first, ids = np.unique(key, return_index=True, return_inverse=True)
+        return values, first, ids.astype(np.min_scalar_type(len(values) - 1))
+    seen = np.full(cells, -1, dtype=np.intp)
+    seen[key] = np.arange(len(key))
+    values = np.flatnonzero(seen >= 0)
+    remap = np.zeros(cells, dtype=np.min_scalar_type(len(values) - 1))
+    remap[values] = np.arange(len(values))
+    return values, seen[values], remap[key]
+
+
+def _stream_states(d: int, source: _InputLabels, steps: list, rng: np.random.Generator, count: int):
+    """One stream's ``count`` trajectories as distinct states: their weights
+    and trajectory counts (each >= 1). Named gates and effects run once per
+    state; an explicit gate draws each trajectory's image from its state's
+    column, and each distinct (state, image) pair becomes a state, whose
+    weight takes the float operations of each of its trajectories."""
+    positions, _, ids = _distinct(source.draw(rng, count), len(source.cdf))
+    labels, w = source.labels(positions), source.units(positions)
+    for axes, op in steps:
+        if not isinstance(op, _LocalGate):
+            w = _step(d, labels, w, axes, op)
+            continue
+        dims = (d,) * len(axes)
+        size = d ** len(axes)
+        key, cnorm, picked = op.draw(np.ravel_multi_index(labels[axes], dims)[ids], rng.random(len(ids)))
+        key += ids * np.int64(size)  # state * size + drawn image
+        keys, first, ids = _distinct(key, len(w) * size)
+        del key  # this and the trajectory-sized cnorm, picked are freed before the next draw
+        cnorm, picked = cnorm[first], picked[first]
+        state, image = np.divmod(keys, size)
+        labels = labels[:, state]
+        labels[axes] = np.unravel_index(image, dims)
+        w = w[state] * cnorm * picked / np.abs(picked)
+    return w, np.bincount(ids, minlength=len(w))
+
+
+def _weighted_sum(w: np.ndarray, counts: np.ndarray) -> float:
+    """sum_s counts[s] * Re w[s], rounded once: math.fsum over each value
+    repeated counts[s] (>= 1) times, bit for bit. Each value splits exactly
+    into its top 26 significant bits and the rest, with the value's sign; a
+    count below 2^26 (``SAMPLE_CAP`` is 10^7) times either part is exact."""
+    values = np.real(w)
+    high = (values.view(np.int64) & np.int64(-1 << 27)).view(np.float64)
+    low = np.copysign(values - high, values)
+    return math.fsum(memoryview(np.concatenate([counts * high, counts * low])))
 
 
 # ------------------------------------------------------------ frame setup
@@ -548,36 +557,17 @@ def _split_sizes(total: int, streams: int) -> list[int]:
 
 def _run_estimator(circuit: CircuitDescription, epsilon, p_fail, seed, streams, char: bool):
     streams, seed = _as_int(streams, "streams", 1), _as_int(seed, "seed", 0)
-    d = circuit.system.d
     steps, values, effect = _frame(circuit, char)
     m_forward, norm_method = _aggregated_norm(steps, values, effect)
     k_total = sample_count(m_forward, epsilon, p_fail)
     source = _InputLabels(values)
-    unit0, digits0 = source.units(slice(None)), source.labels(slice(None))
-    steps = _fused(d, steps, min(_EXACT_LABELS, k_total))
-
-    stream_sums = []
-    for s, k_s in enumerate(_split_sizes(k_total, streams)):
-        rng = _stream_rng(seed, s)
-        pos = source.draw(rng, k_s)
-        w = unit0[pos]
-        labels = np.take(digits0, pos, axis=1)
-        for axes, op in steps + effect:
-            w = _step(d, labels, w, axes, op, rng)
-        # a memoryview hands fsum Python floats one at a time: the sum over
-        # numpy scalars, faster, and with no K-entry list held
-        stream_sums.append(math.fsum(memoryview(np.real(w))))
-
-    estimate = math.fsum(stream_sums) / k_total
+    stream_sums = [
+        _weighted_sum(*_stream_states(circuit.system.d, source, steps + effect, _stream_rng(seed, s), k_s))
+        for s, k_s in enumerate(_split_sizes(k_total, streams))
+    ]
     return EstimateReport(
-        estimate=float(estimate),
-        epsilon=float(epsilon),
-        failure_prob=float(p_fail),
-        samples_used=k_total,
-        forward_norm=float(m_forward),
-        seed=seed,
-        streams=streams,
-        norm_method=norm_method,
+        estimate=float(math.fsum(stream_sums) / k_total), epsilon=float(epsilon), failure_prob=float(p_fail),
+        samples_used=k_total, forward_norm=float(m_forward), seed=seed, streams=streams, norm_method=norm_method,
     )
 
 

@@ -1,6 +1,7 @@
 """Quasiprobability coefficients and the magic measures built on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,3 +315,27 @@ def test_orders_must_be_finite(order):
         lp_norm(dist, order)
     with pytest.raises(ValidationError):
         stabilizer_renyi(t_state(), order)
+
+
+def test_an_all_kept_table_builds_its_draw_in_one_magnitude_array():
+    # every entry kept: positions are the flat labels, so no index array is stored, and the
+    # cumsum runs in place over the magnitudes; a draw's labels and units are read at its positions
+    values = _haar_table(x_distribution, 2, 5, Domain.FULL)  # 4^10 entries, 8 MiB
+    assert np.all(np.abs(values) >= measures.NORM_CUTOFF)
+    pos = np.array([7, 2, 7])
+    tracemalloc.start()
+    try:
+        source = measures._InputLabels(values)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        digits, units = source.labels(pos), source.units(pos)
+        read = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the magnitudes (the cdf), the kept mask (a byte per entry) and numpy's 64 KiB cast buffer
+    assert build <= values.nbytes + values.size + (128 << 10)
+    assert read < 16 << 10
+    assert np.array_equal(source.nz, np.arange(values.size))
+    assert np.array_equal(digits, np.array(np.unravel_index(pos, values.shape)))
+    assert np.array_equal(units, source.norm * np.sign(values.ravel()[pos]))

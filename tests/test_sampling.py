@@ -3,10 +3,12 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quditphase import (
     CircuitDescription,
@@ -16,6 +18,7 @@ from quditphase import (
     MeasurementEffect,
     MeasurementKind,
     QuditSystem,
+    SAMPLE_CAP,
     ValidationError,
     characteristic_fn,
     computational_state,
@@ -35,6 +38,7 @@ from quditphase import sampling
 from quditphase.sampling import _columns, _effect_steps, _step, _steps, _support, frame_measurement_coeffs
 
 from dense_reference import dense_frame_column, einsum_contract_stack
+from trajectory_reference import per_trajectory_report
 
 EXACT_HTH = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
 
@@ -342,7 +346,7 @@ def effect_at_every_label(system, effect, char):
     start = labels.copy()
     w = np.ones(labels.shape[1])
     for axes, op in _effect_steps(system, effect, char):
-        w = _step(system.d, labels, w, axes, op, None)
+        w = _step(system.d, labels, w, axes, op)
     assert np.array_equal(labels, start)  # effect steps keep the labels
     return w
 
@@ -427,7 +431,7 @@ def named_step(system, gate, labels, char):
     """The estimator's step for one named gate on (2n, K) label vectors: images and phases."""
     ((axes, op),) = _steps(system, (gate,), char)
     labels = labels.copy()
-    return labels, _step(system.d, labels, np.ones(labels.shape[1]), axes, op, None)
+    return labels, _step(system.d, labels, np.ones(labels.shape[1]), axes, op)
 
 
 @lru_cache(maxsize=None)
@@ -710,47 +714,8 @@ def random_named_word(rng, n, length):
     return word
 
 
-def check_fused_steps(system, gates, char, trajectories, rng):
-    """The fused step list against each gate's own named table, applied one
-    by one through ``_step``: labels and weights must be equal bit for bit."""
-    d, n = system.d, system.n
-    flats = np.arange(d ** (2 * n)) if d ** (2 * n) <= 4096 else rng.integers(0, d ** (2 * n), size=1000)
-    labels = np.array(np.unravel_index(flats, (d,) * (2 * n))).astype(np.uint8)
-    w = rng.normal(size=len(flats)) + (1j * rng.normal(size=len(flats)) if char else 0)
-    want_labels, want = labels.copy(), w
-    for kind, qudits in gates:
-        axes = np.array([*qudits, *(n + q for q in qudits)])
-        want = _step(d, want_labels, want, axes, sampling._named_table(d, kind, char), None)
-    steps = _steps(system, gates, char)
-    fused = sampling._fused(d, steps, min(4096, trajectories))
-    for axes, op in fused:
-        if not any(op is own for _, own in steps):
-            assert d ** len(axes) <= min(4096, trajectories)
-        w = _step(d, labels, w, axes, op, None)
-    assert np.array_equal(labels, want_labels)
-    assert np.array_equal(w, want)
-    return fused
-
-
-@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_fused_named_runs_match_gate_by_gate_steps(d, char):
-    rng = np.random.default_rng(100 * d + char)
-    for n in (1, 2, 3, 4):
-        for trajectories in (50, 10**6):
-            check_fused_steps(QuditSystem(d, n), random_named_word(rng, n, 12), char, trajectories, rng)
-
-
-@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
-def test_a_long_sum_chain_fuses_within_the_local_label_cap(char):
-    s = QuditSystem(2, 8)
-    chain = [(GateKind.SUM, (q, q + 1)) for q in range(7)] + [(GateKind.SUM, (7, 0))]
-    fused = check_fused_steps(s, chain, char, 10**6, np.random.default_rng(8))
-    assert 1 < len(fused) < len(chain)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_only_sign_tables_fuse(d):
+def test_named_tables_are_real_exactly_when_every_factor_is_a_sign(d):
     # every O-frame generator has +-1 factors; in the Heisenberg-Weyl frame
     # FOURIER, SUM and even-d PHASE do, and SHIFT and CLOCK carry phases
     # except at d = 2, where every phase is +-1. A table is real exactly then.
@@ -760,15 +725,6 @@ def test_only_sign_tables_fuse(d):
             phases = sampling._named_table(d, kind, char)[1]
             assert np.all(np.isin(phases, (1.0, -1.0))) == real
             assert phases.dtype == (np.float64 if real else np.complex128)
-    s = QuditSystem(d, 1)
-    for kind in (GateKind.SHIFT, GateKind.CLOCK):
-        gates = [(GateKind.FOURIER, (0,)), (kind, (0,)), (GateKind.FOURIER, (0,))]
-        assert len(sampling._fused(d, _steps(s, gates, False), 4096)) == 1
-        fused = sampling._fused(d, _steps(s, gates, True), 4096)
-        if d == 2:
-            assert len(fused) == 1
-        else:
-            assert len(fused) == 3 and fused[1][1] is sampling._named_table(d, kind, True)
 
 
 @pytest.mark.parametrize("kind", [GateKind.SHIFT, GateKind.CLOCK])
@@ -915,3 +871,184 @@ def test_parseval_bound_holds_past_the_exact_limit():
     assert abs(report.forward_norm - 2.0**7) < 1e-12
     flats = np.random.default_rng(3).integers(0, 4**7, size=8)
     assert report.forward_norm >= oracle_column_max(s, u, flats)
+
+
+# ------------------------------------------- trajectories as distinct states
+
+
+def diagonal_magic(d):
+    """T at d=2, diag(e^{2 pi i k^3/9}) at d=3, seeded random phases otherwise."""
+    if d == 2:
+        return T_GATE
+    if d == 3:
+        return np.diag(np.exp(2j * np.pi * np.arange(3) ** 3 / 9))
+    return np.diag(np.exp(2j * np.pi * np.random.default_rng(d).random(d)))
+
+
+def random_explicit_gate(rng, d, n, kind):
+    if kind == "two-qudit-haar":
+        qudits = [int(q) for q in rng.choice(n, size=2, replace=False)]
+        return embed(d, n, haar_unitary(d * d, int(rng.integers(1000))), qudits)
+    q = int(rng.integers(n))
+    v = haar_unitary(d, int(rng.integers(1000))) if kind == "haar" else diagonal_magic(d)
+    return embed(d, n, v, [q])
+
+
+def random_effect(rng, s, explicit):
+    if explicit:
+        return MeasurementEffect(MeasurementKind.EXPLICIT, operator=DenseOperator(s, haar_random_state(s, rng).matrix))
+    indices = tuple(sorted(int(q) for q in rng.choice(s.n, size=int(rng.integers(1, s.n + 1)), replace=False)))
+    return MeasurementEffect(MeasurementKind.COMPUTATIONAL, indices, tuple(int(o) for o in rng.integers(s.d, size=len(indices))))
+
+
+def random_estimator_circuit(d, n, explicit, effect_explicit, seed):
+    """A seeded circuit: a computational or Haar input, named words around
+    ``explicit`` explicit gates (two-qudit Haar first, then diagonal magic
+    and one-qudit Haar, in turn), and a computational or explicit readout."""
+    rng = np.random.default_rng([d, n, explicit, seed])
+    s = QuditSystem(d, n)
+    rho = haar_random_state(s, rng) if seed % 2 else computational_state(s, int(rng.integers(s.dim)))
+    gates = random_named_word(rng, n, 4)
+    for i in range(explicit):
+        kind = ("two-qudit-haar", "diagonal", "haar")[i % 3]
+        gates.append(DenseOperator(s, random_explicit_gate(rng, d, n, kind), unitary=True))
+        gates += random_named_word(rng, n, 3)
+    return CircuitDescription(s, rho, tuple(gates), random_effect(rng, s, effect_explicit))
+
+
+def frame_norm(circuit, char):
+    """M in the estimator's frame."""
+    return sampling._aggregated_norm(*sampling._frame(circuit, char))[0]
+
+
+def check_reports_match_the_per_trajectory_loop(circuit, char, trajectories, few):
+    """Reports of about ``trajectories`` trajectories on 1 and 3 streams, and
+    of about ``few`` on K + 5 streams (one trajectory each), against the
+    per-trajectory loop: every field equal, bit for bit."""
+    runner = estimate_born_char if char else estimate_born
+    m = frame_norm(circuit, char)
+    for streams, target in ((1, trajectories), (3, trajectories), (None, few)):
+        epsilon = m * math.sqrt(2 * math.log(2 / 0.05) / target)
+        k = sample_count(m, epsilon, 0.05)
+        streams = k + 5 if streams is None else streams
+        report = runner(circuit, epsilon, 0.05, seed=k, streams=streams)
+        assert report == per_trajectory_report(circuit, epsilon, 0.05, k, streams, char)
+
+
+def parseval_bound_circuit():
+    """A Haar gate on 7 qubits (4^7 local labels, so M holds its Parseval bound) between named gates."""
+    s = QuditSystem(2, 7)
+    return CircuitDescription(
+        s,
+        computational_state(s, 5),
+        ((GateKind.FOURIER, (0,)), DenseOperator(s, haar_unitary(128, 2), unitary=True), (GateKind.SUM, (6, 0))),
+        MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 3), (1, 0)),
+    )
+
+
+# the register size per explicit-gate count (0 to 4) at each d, n <= 4
+ORACLE_SHAPES = {2: (1, 2, 3, 4, 4), 3: (2, 3, 4, 2, 3), 4: (1, 2, 3, 2, 3), 5: (1, 2, 3, 2, 2)}
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+@pytest.mark.parametrize("explicit", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_state_reports_match_the_per_trajectory_loop_bit_for_bit(d, explicit, char):
+    # an odd explicit-gate count reads an explicit effect, an even one a computational readout
+    circuit = random_estimator_circuit(d, ORACLE_SHAPES[d][explicit], explicit, explicit % 2 == 1, seed=d + explicit)
+    check_reports_match_the_per_trajectory_loop(circuit, char, 2000, 40)
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+def test_a_parseval_bound_gate_matches_the_per_trajectory_loop(char):
+    # 4^7 local labels: every state's pairs outnumber the trajectories, so the states are found by a sort
+    circuit = parseval_bound_circuit()
+    check_reports_match_the_per_trajectory_loop(circuit, char, 300, 20)
+
+
+@pytest.mark.parametrize("cells", [40, 5000], ids=["table", "sort"])
+def test_distinct_keys_by_table_and_by_sort(cells):
+    # 1000 keys: a table over 40 cells, a sort over 5000
+    key = np.random.default_rng(cells).integers(0, cells, size=1000)
+    values, first, ids = sampling._distinct(key, cells)
+    assert np.array_equal(values, np.unique(key))
+    assert np.array_equal(key[first], values) and np.array_equal(values[ids], key)
+    assert ids.dtype == np.min_scalar_type(len(values) - 1)
+
+
+@pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_estimator_circuit(2, 3, 2, False, seed=1),
+        lambda: random_estimator_circuit(3, 2, 3, True, seed=2),
+        lambda: random_estimator_circuit(5, 2, 1, False, seed=3),
+        lambda: random_estimator_circuit(5, 1, 0, True, seed=4),
+        qutrit_magic_circuit,
+        controlled_t_circuit,
+        parseval_bound_circuit,
+    ],
+    ids=["d2-exact-gates", "d3-explicit-effect", "d5-haar-gate", "d5-named-only", "qutrit-magic", "controlled-t", "parseval-k7"],
+)
+def test_every_state_score_is_within_the_forward_norm(make, char):
+    # check (i) of the sampler contract, the Hoeffding precondition: |Re w| <= M for every state.
+    # M is tight (a trajectory can meet every factor's max), and M and a weight are products
+    # of the same factors, each summed along its own float path: the input norm over the
+    # zeroed table against lp_norm over the kept entries, a drawn column's norm in a block
+    # of visited columns against the norm in a block of all columns. Each may round an ulp
+    # apart (3 ulps in all on the qutrit circuit in the O frame), so the bound carries a
+    # slack of one ulp (relative 2^-52) per factor of M and no more.
+    circuit = make()
+    steps, values, effect = sampling._frame(circuit, char)
+    m, method = sampling._aggregated_norm(steps, values, effect)
+    factors = 1 + sum(isinstance(op, sampling._LocalGate) for _, op in steps) + len(effect)
+    trajectories = 20_000
+    w, counts = sampling._stream_states(
+        circuit.system.d, measures._InputLabels(values), steps + effect, measures._stream_rng(7), trajectories
+    )
+    assert counts.sum() == trajectories and counts.min() >= 1 and len(w) == len(counts)
+    assert np.max(np.abs(w.real)) <= m * (1 + factors * np.finfo(float).eps)
+    assert method == ("bound" if circuit.system.n == 7 else "exact")
+
+
+# a weight and a count whose product is finite: zero signs, subnormals and weights near the float range
+FLOAT_MAX = float(np.finfo(float).max)
+EXTREME_WEIGHTS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e308, -1.5e308, FLOAT_MAX, 1 + 2**-52]
+
+
+@st.composite
+def states_with_counts(draw, max_count, max_weight=FLOAT_MAX):
+    finite = st.floats(-max_weight, max_weight, allow_nan=False, allow_infinity=False)
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        w = draw(st.one_of(st.sampled_from([v for v in EXTREME_WEIGHTS if abs(v) <= max_weight]), finite))
+        top = max_count if abs(w) <= FLOAT_MAX / max_count else max(1, int(FLOAT_MAX / abs(w)))
+        pairs.append((w, draw(st.integers(1, top))))
+    return np.array([w for w, _ in pairs]), np.array([c for _, c in pairs])
+
+
+@settings(settings.get_profile("deterministic"))
+@given(states_with_counts(max_count=40))
+def test_the_weighted_sum_is_fsum_over_the_expanded_list(states):
+    w, counts = states
+    expanded = np.repeat(w, counts)
+    try:
+        want = math.fsum(memoryview(expanded))
+    except OverflowError:
+        assume(False)  # a sum past the float range is no estimator's
+    got = sampling._weighted_sum(w, counts)
+    assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+@settings(settings.get_profile("deterministic"))
+@given(states_with_counts(max_count=SAMPLE_CAP, max_weight=FLOAT_MAX / (8 * SAMPLE_CAP)))
+def test_the_weighted_sum_is_exact_for_counts_up_to_the_sample_cap(states):
+    # fsum over the expanded list rounds the exact sum once, as the exact rational sum does
+    w, counts = states
+    exact = sum(Fraction(float(v)) * int(c) for v, c in zip(w, counts))
+    assert sampling._weighted_sum(w, counts) == float(exact)
+
+
+def test_the_weighted_sum_reads_the_real_part():
+    w = np.array([1.5 + 2j, -0.25 - 1j])
+    assert sampling._weighted_sum(w, np.array([3, 2])) == 4.0
