@@ -4,7 +4,8 @@ Provides the basic objects every other module consumes:
 
 * ``QuditSystem``: a register of n qudits of local dimension d, checked
   against the dense-size cap.
-* ``DenseOperator`` / ``DensityState``: validated dense matrices.
+* ``DenseOperator`` / ``DensityState``: validated dense matrices; a gate
+  is checked for unitarity on its exact support (``_support``).
 * ``hw_matrix``: the single-qudit Weyl operator P(a, b) = w_d^{ab/2} X^a Z^b
   with the half-integer phase handled per parity of d (multiplicative
   inverse of 2 for odd d, literal e^{i pi ab/d} with plain-integer products
@@ -142,6 +143,30 @@ def _check_unitary(entries: np.ndarray) -> None:
         raise ValidationError(f"unitarity violated by {dev:.3e}")
 
 
+def _support(system: QuditSystem, unitary: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Qudits a gate acts on, ascending, and the gate there.
+
+    Qudit q leaves the support only when U = I_q (x) V holds with exact
+    equality, so no tolerance enters M, and U U^dagger - I has exactly the
+    nonzero entries of V V^dagger - I. One qudit is always kept, so an
+    identity-like gate still draws its uniform block.
+    """
+    d = system.d
+    kept = list(range(system.n))
+    t = unitary.reshape((d,) * (2 * system.n))
+    for q in range(system.n):
+        if len(kept) == 1:
+            break
+        i = kept.index(q)
+        blocks = np.moveaxis(t, (i, len(kept) + i), (0, 1))
+        # off-diagonal blocks first, so a dense gate is rejected before any diagonal block is compared
+        off = (blocks[a, b] for a in range(d) for b in range(d) if a != b)
+        if not any(map(np.any, off)) and all(np.array_equal(blocks[a, a], blocks[0, 0]) for a in range(1, d)):
+            t = blocks[0, 0]
+            kept.remove(q)
+    return tuple(kept), np.ascontiguousarray(t).reshape(d ** len(kept), d ** len(kept))
+
+
 def _check_hermitian(entries: np.ndarray) -> None:
     """Raise unless A = A^dagger to 1e-9 in max-norm."""
     dev = np.max(np.abs(entries - entries.conj().T))
@@ -149,12 +174,12 @@ def _check_hermitian(entries: np.ndarray) -> None:
         raise ValidationError(f"hermiticity violated by {dev:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseOperator:
     """A dense complex matrix tied to a qudit register.
 
-    Optional ``unitary``/``hermitian`` flags are verified to 1e-9 in
-    max-norm at construction time; leaving them ``None`` skips the check.
+    Optional ``unitary`` (on the exact support, ``_support``) and ``hermitian`` flags are verified
+    to 1e-9 in max-norm at construction; ``None`` skips the check. Compared and hashed by identity.
     """
 
     system: QuditSystem
@@ -165,14 +190,14 @@ class DenseOperator:
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_matrix(self.entries, self.system.dim))
         if self.unitary:
-            _check_unitary(self.entries)
+            _check_unitary(_support(self.system, self.entries)[1])
         if self.hermitian:
             _check_hermitian(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityState:
-    """A validated density matrix: Hermitian, unit trace, PSD to 1e-9."""
+    """A validated density matrix: Hermitian, unit trace, PSD to 1e-9; compared and hashed by identity."""
 
     system: QuditSystem
     matrix: np.ndarray

@@ -56,9 +56,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianCircuit:
-    """Real symplectic action S with an additive displacement t, stored read-only.
+    """Real symplectic action S with an additive displacement t, read-only and compared by identity.
 
     The integer map is derived, never given: when S is an integer matrix
     and t = sqrt(pi/2d) k for an integer vector k, bit for bit, with no

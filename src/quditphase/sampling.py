@@ -28,10 +28,10 @@ rounds it, so reports keep their bits.
 Named generators act on their 1- or 2-qudit support, where each column
 has exactly one entry of modulus one: a label map with a sign (O frame)
 or a phase (Heisenberg-Weyl frame), read in closed form (``_named_table``)
-at O(d^{2k}) cost at any d. An explicit gate is first reduced to its
-support: qudit q is dropped only when U = I_q (x) V holds exactly, and
-one qudit is always kept. Its frame columns come from one batched kernel
-(``_columns``) through the stack contraction of the x and chi tables
+at O(d^{2k}) cost at any d. An explicit gate is reduced to its support
+once, when the circuit is built, and checked for unitarity there
+(``core._support``: qudit q is dropped only when U = I_q (x) V holds
+exactly). Its frame columns come from one batched kernel (``_columns``) through the stack contraction of the x and chi tables
 (``measures._contract_stack``). Its d^{2k} local columns give its factor
 of M as an exact max while d^{2k} <= 4096, built in blocks of at most
 4 MiB; above that the factor is the Parseval bound d^k, as every column
@@ -55,7 +55,7 @@ report is bit-for-bit reproducible for fixed (seed, streams).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -74,6 +74,7 @@ from .core import (
     _check_hermitian,
     _check_unitary,
     _read_gate,
+    _support,
 )
 from .basis import (
     Domain,
@@ -149,8 +150,7 @@ class MeasurementEffect:
                 raise ValidationError("EXPLICIT effect needs an operator")
             if self.operator.system != system:
                 raise ValidationError("effect register mismatch")
-            if not self.operator.hermitian:
-                _check_hermitian(self.operator.entries)
+            _check_hermitian(self.operator.entries)
             eig = np.linalg.eigvalsh(self.operator.entries)
             if eig.min() < -1e-9 or eig.max() > 1 + 1e-9:
                 raise ValidationError("effect must satisfy 0 <= Pi <= 1")
@@ -162,27 +162,34 @@ GateSpec = Union[NamedGate, DenseOperator]
 
 @dataclass(frozen=True)
 class CircuitDescription:
-    """Input state, ordered gate list (each named gate read once, here), and one measurement effect."""
+    """Input state, ordered gate list and one measurement effect; each gate is read once, here.
+
+    ``_local`` holds a named gate as (kind, targets) and an explicit one, kept as given in ``gates``, as
+    its block V on its exact support (``core._support``) and those qudits; an unflagged V is checked there."""
 
     system: QuditSystem
     input_state: DensityState
     gates: tuple[GateSpec, ...]
     measurement: MeasurementEffect
+    _local: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_state.system != self.system:
             raise ValidationError("input state system mismatch")
-        gates = []
+        gates, local = [], []
         for g in self.gates:
             if isinstance(g, DenseOperator):
                 if g.system != self.system:
                     raise ValidationError("gate register mismatch")
+                qudits, v = _support(self.system, g.entries)
                 if not g.unitary:
-                    _check_unitary(g.entries)
+                    _check_unitary(v)
             else:
                 g = _read_gate(self.system, *g)
             gates.append(g)
+            local.append((v, qudits) if isinstance(g, DenseOperator) else g)
         object.__setattr__(self, "gates", tuple(gates))
+        object.__setattr__(self, "_local", tuple(local))
         self.measurement.validate(self.system)
 
 
@@ -301,31 +308,6 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
     return digits, phases
 
 
-def _support(system: QuditSystem, unitary: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Qudits an explicit gate acts on, ascending, and the gate there.
-
-    Qudit q leaves the support only when U = I_q (x) V holds with exact
-    equality, so no tolerance enters M. One qudit is always kept, so an
-    identity-like gate still draws its uniform block.
-    """
-    d = system.d
-    kept = list(range(system.n))
-    t = unitary.reshape((d,) * (2 * system.n))
-    for q in range(system.n):
-        if len(kept) == 1:
-            break
-        i = kept.index(q)
-        blocks = np.moveaxis(t, (i, len(kept) + i), (0, 1))
-        if all(
-            np.array_equal(blocks[a, b], blocks[0, 0]) if a == b else not np.any(blocks[a, b])
-            for a in range(d)
-            for b in range(d)
-        ):
-            t = blocks[0, 0]
-            kept.remove(q)
-    return kept, np.ascontiguousarray(t).reshape(d ** len(kept), d ** len(kept))
-
-
 @dataclass(frozen=True, eq=False)
 class _LocalGate:
     """An explicit gate on its qudit support, in one frame."""
@@ -375,17 +357,15 @@ class _LocalGate:
         return image, cnorm, picked
 
 
-def _steps(system: QuditSystem, gates, char: bool) -> list[tuple[np.ndarray, object]]:
-    """Each gate as the label axes of its support (l block, then m block)
-    and either its named table or its ``_LocalGate``."""
+def _steps(system: QuditSystem, local, char: bool) -> list[tuple[np.ndarray, object]]:
+    """Each gate on its support, (kind, targets) or (block V, qudits), as the label
+    axes there (l block, then m block) and either its named table or its ``_LocalGate``."""
     steps = []
-    for g in gates:
-        if isinstance(g, DenseOperator):
-            qudits, v = _support(system, g.entries)
-            op = _LocalGate(QuditSystem(system.d, len(qudits)), v, char)
+    for g, qudits in local:
+        if isinstance(g, GateKind):
+            op = _named_table(system.d, g, char)
         else:
-            kind, qudits = g
-            op = _named_table(system.d, kind, char)
+            op = _LocalGate(QuditSystem(system.d, len(qudits)), g, char)
         steps.append((np.array([*qudits, *(system.n + q for q in qudits)]), op))
     return steps
 
@@ -496,7 +476,7 @@ def _frame(circuit: CircuitDescription, char: bool) -> tuple[list, np.ndarray, l
     system = circuit.system
     table = characteristic_fn if char else x_distribution
     values = table(circuit.input_state, Domain.RESTRICTED).values
-    return _steps(system, circuit.gates, char), values, _effect_steps(system, circuit.measurement, char)
+    return _steps(system, circuit._local, char), values, _effect_steps(system, circuit.measurement, char)
 
 
 # ---------------------------------------------------------------- norms

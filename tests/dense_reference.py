@@ -16,6 +16,9 @@ a cached row-sign table); it takes any (2d, 2d) table.
 ``einsum_contract_stack`` is the one-einsum form of the per-factor stack
 contraction Tr(Stack_u M), the reference for the library's tensordot
 passes and the contraction every table here uses.
+``full_unitarity_deviation`` is max |U U^dagger - I| on the whole
+register against a built identity, the check the library ran before it
+checked a gate on the block its exact support leaves.
 ``dense_wigner`` contracts the state with the odd-d phase-point operators
 A(u) built from their Heisenberg-Weyl sum (``a_stack``), and
 ``sigma_permutation`` relates A to O by matching operators numerically;
@@ -168,6 +171,11 @@ def dense_frame_column(system: QuditSystem, char: bool, unitary: np.ndarray, fla
     if not np.any(col):
         raise InvariantError("frame column vanished; unitary inconsistent")
     return col
+
+
+def full_unitarity_deviation(unitary: np.ndarray) -> float:
+    """max |U U^dagger - I| over the full register."""
+    return float(np.max(np.abs(unitary @ unitary.conj().T - np.eye(len(unitary)))))
 
 
 @lru_cache(maxsize=16)

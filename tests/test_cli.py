@@ -658,9 +658,14 @@ def test_gkp_sim_rejects_bad_values(tmp_path, capsys, doc):
         ("simulate", {**HTH, "measurement": {"kind": "explicit", "indices": [0], "matrix": [[1, 0], [0, 0]]}}),
         ("simulate", {**HTH, "input": {"kind": "plus", "index": 1}}),
         ("gkp-sim", {**GKP_SIM_OK, "samples": 1e400}),
+        # an 8x8 gate that is I (x) [[1, 1], [0, 1]] (x) I: refused on its 2x2 block on qubit 1
+        ("simulate", {"d": 2, "n": 3, "input": {"kind": "computational", "index": 0},
+                      "gates": [{"matrix": np.kron(np.kron(np.eye(2), [[1, 1], [0, 1]]), np.eye(2)).tolist()}],
+                      "measurement": {"kind": "computational", "indices": [0], "outcomes": [0]}}),
     ],
     ids=["d-1e400", "measurement-array", "generators-not-text", "nan-input-matrix", "nan-gate-matrix",
-         "gate-not-unitary", "misspelt-gates", "gate-kind-and-matrix", "explicit-with-indices", "plus-with-index", "gkp-sim-samples-1e400"],
+         "gate-not-unitary", "misspelt-gates", "gate-kind-and-matrix", "explicit-with-indices", "plus-with-index", "gkp-sim-samples-1e400",
+         "block-not-unitary"],
 )
 def test_bad_documents_are_validation_errors(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"

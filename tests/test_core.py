@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditphase import (
+    CircuitDescription,
     DenseOperator,
     DensityState,
     DimensionCapError,
     GateKind,
+    GaussianCircuit,
+    MeasurementEffect,
+    MeasurementKind,
     QuditSystem,
     ValidationError,
     clifford_coordinate_action,
@@ -202,3 +206,26 @@ def test_pure_density_normalizes():
 def test_wrong_gate_targets_are_validation_errors(build, kind, targets):
     with pytest.raises(ValidationError):
         build(QuditSystem(2, 2), kind, targets)
+
+
+QUBIT = QuditSystem(2, 1)
+ARRAY_HOLDERS = {
+    "operator": lambda: DenseOperator(QUBIT, np.eye(2)),
+    "state": lambda: computational_state(QUBIT, 0),
+    "gaussian-circuit": lambda: GaussianCircuit(QUBIT, np.eye(2), np.zeros(2)),
+    "explicit-effect": lambda: MeasurementEffect(MeasurementKind.EXPLICIT, operator=DenseOperator(QUBIT, np.diag([1.0, 0.0]))),
+    "circuit": lambda: CircuitDescription(
+        QUBIT, computational_state(QUBIT, 0), ((GateKind.FOURIER, (0,)),),
+        MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0,), (0,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_and_hash_by_identity(build):
+    # an array-valued field has no single truth value, so == and hash go by identity
+    # (a container compares such a field by identity too)
+    obj, twin = build(), build()
+    assert obj == obj and obj != twin
+    assert obj in [twin, obj] and twin not in [obj]
+    assert hash(obj) == hash(obj) and len({obj, twin}) == 2

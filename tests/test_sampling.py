@@ -33,11 +33,11 @@ from quditphase import (
     t_state,
 )
 from quditphase.basis import PhasePoint, o_stack, p_stack
-from quditphase.core import embed_generator
-from quditphase import sampling
-from quditphase.sampling import _columns, _effect_steps, _step, _steps, _support, frame_measurement_coeffs
+from quditphase.core import _support, embed_generator
+from quditphase import core, sampling
+from quditphase.sampling import _columns, _effect_steps, _step, _steps, frame_measurement_coeffs
 
-from dense_reference import dense_frame_column, einsum_contract_stack
+from dense_reference import dense_frame_column, einsum_contract_stack, full_unitarity_deviation
 from trajectory_reference import per_trajectory_report
 
 EXACT_HTH = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
@@ -801,8 +801,69 @@ def test_forward_norm_matches_the_exhaustive_column_max(case):
     d, n, build, support = case
     s = QuditSystem(d, n)
     u = build()
-    assert _support(s, u)[0] == support
+    assert _support(s, u)[0] == tuple(support)
     assert abs(forward_norm(one_gate_circuit(s, u)) - oracle_column_max(s, u)) < 1e-12
+
+
+def test_unitarity_is_checked_on_the_block_the_support_leaves(monkeypatch):
+    # a full-register T on qubit 3 of 5 is 32x32; the flag and the circuit each check its 2x2 block
+    s = QuditSystem(2, 5)
+    u = embed(2, 5, T_GATE, [3])
+    seen, check = [], core._check_unitary
+
+    def record(entries):
+        seen.append(entries.shape)
+        check(entries)
+
+    monkeypatch.setattr(core, "_check_unitary", record)
+    monkeypatch.setattr(sampling, "_check_unitary", record)
+    flagged = DenseOperator(s, u, unitary=True)
+    CircuitDescription(s, computational_state(s, 0), (flagged, DenseOperator(s, u)), measure_zero(s))
+    assert seen == [(2, 2), (2, 2)]  # the flagged gate is not checked again
+
+
+def test_each_explicit_gate_is_reduced_once_when_the_circuit_is_built(monkeypatch):
+    s = QuditSystem(2, 2)
+    calls = []
+
+    def count(system, unitary):
+        calls.append(unitary.shape)
+        return _support(system, unitary)
+
+    monkeypatch.setattr(core, "_support", count)
+    monkeypatch.setattr(sampling, "_support", count)
+    gates = (DenseOperator(s, embed(2, 2, T_GATE, [1])), (GateKind.FOURIER, (0,)), DenseOperator(s, haar_unitary(4, 3)))
+    circuit = CircuitDescription(s, computational_state(s, 0), gates, measure_zero(s))
+    assert circuit.gates[0] is gates[0] and circuit.gates[2] is gates[2]
+    forward_norm(circuit)
+    estimate_born(circuit, 0.5, 0.1, seed=1)
+    estimate_born_char(circuit, 0.5, 0.1, seed=1)
+    assert calls == [(4, 4), (4, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), n=st.integers(1, 4), data=st.data())
+def test_the_block_verdict_is_the_full_register_verdict(d, n, data):
+    # U = I (x) V with exact zeros, so U U^dagger - I has exactly the nonzero entries of V V^dagger - I
+    k = data.draw(st.integers(1, n), label="k")
+    qudits = data.draw(st.permutations(range(n)), label="order")[:k]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    scale = data.draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e-1)), label="perturbation")
+    rng = np.random.default_rng([seed, 1])  # a stream apart from the block's own draws
+    noise = rng.normal(size=(d**k, d**k)) + 1j * rng.normal(size=(d**k, d**k))
+    u = embed(d, n, haar_unitary(d**k, seed) + scale * noise / np.max(np.abs(noise)), qudits)
+    s = QuditSystem(d, n)
+    expect = full_unitarity_deviation(u) > 1e-9
+
+    def refused(build):
+        try:
+            build()
+        except ValidationError:
+            return True
+        return False
+
+    assert refused(lambda: DenseOperator(s, u, unitary=True)) == expect
+    assert refused(lambda: CircuitDescription(s, computational_state(s, 0), (DenseOperator(s, u),), measure_zero(s))) == expect
 
 
 @pytest.mark.parametrize("char", [False, True], ids=["o", "hw"])
