@@ -97,12 +97,15 @@ class GkpLatticeCoefficients(_Table):
                 raise ValidationError(f"Wigner cell values must be real (dev {worst:.3e})")
 
 
+def _wigner_prefactor(system: QuditSystem) -> float:
+    """(d/8pi)^{n/2}, the weight of one Wigner delta peak per unit of x."""
+    return (system.d / (8 * math.pi)) ** (system.n / 2)
+
+
 def _wigner_cell(x: QuasiDistribution) -> GkpLatticeCoefficients:
     """The Wigner cell of a restricted x table: its doubled-domain lift."""
-    system = x.system
-    pref = (system.d / (8 * math.pi)) ** (system.n / 2)
-    vals = lift_to_full(x.values, lift_table(system.d))
-    return GkpLatticeCoefficients._adopt(system, GkpKind.WIGNER, vals, pref)
+    vals = lift_to_full(x.values, lift_table(x.system.d))
+    return GkpLatticeCoefficients._adopt(x.system, GkpKind.WIGNER, vals, _wigner_prefactor(x.system))
 
 
 def gkp_wigner_coefficients(rho: DensityState) -> GkpLatticeCoefficients:

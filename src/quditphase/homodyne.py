@@ -17,12 +17,12 @@ sign(x_rho(u)) and the constant weight ||x_rho||_1 (d/8pi)^{n/2};
 the signed weighted histogram reproduces the pseudo-probability P~,
 which is not normalizable and is flagged as such.
 
-A batch is columnar. Every field of a sample is a function of its drawn
-label u, so ``simulate_homodyne_batch`` maps each distinct label once
-(one integer matmul for the whole batch on the lattice path) and returns
-a ``HomodyneBatch``: the per-label columns plus each sample's row
-number. It is an immutable sequence of ``HomodyneSample``; a sample
-object is built only when it is accessed. Identical seeds and
+A batch is columnar: every field of a sample is a function of its drawn
+label u, and the input draw (``measures._InputLabels.draw``, the Born
+estimator's too) gives the distinct labels, their units and each sample's
+index among them. ``simulate_homodyne_batch`` maps each distinct label
+once into a ``HomodyneBatch``, an immutable sequence of ``HomodyneSample``
+that builds a sample object only when it is accessed. Identical seeds and
 configurations reproduce identical samples.
 """
 
@@ -42,6 +42,7 @@ from .basis import (
     clifford_coordinate_action,
     omega_block,
 )
+from .gkp import _wigner_prefactor
 from .measures import _InputLabels, _stream_rng, x_distribution
 
 __all__ = [
@@ -142,13 +143,11 @@ def logical_clifford_symplectic(system: QuditSystem, kind, targets=None) -> Gaus
 
 @dataclass(frozen=True, eq=False, repr=False)
 class HomodyneBatch(Sequence):
-    """Immutable sequence of homodyne samples stored as columns.
-
-    Every field of a sample is a function of its drawn label, so the
-    batch keeps one row per distinct label (``points`` as (l, m) vectors,
-    ``lattice_index``, ``x``, ``signs``) and each sample's row number in
-    ``inverse``. ``HomodyneSample`` and ``PhasePoint`` objects are built
-    only when a sample is accessed.
+    """Immutable sequence of homodyne samples stored as columns: one row per
+    distinct drawn label, ascending (``points`` as (l, m) vectors, ``lattice_index``,
+    ``x``, ``signs``), and each sample's row in ``inverse``, in the smallest type
+    that holds it (uint32 at most at the sample cap). Sample objects are built
+    only when one is accessed.
     """
 
     points: np.ndarray
@@ -202,10 +201,10 @@ def simulate_homodyne_batch(
 ) -> HomodyneBatch:
     """Draw ``num_samples`` homodyne samples with one seeded stream.
 
-    Each distinct drawn label is mapped once: by one integer matmul when
-    the circuit has an integer map, by the float map S (c u) + t otherwise.
-    A float-mapped position beyond the float range raises ValidationError,
-    so every returned position is finite.
+    One input draw gives the distinct labels, their signs and each sample's
+    row. Each label is mapped once: by one integer matmul when the circuit
+    has an integer map, by the float map S (c u) + t otherwise. A position
+    mapped beyond the float range raises ValidationError.
     """
     system = rho.system
     if circuit.system != system:
@@ -214,9 +213,8 @@ def simulate_homodyne_batch(
     d, n = system.d, system.n
     source = _InputLabels(x_distribution(rho, Domain.FULL).values)
     c = math.sqrt(math.pi / (2 * d))
-    # nz ascends, so distinct positions give the distinct labels in order
-    distinct, inverse = np.unique(source.draw(_stream_rng(seed), num_samples), return_inverse=True)
-    vecs = source.labels(distinct).astype(np.int64)  # (2n, distinct)
+    digits, units, inverse = source.draw(_stream_rng(seed), num_samples)
+    vecs = digits.astype(np.int64)  # (2n, distinct)
     if circuit.integer_s is not None:
         k = circuit.integer_s @ vecs + circuit.integer_shift[:, None]
         xfull = c * k.astype(float)
@@ -235,9 +233,9 @@ def simulate_homodyne_batch(
         points=vecs.T,
         lattice_index=lattice,
         x=xfull[:n].T,
-        signs=np.sign(source.units(distinct)).astype(np.int64),
+        signs=np.sign(units).astype(np.int64),
         inverse=inverse,
-        weight=source.norm * (d / (8 * math.pi)) ** (n / 2),
+        weight=source.norm * _wigner_prefactor(system),
         modulus=2 * d,
     )
 

@@ -312,14 +312,30 @@ def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
     return norm
 
 
+def _distinct(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``key`` (each in [0, cells)) ascending, the
+    index of one entry holding each, and each entry's index among them in
+    the smallest unsigned type that holds it: by a table over the cells
+    while it is no longer than ``key``, by a sort otherwise."""
+    if cells > len(key):
+        values, first, ids = np.unique(key, return_index=True, return_inverse=True)
+        return values, first, ids.astype(np.min_scalar_type(len(values) - 1))
+    seen = np.full(cells, -1, dtype=np.intp)
+    seen[key] = np.arange(len(key))
+    values = np.flatnonzero(seen >= 0)
+    remap = np.zeros(cells, dtype=np.min_scalar_type(len(values) - 1))
+    remap[values] = np.arange(len(values))
+    return values, seen[values], remap[key]
+
+
 class _InputLabels:
     """The input draw of both samplers (Pashayan, Wallman and Bartlett, PRL
     115, 070501 (2015)): a label u of a signed table x, drawn with probability
     |x(u)| / ||x||_1, carries ||x||_1 times the sign (or phase) of x(u).
-    ``nz`` holds the ``_kept`` flat labels, ascending, stored only when an entry
-    is dropped; ``cdf`` is cumsum |x| over them divided by its own last entry,
-    so it ends at exactly 1. ``norm``, the pinned weight, sums the table with
-    dropped entries zeroed; it may differ by an ulp from ``lp_norm``, M's input factor."""
+    ``cdf`` is cumsum |x| over the ``_kept`` flat labels, ascending, divided by its
+    own last entry, so it ends at exactly 1; ``_nz`` holds those labels only when
+    an entry is dropped. ``norm``, the pinned weight, sums the table with dropped
+    entries zeroed; it may differ by an ulp from ``lp_norm``, M's input factor."""
 
     def __init__(self, values: np.ndarray):
         self._flat, self._shape = values.reshape(-1), values.shape
@@ -334,28 +350,16 @@ class _InputLabels:
         self.cdf = np.cumsum(mags, out=mags)
         self.cdf /= self.cdf[-1]
 
-    @property
-    def nz(self) -> np.ndarray:
-        return np.arange(len(self.cdf)) if self._nz is None else self._nz
-
-    def _at(self, pos):
-        """The flat labels at positions ``pos``: the positions themselves when every entry is kept."""
-        return pos if self._nz is None and not isinstance(pos, slice) else self.nz[pos]
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` positions into ``nz`` by inverse CDF from one uniform block (none for one label)."""
-        if len(self.cdf) == 1:
-            return np.zeros(count, dtype=np.intp)
-        return np.searchsorted(self.cdf, rng.random(count), side="right")
-
-    def labels(self, pos) -> np.ndarray:
-        """The digits, axis by axis, of the labels at positions ``pos``, in the smallest type that holds them."""
-        return np.array(np.unravel_index(self._at(pos), self._shape)).astype(np.min_scalar_type(self._shape[0] - 1))
-
-    def units(self, pos) -> np.ndarray:
-        """``norm`` times the sign (or phase) of the table at positions ``pos``."""
-        v = self._flat[self._at(pos)]
-        return self.norm * (v / np.abs(v))
+    def draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``count`` labels by inverse CDF from one uniform block (none for one label), as the
+        distinct labels drawn, ascending: their digits, axis by axis, in the smallest type that
+        holds them, their units (``norm`` times the sign or phase) and each draw's index among them."""
+        pos = np.searchsorted(self.cdf, rng.random(count), side="right") if len(self.cdf) > 1 else np.zeros(count, np.intp)
+        pos, _, ids = _distinct(pos, len(self.cdf))
+        flat = pos if self._nz is None else self._nz[pos]
+        digits = np.array(np.unravel_index(flat, self._shape)).astype(np.min_scalar_type(self._shape[0] - 1))
+        v = self._flat[flat]
+        return digits, self.norm * (v / np.abs(v)), ids
 
 
 def _stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:

@@ -15,8 +15,8 @@ effect's max. A trajectory is a label vector in Z_d^{2n} and a weight;
 between explicit gates its future depends only on those, so a stream
 holds its K trajectories as S distinct states, (2n, S) digits (the
 smallest unsigned type that holds d - 1) and (S,) weights, and each
-trajectory's state. The input positions drawn from ``measures._InputLabels``
-(the homodyne sampler's source too) are the first states. A named gate
+trajectory's state. The first states are the distinct input labels of one
+``measures._InputLabels.draw`` (the homodyne sampler's too). A named gate
 or effect step runs once per state, on the 2k label axes of its k
 support qudits, at the Horner index of the local label there. An
 explicit gate draws each trajectory's image from its state's column, and
@@ -89,6 +89,7 @@ from .basis import (
 from .measures import (
     _InputLabels,
     _contract_stack,
+    _distinct,
     _kept,
     _real,
     _stream_rng,
@@ -382,36 +383,18 @@ def _step(d: int, labels: np.ndarray, w: np.ndarray, axes: np.ndarray, op) -> np
     return w * phases[local]
 
 
-def _distinct(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of ``key`` (each in [0, cells)) ascending, the
-    index of one entry holding each, and each entry's index among them in
-    the smallest unsigned type that holds it: by a table over the cells
-    while it is no longer than ``key``, by a sort otherwise."""
-    if cells > len(key):
-        values, first, ids = np.unique(key, return_index=True, return_inverse=True)
-        return values, first, ids.astype(np.min_scalar_type(len(values) - 1))
-    seen = np.full(cells, -1, dtype=np.intp)
-    seen[key] = np.arange(len(key))
-    values = np.flatnonzero(seen >= 0)
-    remap = np.zeros(cells, dtype=np.min_scalar_type(len(values) - 1))
-    remap[values] = np.arange(len(values))
-    return values, seen[values], remap[key]
-
-
 def _stream_states(d: int, source: _InputLabels, steps: list, rng: np.random.Generator, count: int):
     """One stream's ``count`` trajectories as distinct states: their weights
-    and trajectory counts (each >= 1). Named gates and effects run once per
-    state; an explicit gate draws each trajectory's image from its state's
-    column, and each distinct (state, image) pair becomes a state, whose
-    weight takes the float operations of each of its trajectories."""
-    positions, _, ids = _distinct(source.draw(rng, count), len(source.cdf))
-    labels, w = source.labels(positions), source.units(positions)
+    and trajectory counts (each >= 1), starting from the input draw's distinct labels
+    and units. Named gates and effects run once per state; an explicit gate draws
+    each trajectory's image from its state's column, and each distinct (state, image)
+    pair becomes a state, whose weight takes the float operations of each of its trajectories."""
+    labels, w, ids = source.draw(rng, count)
     for axes, op in steps:
         if not isinstance(op, _LocalGate):
             w = _step(d, labels, w, axes, op)
             continue
-        dims = (d,) * len(axes)
-        size = d ** len(axes)
+        dims, size = (d,) * len(axes), d ** len(axes)
         key, cnorm, picked = op.draw(np.ravel_multi_index(labels[axes], dims)[ids], rng.random(len(ids)))
         key += ids * np.int64(size)  # state * size + drawn image
         keys, first, ids = _distinct(key, len(w) * size)

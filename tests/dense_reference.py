@@ -7,15 +7,18 @@ with the per-factor sign lift that the library uses for its FULL tables,
 so the tests can hold the lift against it. ``dense_stabilizer_state``
 builds a stabilizer state as the product of its generator eigenprojectors
 from ``hw_matrix``, sharing no code with the library's group table.
-``dense_frame_column`` builds one estimator frame column from a dense
-Kronecker product, a dense conjugation and one contraction, sharing no
-code with the library's batched column kernel or its support reduction.
+``dense_frame_columns`` builds estimator frame columns, a batch of labels
+at a time, from dense Kronecker products, dense conjugations and one
+contraction, sharing no code with the library's batched column kernel or
+its support reduction.
 ``gather_lift`` is the index-gather form of the per-factor lift, kept as
 the reference for the library's ``lift_to_full`` (a column-only lift times
 a cached row-sign table); it takes any (2d, 2d) table.
 ``einsum_contract_stack`` is the one-einsum form of the per-factor stack
 contraction Tr(Stack_u M), the reference for the library's tensordot
 passes and the contraction every table here uses.
+``dense_born_probability`` is Tr(Pi U rho U^dagger) of a circuit from
+dense matrices alone, the oracle for the estimator's statistical checks.
 ``full_unitarity_deviation`` is max |U U^dagger - I| on the whole
 register against a built identity, the check the library ran before it
 checked a gate on the block its exact support leaves.
@@ -38,24 +41,29 @@ from quditphase.core import (
     QuditError,
     QuditSystem,
     ValidationError,
+    embed_generator,
     hw_matrix,
 )
 from quditphase.measures import NORM_CUTOFF
+from quditphase.sampling import MeasurementKind
 from quditphase.stabilizer import generator_phases
 
 
 def einsum_contract_stack(system, stack, matrix):
-    """out[u] = Tr(Stack_u M) by one einsum over all n factors.
+    """out[..., u] = Tr(Stack_u M) by one einsum over all n factors.
 
-    ``stack`` has shape (mod, mod, d, d); the result has 2n axes ordered
-    (l-block, m-block).
+    ``stack`` has shape (mod, mod, d, d) and ``matrix`` shape (d^n, d^n),
+    or (B, d^n, d^n) with a leading batch axis; the result keeps the batch
+    axis and has 2n more, ordered (l-block, m-block).
     """
     d, n = system.d, system.n
+    lead = matrix.ndim - 2
     letters = iter(string.ascii_letters)
     ls, ms, rows, cols = ([next(letters) for _ in range(n)] for _ in range(4))
+    batch = "".join(next(letters) for _ in range(lead))
     subs = [l + m + r + c for l, m, r, c in zip(ls, ms, rows, cols)]
-    spec = ",".join(subs + ["".join(cols + rows)]) + "->" + "".join(ls + ms)
-    operands = [*[stack] * n, matrix.reshape((d,) * (2 * n))]
+    spec = ",".join(subs + [batch + "".join(cols + rows)]) + "->" + batch + "".join(ls + ms)
+    operands = [*[stack] * n, matrix.reshape(matrix.shape[:lead] + (d,) * (2 * n))]
     return np.einsum(spec, *operands, optimize=_greedy_path(spec, tuple(op.shape for op in operands)))
 
 
@@ -148,29 +156,48 @@ def dense_stabilizer_state(group):
     return out
 
 
-def dense_frame_column(system: QuditSystem, char: bool, unitary: np.ndarray, flat: int) -> np.ndarray:
-    """x_U(lam' | lam) for every lam', lam the restricted label at ``flat``.
+def dense_frame_columns(system: QuditSystem, char: bool, unitary: np.ndarray, flats) -> np.ndarray:
+    """One row x_U(lam' | lam) over every lam' per restricted label lam at ``flats``.
 
-    The basis operator at lam is the Kronecker product of single-qudit
-    stack entries; it is conjugated by U and contracted with the dual
-    stack. O-frame columns are real, Heisenberg-Weyl columns complex.
+    The basis operator at each lam is the Kronecker product of single-qudit
+    stack entries, built over the batch by one einsum per factor; all are
+    conjugated by U and contracted with the dual stack by one einsum. O-frame
+    rows are real, Heisenberg-Weyl rows complex.
     """
     d, n = system.d, system.n
     basis, dual = (p_stack(d), np.conj(np.swapaxes(p_stack(d), 2, 3))) if char else (o_stack(d), o_stack(d))
-    vec = np.unravel_index(flat, (d,) * (2 * n))
-    op = basis[vec[0], vec[n]]
-    for q in range(1, n):
-        op = np.kron(op, basis[vec[q], vec[n + q]])
-    col = einsum_contract_stack(system, dual, unitary @ op @ unitary.conj().T) / d**n
+    vec = np.unravel_index(np.asarray(flats), (d,) * (2 * n))
+    ops = np.ones((len(vec[0]), 1, 1))
+    for q in range(n):
+        side = ops.shape[1] * d
+        ops = np.einsum("bij,bkl->bikjl", ops, basis[vec[q], vec[n + q]]).reshape(-1, side, side)
+    rows = einsum_contract_stack(system, dual, unitary @ ops @ unitary.conj().T).reshape(len(ops), -1) / d**n
     if not char:
-        if np.max(np.abs(col.imag)) > 1e-10:
+        if np.max(np.abs(rows.imag)) > 1e-10:
             raise InvariantError("frame column must be real")
-        col = col.real
-    col = col.reshape(-1)
-    col[np.abs(col) < NORM_CUTOFF] = 0.0
-    if not np.any(col):
+        rows = rows.real
+    rows[np.abs(rows) < NORM_CUTOFF] = 0.0
+    if not np.all(np.any(rows, axis=1)):
         raise InvariantError("frame column vanished; unitary inconsistent")
-    return col
+    return rows
+
+
+def dense_born_probability(circuit) -> float:
+    """Tr(Pi U rho U^dagger): the input conjugated by each gate's dense unitary in
+    order (a named one by ``embed_generator``) and read by the dense effect, a
+    computational one as the diagonal entries whose digits (qudit 0 the most
+    significant) match the outcomes."""
+    system = circuit.system
+    rho = circuit.input_state.matrix
+    for gate in circuit.gates:
+        u = gate.entries if isinstance(gate, DenseOperator) else embed_generator(system, *gate).entries
+        rho = u @ rho @ u.conj().T
+    effect = circuit.measurement
+    if effect.kind is MeasurementKind.EXPLICIT:
+        return float(np.real(np.trace(effect.operator.entries @ rho)))
+    digits = np.unravel_index(np.arange(system.dim), (system.d,) * system.n)
+    hit = np.all([digits[q] == o for q, o in zip(effect.indices, effect.outcomes)], axis=0)
+    return float(np.real(np.sum(np.diag(rho)[hit])))
 
 
 def full_unitarity_deviation(unitary: np.ndarray) -> float:

@@ -17,6 +17,7 @@ import pytest
 from quditphase import (
     DensityState,
     GateKind,
+    GkpKind,
     QuditSystem,
     SymplecticAffineMap,
     cell_lp_norm,
@@ -25,6 +26,7 @@ from quditphase import (
     haar_random_state,
     logical_clifford_symplectic,
     plus_state,
+    stabilizer_cell_norm,
 )
 from quditphase.measures import random_clifford_word, word_unitary
 
@@ -76,19 +78,24 @@ def test_generator_words_relabel_the_wigner_cell_through_the_composed_gaussians(
     assert_cell_follows_the_map(rho, word_unitary(system, word).entries, amap)
 
 
+def _plus_cell_norm(d, n):
+    return stabilizer_cell_norm(QuditSystem(d, n), GkpKind.WIGNER, 1)
+
+
 @pytest.mark.parametrize(
-    "d, n, diagonal, before, after",
+    "d, n, diagonal, before, after, tol",
     [
-        (2, 2, [1, 1, 1, 1j], 1.273, 2.228),  # CS
-        (2, 3, [1] * 7 + [-1], 1.437, 2.694),  # CCZ
-        (3, 1, [np.exp(2j * np.pi * k**3 / 9) for k in range(3)], 1.382, 2.192),  # qutrit cubic phase
+        # closed forms (Theorem 1): |+>^n has the stabilizer cell norm, times ||x||_1 = 7/4 after CS, 15/8 after CCZ
+        (2, 2, [1, 1, 1, 1j], _plus_cell_norm(2, 2), _plus_cell_norm(2, 2) * 7 / 4, 1e-12),  # CS
+        (2, 3, [1] * 7 + [-1], _plus_cell_norm(2, 3), _plus_cell_norm(2, 3) * 15 / 8, 1e-12),  # CCZ
+        (3, 1, [np.exp(2j * np.pi * k**3 / 9) for k in range(3)], 1.382, 2.192, 1e-3),  # qutrit cubic phase
     ],
     ids=["CS", "CCZ", "qutrit-cubic-phase"],
 )
-def test_non_clifford_gates_move_the_cell_norm_of_plus(d, n, diagonal, before, after):
+def test_non_clifford_gates_move_the_cell_norm_of_plus(d, n, diagonal, before, after, tol):
     system = QuditSystem(d, n)
     plus = plus_state(system)
     gate = np.diag(np.array(diagonal, dtype=complex))
     moved = DensityState(system, gate @ plus.matrix @ gate.conj().T)
     got = cell_lp_norm(gkp_wigner_coefficients(plus), 1), cell_lp_norm(gkp_wigner_coefficients(moved), 1)
-    assert math.isclose(got[0], before, abs_tol=1e-3) and math.isclose(got[1], after, abs_tol=1e-3)
+    assert math.isclose(got[0], before, abs_tol=tol) and math.isclose(got[1], after, abs_tol=tol)

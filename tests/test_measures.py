@@ -207,12 +207,31 @@ def test_renyi_monotone_under_alpha():
     assert all(x > y - 1e-12 for x, y in zip(vals, vals[1:]))
 
 
+class _Uniforms:
+    """A stub generator that hands out the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, count):
+        assert count == len(self.uniforms)
+        return self.uniforms
+
+
+def _draw_at(source, positions):
+    """The input draw whose uniforms land at ``positions`` among the kept labels:
+    cdf[p - 1] (0 at p = 0) is the least uniform that the inverse CDF sends to p."""
+    return source.draw(_Uniforms(np.where(positions > 0, source.cdf[positions - 1], 0.0)), len(positions))
+
+
 def test_an_entry_at_the_cutoff_is_kept_alike_everywhere(monkeypatch):
     # |v| >= NORM_CUTOFF counts as nonzero in the norms, the input draw and the frame columns
     table = np.array([[0.5, measures.NORM_CUTOFF], [0.25, 0.0]])
     assert lp_norm(table, 1.0) > 0.75
     source = measures._InputLabels(table)
-    assert source.nz.tolist() == [0, 1, 2] and source.norm > 0.75 and source.units(1) == source.norm
+    digits, units, ids = _draw_at(source, np.arange(len(source.cdf)))
+    assert np.ravel_multi_index(digits, table.shape).tolist() == [0, 1, 2] and ids.tolist() == [0, 1, 2]
+    assert source.norm > 0.75 and units[1] == source.norm
     # a stubbed contraction hands the frame kernel the table times d^n = 2, which it divides out exactly
     monkeypatch.setattr(sampling, "_contract_stack", lambda system, stack, mats: np.array([2 * table], dtype=complex))
     rows = sampling._columns(QuditSystem(2, 1), False, np.eye(2), np.arange(1))
@@ -241,13 +260,17 @@ def test_the_input_labels_hold_the_tables_norms_cdf_and_digits(d, n, table, doma
     kept = mags >= measures.NORM_CUTOFF
     # the draw's norm sums the zeroed full table
     assert source.norm == float(np.sum(np.where(kept, mags, 0.0)))
-    assert np.array_equal(source.nz, np.flatnonzero(kept))
     assert source.cdf[-1] == 1.0
     assert np.allclose(source.cdf, np.cumsum(mags[kept]) / np.sum(mags[kept]), rtol=0, atol=1e-14)
-    digits = source.labels(slice(None))
+    # a draw at every position gives every kept label, ascending, and no other
+    every = np.arange(len(source.cdf))
+    digits, _, ids = _draw_at(source, every)
+    assert np.array_equal(ids, every)
     assert digits.dtype == np.min_scalar_type(values.shape[0] - 1)
     assert np.array_equal(digits, np.indices(values.shape).reshape(2 * n, -1)[:, kept])
-    assert np.array_equal(source.labels(np.array([2, 0])), digits[:, [2, 0]])
+    # the distinct labels drawn ascend, and each draw's index points at its own
+    some, _, ids = _draw_at(source, np.array([2, 0, 2]))
+    assert np.array_equal(some, digits[:, [0, 2]]) and ids.tolist() == [1, 0, 1]
 
 
 @pytest.mark.parametrize("table", [x_distribution, characteristic_fn], ids=["x", "chi"])
@@ -255,21 +278,15 @@ def test_the_input_labels_hold_the_tables_norms_cdf_and_digits(d, n, table, doma
 def test_input_units_have_modulus_norm_and_the_sign_of_the_table(table, domain):
     values = _haar_table(table, 3, 2, domain)
     source = measures._InputLabels(values)
-    v = values.ravel()[source.nz]
-    units = source.units(slice(None))
+    v = values.ravel()[np.abs(values).ravel() >= measures.NORM_CUTOFF]
+    _, units, _ = _draw_at(source, np.arange(len(source.cdf)))
     assert np.allclose(np.abs(units), source.norm, rtol=1e-15, atol=0)
     if np.isrealobj(values):
         assert np.array_equal(np.sign(units), np.sign(v)) and np.all(np.abs(units) == source.norm)
     else:
         assert np.allclose(units / source.norm, v / np.abs(v), rtol=0, atol=1e-15)
-    assert np.array_equal(source.units(np.array([3, 1])), units[[3, 1]])
-
-
-class _TopUniform:
-    """A stub generator whose every uniform is the largest double below 1."""
-
-    def random(self, count):
-        return np.full(count, np.nextafter(1.0, 0.0))
+    _, some, ids = _draw_at(source, np.array([3, 1]))
+    assert np.array_equal(some, units[[1, 3]]) and ids.tolist() == [1, 0]
 
 
 def test_the_input_cdf_ends_at_exactly_one_where_the_pairwise_norm_is_larger():
@@ -279,7 +296,10 @@ def test_the_input_cdf_ends_at_exactly_one_where_the_pairwise_norm_is_larger():
     source = measures._InputLabels(values)
     assert source.norm > np.cumsum(np.abs(values))[-1]
     assert source.cdf[-1] == 1.0 and np.all(np.diff(source.cdf) >= 0)
-    assert source.draw(_TopUniform(), 5).tolist() == [len(source.nz) - 1] * 5
+    # the largest double below 1 draws the last kept label
+    digits, _, ids = source.draw(_Uniforms(np.full(5, np.nextafter(1.0, 0.0))), 5)
+    last = np.flatnonzero(np.abs(values).ravel() >= measures.NORM_CUTOFF)[-1]
+    assert digits.T.tolist() == [list(np.unravel_index(last, values.shape))] and ids.tolist() == [0] * 5
 
 
 @pytest.mark.parametrize("n, domain", [(2, Domain.RESTRICTED), (1, Domain.FULL)])
@@ -287,7 +307,8 @@ def test_the_input_draw_has_the_law_of_the_table(n, domain):
     values = _haar_table(x_distribution, 2, n, domain)
     source = measures._InputLabels(values)
     draws = 100_000
-    counts = np.bincount(source.nz[source.draw(measures._stream_rng(1), draws)], minlength=values.size)
+    digits, _, ids = source.draw(measures._stream_rng(1), draws)
+    counts = np.bincount(np.ravel_multi_index(digits, values.shape)[ids], minlength=values.size)
     mags = np.abs(values).ravel()
     kept = mags >= measures.NORM_CUTOFF
     assert not counts[~kept].any()
@@ -319,7 +340,7 @@ def test_orders_must_be_finite(order):
 
 def test_an_all_kept_table_builds_its_draw_in_one_magnitude_array():
     # every entry kept: positions are the flat labels, so no index array is stored, and the
-    # cumsum runs in place over the magnitudes; a draw's labels and units are read at its positions
+    # cumsum runs in place over the magnitudes; a draw reads labels and units at its distinct positions
     values = _haar_table(x_distribution, 2, 5, Domain.FULL)  # 4^10 entries, 8 MiB
     assert np.all(np.abs(values) >= measures.NORM_CUTOFF)
     pos = np.array([7, 2, 7])
@@ -329,13 +350,13 @@ def test_an_all_kept_table_builds_its_draw_in_one_magnitude_array():
         build = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        digits, units = source.labels(pos), source.units(pos)
+        digits, units, ids = _draw_at(source, pos)
         read = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     # the magnitudes (the cdf), the kept mask (a byte per entry) and numpy's 64 KiB cast buffer
     assert build <= values.nbytes + values.size + (128 << 10)
     assert read < 16 << 10
-    assert np.array_equal(source.nz, np.arange(values.size))
-    assert np.array_equal(digits, np.array(np.unravel_index(pos, values.shape)))
-    assert np.array_equal(units, source.norm * np.sign(values.ravel()[pos]))
+    assert source._nz is None and len(source.cdf) == values.size
+    assert np.array_equal(digits, np.array(np.unravel_index([2, 7], values.shape))) and ids.tolist() == [1, 0, 1]
+    assert np.array_equal(units, source.norm * np.sign(values.ravel()[[2, 7]]))

@@ -37,7 +37,8 @@ from quditphase.core import _support, embed_generator
 from quditphase import core, sampling
 from quditphase.sampling import _columns, _effect_steps, _step, _steps, frame_measurement_coeffs
 
-from dense_reference import dense_frame_column, einsum_contract_stack, full_unitarity_deviation
+from dense_reference import dense_frame_columns, einsum_contract_stack, full_unitarity_deviation
+from stat_oracle import born_z_score
 from trajectory_reference import per_trajectory_report
 
 EXACT_HTH = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
@@ -439,14 +440,14 @@ def dense_support_entries(d, kind, char):
     """Position and value of the one nonzero entry of each dense frame column
     of a generator on its own 1- or 2-qudit support (SUM as (control, target)).
 
-    Each column is a dense conjugation (``dense_frame_column``); it must
+    Each column is a dense conjugation (``dense_frame_columns``); it must
     have exactly one nonzero, of modulus one.
     """
     local = QuditSystem(d, 2 if kind is GateKind.SUM else 1)
     unitary = embed_generator(local, kind).entries
     hits, entries = [], []
     for flat in range(d ** (2 * local.n)):
-        col = dense_frame_column(local, char, unitary, flat)
+        col = dense_frame_columns(local, char, unitary, [flat])[0]
         nonzero = np.flatnonzero(col)
         assert len(nonzero) == 1
         assert abs(abs(col[nonzero[0]]) - 1.0) < 1e-12
@@ -653,6 +654,27 @@ def test_hw_frame_reports_are_pinned(make, epsilon, seed, streams, estimate, sam
     assert report.forward_norm == norm
 
 
+def qutrit_named_word_circuit():
+    # a named-only Clifford word at d=3 on a Haar input; the readout (0, 2) is reached from
+    # input labels of both signs in both frames, so a draw that dropped them would be caught
+    s = QuditSystem(3, 2)
+    word = ((GateKind.FOURIER, (0,)), (GateKind.PHASE, (1,)), (GateKind.SUM, (0, 1)), (GateKind.SHIFT, (1,)),
+            (GateKind.CLOCK, (0,)), (GateKind.FOURIER, (1,)), (GateKind.PHASE, (0,)), (GateKind.SUM, (1, 0)))
+    rho = haar_random_state(s, np.random.default_rng(10))
+    return CircuitDescription(s, rho, word, MeasurementEffect(MeasurementKind.COMPUTATIONAL, (0, 1), (0, 2)))
+
+
+@pytest.mark.parametrize("runner", [estimate_born, estimate_born_char], ids=["o", "hw"])
+@pytest.mark.parametrize(
+    "make", [qutrit_named_word_circuit, controlled_t_circuit, qutrit_magic_circuit],
+    ids=["d3-named-word", "controlled-t", "qutrit-readout-of-1-of-3"],
+)
+def test_seeded_estimates_center_on_the_dense_born_probability(make, runner):
+    # check (ii) of the sampler contract: the mean of 30 seeded estimates lies within
+    # 4 standard errors (their sample sd / sqrt 30) of Tr(Pi U rho U^dagger) from dense matrices
+    assert abs(born_z_score(runner, make(), 0.2, range(30))) <= 4
+
+
 def born_workload_circuit(haar_seed=None):
     # the benchmark's born shape: two 6-gate named words around a T gate
     s = QuditSystem(2, 3)
@@ -769,9 +791,10 @@ def near_product():
 
 
 def oracle_column_max(system, unitary, flats=None):
-    """Largest O-frame column 1-norm over ``flats`` (default: every label), column by column."""
-    flats = range(system.d ** (2 * system.n)) if flats is None else flats
-    return max(float(np.sum(np.abs(dense_frame_column(system, False, unitary, int(f))))) for f in flats)
+    """Largest O-frame column 1-norm over ``flats`` (default: every label), 64 dense columns at a time."""
+    flats = np.arange(system.d ** (2 * system.n)) if flats is None else np.asarray(flats)
+    blocks = (dense_frame_columns(system, False, unitary, flats[i : i + 64]) for i in range(0, len(flats), 64))
+    return max(float(np.max(np.sum(np.abs(rows), axis=1))) for rows in blocks)
 
 
 def one_gate_circuit(system, unitary):
@@ -873,7 +896,7 @@ def test_local_columns_match_the_dense_columns_and_have_unit_l2_norm(d, k, char)
     u = haar_unitary(d**k, 7)
     flats = np.arange(d ** (2 * k))
     rows = _columns(local, char, u, flats)
-    dense = np.array([dense_frame_column(local, char, u, int(f)) for f in flats])
+    dense = dense_frame_columns(local, char, u, flats)
     assert np.max(np.abs(rows - dense)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) < 1e-12
 
@@ -890,8 +913,7 @@ def test_local_draw_matches_a_per_trajectory_inverse_cdf(d, trajectories, char):
     local = rng.integers(0, d**4, size=trajectories)
     draws = rng.random(trajectories)
     image, cnorm, picked = sampling._LocalGate(local_system, u, char).draw(local, draws)
-    for t in range(trajectories):
-        col = dense_frame_column(local_system, char, u, int(local[t]))
+    for t, col in enumerate(dense_frame_columns(local_system, char, u, local)):
         cdf = np.cumsum(np.abs(col))
         pos = np.searchsorted(cdf / cdf[-1], draws[t], side="right")
         assert image[t] == pos

@@ -1,10 +1,11 @@
 """The Born estimator as a per-trajectory loop: the reference for the library's state loop.
 
 Each stream carries one (2n, K) label vector and one weight per
-trajectory. Every named gate and effect step runs on all K trajectories
-through ``sampling._step``; an explicit gate draws each trajectory's image
-from the column of its own local label, through the same
-``_LocalGate.draw`` and the same uniform block as the library. A stream's
+trajectory: the library's input draw, expanded by each draw's index.
+Every named gate and effect step runs on all K trajectories through
+``sampling._step``; an explicit gate draws each trajectory's image from
+the column of its own local label, through the same ``_LocalGate.draw``
+and the same uniform block as the library. A stream's
 sum is ``math.fsum`` over the K real parts, one at a time. The library
 instead runs each step once per distinct state and sums count x weight;
 both must give the same report, bit for bit.
@@ -23,13 +24,11 @@ def per_trajectory_report(circuit, epsilon, p_fail, seed, streams, char):
     m_forward, norm_method = sampling._aggregated_norm(steps, values, effect)
     k_total = sampling.sample_count(m_forward, epsilon, p_fail)
     source = measures._InputLabels(values)
-    unit0, digits0 = source.units(slice(None)), source.labels(slice(None))
     stream_sums = []
     for s, k_s in enumerate(sampling._split_sizes(k_total, streams)):
         rng = measures._stream_rng(seed, s)
-        pos = source.draw(rng, k_s)
-        w = unit0[pos]
-        labels = np.take(digits0, pos, axis=1)
+        digits, units, ids = source.draw(rng, k_s)
+        w, labels = units[ids], digits[:, ids]  # one label and weight per trajectory
         for axes, op in steps + effect:
             if isinstance(op, sampling._LocalGate):
                 local = labels[axes[0]].astype(np.int64)
