@@ -6,11 +6,11 @@ Provides the basic objects every other module consumes:
   against the dense-size cap.
 * ``DenseOperator`` / ``DensityState``: validated dense matrices; a gate
   is checked for unitarity on its exact support (``_support``).
-* ``hw_matrix``: the single-qudit Weyl operator P(a, b) = w_d^{ab/2} X^a Z^b
-  with the half-integer phase handled per parity of d (multiplicative
-  inverse of 2 for odd d, literal e^{i pi ab/d} with plain-integer products
-  for even d). X = P(1, 0) and Z = P(0, 1); a multi-qudit P(a, b) is the
-  Kronecker product of its factors (``basis.p_stack`` holds them all).
+* ``hw_matrix``: the single-qudit Weyl operator P(a, b) = w_d^{ab/2} X^a Z^b;
+  every half-integer power w_d^{x/2} in the library is zeta^``_zeta_half(d, x)``,
+  zeta = e^{i pi/d} (the inverse of 2 mod d at odd d, plain integers at even d).
+  X = P(1, 0) and Z = P(0, 1); a multi-qudit P(a, b) is the Kronecker product
+  of its factors (``basis.p_stack`` holds them all).
 * ``clifford_generator``: Fourier, phase, SUM, shift and clock gates, and
   ``embed_generator``, which places one on its target qudit(s) of a
   register; every named gate's targets are checked by one rule.
@@ -168,8 +168,10 @@ def _support(system: QuditSystem, unitary: np.ndarray) -> tuple[tuple[int, ...],
 
 
 def _check_hermitian(entries: np.ndarray) -> None:
-    """Raise unless A = A^dagger to 1e-9 in max-norm."""
-    dev = np.max(np.abs(entries - entries.conj().T))
+    """Raise unless A = A^dagger to 1e-9 in max-norm, compared in row blocks of about 4 MiB."""
+    rows = max(1, (4 << 20) // (entries.itemsize * len(entries)))
+    blocks = range(0, len(entries), rows)
+    dev = np.max([np.max(np.abs(entries[i : i + rows] - entries[:, i : i + rows].conj().T)) for i in blocks])
     if dev > 1e-9:
         raise ValidationError(f"hermiticity violated by {dev:.3e}")
 
@@ -217,13 +219,9 @@ class DensityState:
         return float(np.vdot(self.matrix, self.matrix).real)
 
 
-def _half_phase(d: int, prod: int) -> complex:
-    # w_d^{prod/2}: inverse of 2 mod d for odd d; literal e^{i pi prod/d},
-    # with prod over the plain integers, for even d.
-    if d % 2:
-        inv2 = pow(2, -1, d)
-        return np.exp(2j * np.pi * ((prod * inv2) % d) / d)
-    return np.exp(1j * np.pi * prod / d)
+def _zeta_half(d: int, x):
+    """The zeta = e^{i pi/d} exponent of w_d^{x/2}: 2 (x 2^{-1} mod d) at odd d, x unreduced at even d."""
+    return 2 * (x * pow(2, -1, d) % d) if d % 2 else x
 
 
 def hw_matrix(d: int, a: int, b: int) -> np.ndarray:
@@ -238,7 +236,7 @@ def hw_matrix(d: int, a: int, b: int) -> np.ndarray:
     shift = np.zeros((d, d), dtype=complex)
     shift[(np.arange(d) + a) % d, np.arange(d)] = 1.0
     clock_pow = np.exp(2j * np.pi * ((b % d) * np.arange(d)) / d)
-    return _half_phase(d, a * b) * (shift * clock_pow[np.newaxis, :])
+    return np.exp(1j * np.pi * _zeta_half(d, a * b) / d) * (shift * clock_pow[np.newaxis, :])
 
 
 class _Kind(str, Enum):

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DensityState, QuditSystem, ValidationError, _Kind
+from .core import DensityState, QuditSystem, ValidationError, _Kind, _zeta_half
 from .basis import Domain, lift_table, lift_to_full
 from .measures import (
     QuasiDistribution,
@@ -116,14 +116,13 @@ def gkp_wigner_coefficients(rho: DensityState) -> GkpLatticeCoefficients:
 @lru_cache(maxsize=32)
 def _gamma_table(d: int) -> np.ndarray:
     """Per-factor (2d, 2d) lift table of gamma: the chi lift sign times
-    d e^{-i pi l m/d} w_d^{-l m/2}, with w_d^{1/2} via inv2 at odd d, so the
+    d e^{-i pi l m/d} w_d^{-l m/2}, with w_d^{1/2} read by ``core._zeta_half``, so the
     n-factor product carries the d^n as well. Moving l by d multiplies the
     entry by (-1)^m, so the lifted rows are written as exactly the
     restricted rows times (-1)^m, as ``lift_to_full`` requires. Cached
     read-only."""
     lm = np.multiply.outer(np.arange(d), np.arange(2 * d))
-    half = 2 * ((pow(2, -1, d) * lm) % d) if d % 2 else lm
-    top = d * lift_table(d, char=True)[:d] * np.exp(-1j * math.pi * (lm + half) / d)
+    top = d * lift_table(d, char=True)[:d] * np.exp(-1j * math.pi * (lm + _zeta_half(d, lm)) / d)
     table = np.concatenate([top, top * (1 - 2 * (np.arange(2 * d) % 2))])
     table.flags.writeable = False
     return table

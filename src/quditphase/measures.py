@@ -18,7 +18,8 @@ test ||x||_1 <= 1, a necessary condition for a stabilizer mixture.
 
 Reference values kept by the test suite:
 
-* pure stabilizer states: ||x||_1 = 1 exactly (the minimum over pure states);
+* pure stabilizer states: ||x||_1 = 1 (the minimum over pure states) to 4 eps,
+  the rounding of its sum;
 * the maximally mixed state: ||x||_1 = 1/2 for every even d and 1 for every
   odd d, while ||x||_2 = 1/d for all d (a purity identity);
 * the qubit T state: ||x||_1 = (1 + sqrt2)/2 and M_2 = ln(4/3).
@@ -272,7 +273,7 @@ def _renyi_order(alpha: float) -> float:
 
 
 def _power_sum(mags: np.ndarray, p: float) -> tuple[float, np.float64]:
-    """(scale, s) with sum mags^p = scale^p s, for nonzero magnitudes.
+    """(scale, s) with sum mags^p = scale^p s over zero-filled ``_magnitudes`` with a nonzero entry.
 
     While the plain sum is a normal float it is s, with scale 1, so those
     results keep their bits. Otherwise (p beyond a few hundred underflows
@@ -288,21 +289,23 @@ def _power_sum(mags: np.ndarray, p: float) -> tuple[float, np.float64]:
 
 
 def _magnitudes(dist: QuasiDistribution | np.ndarray) -> np.ndarray:
-    """The flat |f(u)| that ``_kept`` counts as nonzero."""
+    """The flat |f(u)| as a fresh array, the entries ``_kept`` drops zero-filled in
+    place (no kept copy): the one way the library reads a table's magnitudes."""
     arr = dist.values if isinstance(dist, QuasiDistribution) else np.asarray(dist)
     mags = np.abs(arr).ravel()
-    return mags[_kept(mags)]
+    mags *= _kept(mags)
+    return mags
 
 
 def lp_norm(dist: QuasiDistribution | np.ndarray, p: float) -> float:
-    """(sum |f(u)|^p)^{1/p} with the near-zero cutoff applied first.
+    """(sum |f(u)|^p)^{1/p} over ``_magnitudes``, whose dropped entries are zeros.
 
     A sum that under- or overflows is rescaled by the largest magnitude; a
     norm beyond the float range raises ValidationError.
     """
     p = check_order(p)
     mags = _magnitudes(dist)
-    if mags.size == 0:
+    if not mags.any():
         return 0.0
     scale, total = _power_sum(mags, p)
     with np.errstate(over="ignore"):
@@ -334,18 +337,16 @@ class _InputLabels:
     |x(u)| / ||x||_1, carries ||x||_1 times the sign (or phase) of x(u).
     ``cdf`` is cumsum |x| over the ``_kept`` flat labels, ascending, divided by its
     own last entry, so it ends at exactly 1; ``_nz`` holds those labels only when
-    an entry is dropped. ``norm``, the pinned weight, sums the table with dropped
-    entries zeroed; it may differ by an ulp from ``lp_norm``, M's input factor."""
+    an entry is dropped. ``norm``, the pinned weight, is ``lp_norm(values, 1)``,
+    M's input factor, bit for bit: both sum ``_magnitudes``."""
 
     def __init__(self, values: np.ndarray):
         self._flat, self._shape = values.reshape(-1), values.shape
-        mags = np.abs(self._flat)
-        kept = _kept(mags)
-        mags *= kept  # dropped entries read zero, with no second mask
+        mags = _magnitudes(values)
         self.norm = float(np.sum(mags))
         if self.norm <= 0:
             raise ValidationError("input state has zero coefficient norm")
-        self._nz = None if kept.all() else np.flatnonzero(kept)
+        self._nz = None if mags.all() else np.flatnonzero(mags)
         mags = mags if self._nz is None else mags[self._nz]  # the full magnitudes are freed before the cumsum
         self.cdf = np.cumsum(mags, out=mags)
         self.cdf /= self.cdf[-1]
@@ -369,7 +370,7 @@ def _stream_rng(seed: int, *spawn_key: int) -> np.random.Generator:
 
 
 def magic_negativity(rho: DensityState) -> float:
-    """||x_rho||_1 over the restricted domain; 1 exactly on pure stabilizer states.
+    """||x_rho||_1 over the restricted domain; 1 on pure stabilizer states up to a few ulps.
 
     Not a monotone at even d: ||x||_1(|0><0| (x) I/d) = 1/2, and tracing
     out the second qudit, a free operation, leaves |0> at 1. At odd d,

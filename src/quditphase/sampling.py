@@ -75,6 +75,7 @@ from .core import (
     _check_unitary,
     _read_gate,
     _support,
+    _zeta_half,
 )
 from .basis import (
     Domain,
@@ -281,8 +282,8 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
     X = P(1, 0), Z = P(0, 1), and the odd-d PHASE diagonal w^{j(j-1)/2} is
     w^{j^2/2} times Z^{-1/2}, halves read as 2^{-1} mod d. Conjugation by
     P(t) multiplies P(v) by w^{-(t_l.v_m - t_m.v_l)}, and P(t) shifts O
-    labels by 2Jt. So t = Js/2 at even d, where every shift is even, and
-    t = 2^{-1} Js mod d at odd d. Each generator fixes its own shift
+    labels by 2Jt. So t = ``_zeta_half(d, Js) / 2``: Js/2 at even d, where every shift
+    is even, and 2^{-1} Js mod d at odd d. Each generator fixes its own shift
     (As = s), so JAJ fixes t and the factor is the same whether P(t) acts
     before or after the linear part. The powers w^{-j} are read from a root
     table whose quarter turns (4j a multiple of d) are exactly 1, -i, -1, i.
@@ -298,7 +299,7 @@ def _named_table(d: int, kind: GateKind, char: bool) -> tuple[np.ndarray, np.nda
     phases = np.prod(lift_table(d, char)[full[:k], full[k:]], axis=0)
     if char:
         js = flip * amap.shift
-        t = js // 2 if d % 2 == 0 else js * pow(2, -1, d)
+        t = _zeta_half(d, js) // 2
         j = np.arange(d)
         roots = np.where(4 * j % d, np.exp(-2j * np.pi * j / d), np.array([1, -1j, -1, 1j])[4 * j // d])
         phases = phases * roots[(t[:k] @ u[k:] - t[k:] @ u[:k]) % d]

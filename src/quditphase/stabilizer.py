@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DensityState, InvariantError, QuditSystem, ValidationError, _as_int
+from .core import DensityState, InvariantError, QuditSystem, ValidationError, _as_int, _zeta_half
 from .basis import Domain, lift_table, lift_to_full, o_stack, omega_block, p_stack
 from .measures import QuasiDistribution, _contract_stack, _kept, _real
 
@@ -76,11 +76,6 @@ class DependentGenerators(ValidationError):
 def _symplectic(u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     """u Omega v^T mod d for row stacks u, v of Z_d^{2n} vectors."""
     return (u @ omega_block(u.shape[1] // 2) @ v.T) % d
-
-
-def _h2(d: int) -> int:
-    """zeta exponent of w^{1/2}: P(a, b) = zeta^{h2 a.b} X^a Z^b."""
-    return (2 * pow(2, -1, d)) % (2 * d) if d % 2 else 1
 
 
 def _smith(a: Sequence[Sequence[int]], d: int):
@@ -182,15 +177,14 @@ def _group_table(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
     """Labels and phases of rho = d^{-n} sum_k phase_k P(label_k), all k in Z_d^n at once.
 
     The element prod_i (w^{c_i} P(s_i))^{k_i} has label k S mod d. With
-    P(a, b) = zeta^{h2 a.b} X^a Z^b and Z^b X^a = w^{a.b} X^a Z^b, the power
-    (X^a Z^b)^k brings zeta^{k(k-1) a.b} and the ordered product brings
-    zeta^{2 k_i k_j b_i.a_j} for i < j, so the phase is zeta to
-    h2 sum k_i a_i.b_i + sum k_i(k_i-1) a_i.b_i + 2 sum_{i<j} k_i k_j b_i.a_j
-    + 2 sum k_i c_i, less h2 alpha.beta of the label (alpha, beta) itself.
+    P(a, b) = zeta^{h(a.b)} X^a Z^b (h = ``_zeta_half``, additive mod 2d) and
+    Z^b X^a = w^{a.b} X^a Z^b, the power (X^a Z^b)^k brings zeta^{k(k-1) a.b}
+    and the ordered product zeta^{2 k_i k_j b_i.a_j} for i < j: the phase is zeta
+    to h(sum k_i a_i.b_i) + sum k_i(k_i-1) a_i.b_i + 2 sum_{i<j} k_i k_j b_i.a_j
+    + 2 sum k_i c_i, less h(alpha.beta) of the label (alpha, beta) itself.
     Rows are in ``np.indices`` order of k.
     """
     d, n = group.system.d, group.system.n
-    h2 = _h2(d)
     s = np.array(group.generators, dtype=np.int64)
     a, b = s[:, :n], s[:, n:]
     k = np.indices((d,) * n).reshape(n, -1).T
@@ -198,16 +192,17 @@ def _group_table(group: StabilizerGroup) -> tuple[np.ndarray, np.ndarray]:
     ab = (a * b).sum(1) % (2 * d)
     cross = np.triu(b @ a.T, 1) % (2 * d)
     zeta = (
-        (k * (k + h2 - 1)) @ ab
+        _zeta_half(d, k @ ab)
+        + (k * (k - 1)) @ ab
         + 2 * ((k @ cross) * k).sum(1)
         + 2 * (k @ np.array(generator_phases(group)))
-        - h2 * (labels[:, :n] * labels[:, n:]).sum(1)
+        - _zeta_half(d, (labels[:, :n] * labels[:, n:]).sum(1))
     ) % (2 * d)
     return labels, np.exp(1j * np.pi * zeta / d)
 
 
 def _weyl_action(d: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(a, b)|c> = zeta^{h2 a.b + 2 b.c} |c + a> on every basis column c.
+    """P(a, b)|c> = zeta^{h(a.b) + 2 b.c} |c + a> on every basis column c, h = ``_zeta_half``.
 
     Returns the row index of c + a mod d and that exponent mod 2d, each of
     shape (..., d^n) for (..., n) label arrays a and b.
@@ -217,7 +212,7 @@ def _weyl_action(d: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     rows = 0
     for f in range(n):
         rows = rows * d + (digits[f] + a[..., f, None]) % d
-    exps = (_h2(d) * (a * b).sum(-1)[..., None] + 2 * (b @ digits)) % (2 * d)
+    exps = (_zeta_half(d, (a * b).sum(-1))[..., None] + 2 * (b @ digits)) % (2 * d)
     return rows, exps
 
 

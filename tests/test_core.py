@@ -1,5 +1,7 @@
 """Displacement-operator algebra and dense gate construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from quditphase import (
     pure_density,
     t_state,
 )
+from quditphase import core
 from quditphase.core import DIM_CAP_ENV_VAR, hw_matrix
 
 # Hand-computed single-qubit displacement operators. P(1,1) carries the
@@ -229,3 +232,40 @@ def test_array_holders_compare_and_hash_by_identity(build):
     assert obj == obj and obj != twin
     assert obj in [twin, obj] and twin not in [obj]
     assert hash(obj) == hash(obj) and len({obj, twin}) == 2
+
+
+def _full_hermiticity_message(entries):
+    """The one-shot check against A^dagger in full: its message, or None where it passes."""
+    dev = np.max(np.abs(entries - entries.conj().T))
+    return f"hermiticity violated by {dev:.3e}" if dev > 1e-9 else None
+
+
+@pytest.mark.parametrize("side", [5, 1100], ids=["one-block", "five-blocks"])
+@pytest.mark.parametrize("off", [0.0, 1e-7], ids=["hermitian", "off-by-1e-7"])
+def test_the_blocked_hermiticity_check_matches_the_full_one(side, off):
+    # 1100 rows are 4 blocks of 238 and one of 148; the perturbed entry sits in the last block
+    rng = np.random.default_rng(side)
+    b = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    entries = b + b.conj().T
+    entries[side - 1, 2] += off
+    want = _full_hermiticity_message(entries)
+    if want is None:
+        core._check_hermitian(entries)
+    else:
+        with pytest.raises(ValidationError) as info:
+            core._check_hermitian(entries)
+        assert str(info.value) == want
+
+
+def test_the_hermiticity_check_makes_no_full_size_copy():
+    # a 2048 x 2048 complex matrix is 64 MiB; the check works in row blocks of about 4 MiB
+    side = 2048
+    entries = np.zeros((side, side), dtype=complex)
+    entries[np.arange(side), np.arange(side)] = 1.0
+    tracemalloc.start()
+    try:
+        core._check_hermitian(entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20

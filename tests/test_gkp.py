@@ -7,6 +7,7 @@ u + v + d t = l, weighted by e^{i pi m (u - v - d t)/d} / d.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,3 +204,18 @@ def test_cell_functions_reject_bad_orders(p):
     ):
         with pytest.raises(ValidationError):
             call()
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("build", [gkp_wigner_coefficients, gkp_char_coefficients], ids=["wigner", "gamma"])
+def test_a_cell_norm_reads_its_magnitudes_without_a_kept_copy(build, p):
+    # 4^10 cell entries: the magnitudes and their p-th powers are 8 MiB each, and the zero rule
+    # zero-fills the dropped entries in place rather than copying the kept ones out
+    coeffs = build(haar_random_state(QuditSystem(2, 5), np.random.default_rng(5)))
+    tracemalloc.start()
+    try:
+        cell_lp_norm(coeffs, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.5 * (1 << 20)

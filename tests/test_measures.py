@@ -28,6 +28,7 @@ from quditphase import (
 )
 from quditphase import measures, sampling
 from quditphase.basis import o_stack, p_stack
+from quditphase.stabilizer import enumerate_single_qudit_stabilizers
 from quditphase.measures import (
     apply_word,
     normalization_residual,
@@ -91,6 +92,40 @@ def test_stabilizer_states_sit_on_the_boundary(single):
         inside, _ = is_hyperpolyhedral(rho)
         assert inside
         assert abs(stabilizer_renyi(rho, 2.0)) < 1e-10
+
+
+# every d^n <= 343 whose FULL tables hold at most 2^20 entries; d = 2..7
+SMALL_SYSTEMS = [(d, n) for d in range(2, 8) for n in range(1, 9) if d**n <= 343 and (2 * d) ** (2 * n) <= 1 << 20]
+
+
+def _product_states(system):
+    """|0...0>, |+...+> and the maximally mixed state."""
+    return [computational_state(system, 0), plus_state(system), maximally_mixed(system)]
+
+
+def test_pure_stabilizer_states_have_unit_negativity_to_a_few_ulps():
+    # ||x||_1 = 1 on pure stabilizer states holds only to the rounding of the sum over d^{2n}
+    # entries: the largest deviation over these states is 2 eps, read at d=5
+    states = [rho for d in range(2, 8) for rho in enumerate_single_qudit_stabilizers(d)]
+    systems = [QuditSystem(d, n) for d in range(2, 8) for n in range(1, 9) if d**n <= 343]
+    states += [rho for system in systems for rho in _product_states(system)[:2]]
+    worst = max(abs(magic_negativity(rho) - 1.0) for rho in states)
+    assert worst <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d, n", SMALL_SYSTEMS)
+def test_the_norm_and_the_input_draw_read_one_sum(d, n):
+    # lp_norm(t, 1) is M's input factor and _InputLabels(t).norm the drawn weight: the two
+    # readings of ||x||_1 must agree bit for bit on every x and chi table, RESTRICTED and FULL
+    system = QuditSystem(d, n)
+    states = _product_states(system) + [haar_random_state(system, np.random.default_rng([d, n]))]
+    if n == 1:
+        states += enumerate_single_qudit_stabilizers(d)
+    for rho in states:
+        for table in (x_distribution, characteristic_fn):
+            for domain in Domain:
+                values = table(rho, domain).values
+                assert lp_norm(values, 1) == measures._InputLabels(values).norm
 
 
 @given(st.integers(2, 4), st.integers(0, 10_000))

@@ -38,7 +38,7 @@ from quditphase import core, sampling
 from quditphase.sampling import _columns, _effect_steps, _step, _steps, frame_measurement_coeffs
 
 from dense_reference import dense_frame_columns, einsum_contract_stack, full_unitarity_deviation
-from stat_oracle import born_z_score
+from stat_oracle import born_miss_bound, born_z_score
 from trajectory_reference import per_trajectory_report
 
 EXACT_HTH = math.cos(math.pi / 8) ** 2  # 0.8535533905932737
@@ -591,7 +591,7 @@ def qutrit_magic_circuit():
         (hth_circuit, 0.1, 11, 1, 0.8585284215895526, 1476, 1.414213562373095),
         (hth_circuit, 0.1, 11, 4, 0.8460045182194723, 1476, 1.414213562373095),
         # the magic gate acts on qudit 1 alone: M is the exact max over its 9 local columns
-        (qutrit_magic_circuit, 0.1, 13, 1, 0.34339000793820507, 1857, 1.5862568277145443),
+        (qutrit_magic_circuit, 0.1, 13, 1, 0.34339000793820507, 1857, 1.5862568277145448),
     ],
     ids=["hth-1-stream", "hth-4-streams", "qutrit-3-qudits"],
 )
@@ -640,7 +640,7 @@ def qutrit_explicit_effect_circuit():
     "make, epsilon, seed, streams, estimate, samples, norm",
     [
         (controlled_t_circuit, 0.2, 21, 1, 0.4186389698043584, 2151, 3.414213562373095),
-        (qutrit_explicit_effect_circuit, 0.2, 22, 1, 0.2022872283376903, 554, 1.7320508075688765),
+        (qutrit_explicit_effect_circuit, 0.2, 22, 1, 0.2022872283376903, 554, 1.7320508075688767),
         (controlled_t_circuit, 0.2, 23, 3, 0.43834365428174116, 2151, 3.414213562373095),
     ],
     ids=["two-qubit-gate", "explicit-effect", "3-streams"],
@@ -673,6 +673,17 @@ def test_seeded_estimates_center_on_the_dense_born_probability(make, runner):
     # check (ii) of the sampler contract: the mean of 30 seeded estimates lies within
     # 4 standard errors (their sample sd / sqrt 30) of Tr(Pi U rho U^dagger) from dense matrices
     assert abs(born_z_score(runner, make(), 0.2, range(30))) <= 4
+
+
+@pytest.mark.parametrize("runner", [estimate_born, estimate_born_char], ids=["o", "hw"])
+@pytest.mark.parametrize(
+    "make", [qutrit_named_word_circuit, controlled_t_circuit, qutrit_magic_circuit],
+    ids=["d3-named-word", "controlled-t", "qutrit-readout-of-1-of-3"],
+)
+def test_seeded_estimates_miss_no_more_often_than_the_failure_probability(make, runner):
+    # check (iii): over 100 seeds at epsilon = 0.2, the Clopper-Pearson lower bound (99.9%) on
+    # the rate of |estimate - p| > epsilon, p from dense matrices, is at most p_fail = 0.1
+    assert born_miss_bound(runner, make(), 0.2, range(100), 0.1) <= 0.1
 
 
 def born_workload_circuit(haar_seed=None):
@@ -714,17 +725,20 @@ def test_born_workload_reports_are_pinned(runner, haar_seed, epsilon, seed, stre
 def test_forward_norm_reads_the_input_table_and_builds_no_draw(monkeypatch, make):
     circuit = make()
     reported = estimate_born(circuit, 0.25, 0.05, seed=1).forward_norm
+    values = sampling._frame(circuit, False)[1]
+    drawn = measures._InputLabels(values).norm
 
     def refuse(self, values):
         raise AssertionError("forward_norm built the input draw")
 
     monkeypatch.setattr(measures._InputLabels, "__init__", refuse)
     assert forward_norm(circuit) == reported
-    # M's input factor is lp_norm's sum over the kept magnitudes, bit for bit
-    values = sampling._frame(circuit, False)[1]
+    # M's input factor is lp_norm's sum over the magnitudes with dropped entries zeroed, the
+    # input draw's norm, bit for bit
     mags = np.abs(values).ravel()
     factor = sampling._aggregated_norm([], values, [])[0]
-    assert factor == lp_norm(values, 1) == float(np.sum(mags[mags >= measures.NORM_CUTOFF]))
+    zero_filled = float(np.sum(np.where(mags >= measures.NORM_CUTOFF, mags, 0.0)))
+    assert factor == lp_norm(values, 1) == zero_filled == drawn
 
 
 def random_named_word(rng, n, length):
@@ -1076,15 +1090,14 @@ def test_distinct_keys_by_table_and_by_sort(cells):
 def test_every_state_score_is_within_the_forward_norm(make, char):
     # check (i) of the sampler contract, the Hoeffding precondition: |Re w| <= M for every state.
     # M is tight (a trajectory can meet every factor's max), and M and a weight are products
-    # of the same factors, each summed along its own float path: the input norm over the
-    # zeroed table against lp_norm over the kept entries, a drawn column's norm in a block
-    # of visited columns against the norm in a block of all columns. Each may round an ulp
-    # apart (3 ulps in all on the qutrit circuit in the O frame), so the bound carries a
-    # slack of one ulp (relative 2^-52) per factor of M and no more.
+    # of the same factors. The input factor is one sum, shared bit for bit; the one source of
+    # rounding left is a drawn column's norm, summed in a block of visited columns, against
+    # _LocalGate.norm, which sums it in a block of all columns. Those may round an ulp apart,
+    # so the bound carries a slack of one ulp (relative 2^-52) per factor of M and no more.
     circuit = make()
     steps, values, effect = sampling._frame(circuit, char)
     m, method = sampling._aggregated_norm(steps, values, effect)
-    factors = 1 + sum(isinstance(op, sampling._LocalGate) for _, op in steps) + len(effect)
+    factors = sum(isinstance(op, sampling._LocalGate) for _, op in steps) + len(effect)
     trajectories = 20_000
     w, counts = sampling._stream_states(
         circuit.system.d, measures._InputLabels(values), steps + effect, measures._stream_rng(7), trajectories
